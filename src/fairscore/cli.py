@@ -37,6 +37,7 @@ from .transportnd import (
     group_measures,
     interpolate_scores_nd,
     sinkhorn_plan,
+    validate_solver_params,
 )
 
 
@@ -81,6 +82,7 @@ class RunConfig:
             raise ValidationError("weight_mode 'explicit' requires explicit_weights")
         if self.selection_threshold is not None and self.selection_top_k is not None:
             raise ValidationError("configure at most one of selection threshold and top-k")
+        validate_solver_params(self.epsilon, self.tol, self.max_iter)
 
     def selection_rule(self) -> SelectionRule | None:
         if self.selection_threshold is not None:
@@ -100,11 +102,25 @@ _DIST_PARSERS = {
 }
 
 
-def _parse_group_entries(entries, value_field: str) -> dict[GroupKey, float]:
+def _cast(name: str, cast, value):
+    """``cast(value)``, with a bad value reported as a ValidationError naming ``name``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} value {value!r} is not a valid {cast.__name__}") from None
+
+
+def _parse_group_entries(raw: dict, section: str, value_field: str) -> dict[GroupKey, float]:
+    if not isinstance(raw[section], list):
+        raise ValidationError(f"{section} must be a list of entries")
     out = {}
-    for entry in entries:
+    for entry in raw[section]:
+        if not isinstance(entry, dict) or "group" not in entry or value_field not in entry:
+            raise ValidationError(
+                f"{section} entry {entry!r} needs a 'group' and a {value_field!r} key"
+            )
         key = GroupKey(tuple(str(v) for v in entry["group"]))
-        out[key] = float(entry[value_field])
+        out[key] = _cast(f"{section} {value_field}", float, entry[value_field])
     return out
 
 
@@ -154,15 +170,15 @@ def load_config(path: str) -> RunConfig:
     }
     for name, cast in simple.items():
         if raw.get(name) is not None:
-            setattr(cfg, name, cast(raw[name]))
+            setattr(cfg, name, _cast(f"config key {name!r}", cast, raw[name]))
     if "score_columns" in raw:
         cfg.score_columns = [str(c) for c in raw["score_columns"]]
     if "group_columns" in raw:
         cfg.group_columns = [str(c) for c in raw["group_columns"]]
     if "theta_overrides" in raw:
-        cfg.theta_overrides = _parse_group_entries(raw["theta_overrides"], "theta")
+        cfg.theta_overrides = _parse_group_entries(raw, "theta_overrides", "theta")
     if "explicit_weights" in raw:
-        cfg.explicit_weights = _parse_group_entries(raw["explicit_weights"], "weight")
+        cfg.explicit_weights = _parse_group_entries(raw, "explicit_weights", "weight")
     if "synth" in raw:
         cfg.synth, cfg.synth_seed = _parse_synth(raw["synth"])
     return cfg
@@ -597,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "audit":
             return run_audit(cfg)
         if args.command == "sweep":
-            thetas = [float(t) for t in args.thetas.split(",") if t.strip() != ""]
+            thetas = [_cast("--thetas", float, t) for t in args.thetas.split(",") if t.strip()]
             return run_sweep(cfg, thetas)
         if args.command == "barycenter":
             return run_barycenter(cfg)

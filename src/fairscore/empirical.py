@@ -41,6 +41,8 @@ class EmpiricalDistribution:
             raise ValidationError("values must be finite")
         if np.any(np.diff(values) < 0):
             raise ValidationError("values must be sorted nondecreasing")
+        if not np.all(np.isfinite(weights)):
+            raise ValidationError("weights must be finite")
         if np.any(weights <= 0):
             raise ValidationError("weights must be strictly positive")
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:

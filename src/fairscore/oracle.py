@@ -11,7 +11,6 @@ from itertools import permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .empirical import EmpiricalDistribution, QuantileGrid, grid_ranks, quantile
 from .errors import OracleGuardError, ValidationError
@@ -44,6 +43,8 @@ def ot_cost_bruteforce(x: Sequence, y: Sequence) -> float:
 
 def lp_transport_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float, np.ndarray]:
     """Exact unregularized OT via linear programming (HiGHS dual simplex)."""
+    from scipy.optimize import linprog  # only verify and the tests need scipy
+
     n, m = len(mu), len(nu)
     if n > LP_MAX_SUPPORT or m > LP_MAX_SUPPORT:
         raise OracleGuardError(f"LP oracle refuses supports larger than {LP_MAX_SUPPORT}")

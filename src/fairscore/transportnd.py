@@ -1,9 +1,20 @@
 """Multi-dimensional score support via entropic-regularized optimal transport.
 
-Sinkhorn iterations run in the log domain (logsumexp), so they stay stable for
-epsilon down to 1e-3 on scores scaled to [0, 1]. Barycenters use iterative
-Bregman projections on a fixed support; transport plans are turned into maps
-via barycentric projection.
+Both solvers share one log-domain kernel: the cost is scaled once to
+``K = -C/epsilon`` and every update is a numpy log-sum-exp over ``K`` plus a
+dual or log-mass vector, so they stay stable for epsilon down to 1e-3 on
+scores scaled to [0, 1].
+
+Sinkhorn keeps the scaled duals ``f`` and ``g`` and never forms the plan inside
+its loop. After the g-update the plan's column marginal is exactly ``b`` and
+its row marginal is ``a * exp(f - f_next)``, where ``f_next`` is the next
+f-update, which the loop needs anyway. Once that dual estimate is within
+``tol``, the plan is materialised and its marginal L1 error is checked
+directly; iteration continues unless that check passes too.
+
+Barycenters use iterative Bregman projections on a fixed support and stop when
+the barycenter masses move by at most ``tol`` (L1) between sweeps. Transport
+plans are turned into maps via barycentric projection.
 """
 
 from __future__ import annotations
@@ -12,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, DimensionError, ValidationError
 from .interpolation import FairScores, ThetaPolicy, check_policy_against, resolve_theta
@@ -40,6 +50,8 @@ class DiscreteMeasure:
             raise ValidationError("support and masses must have the same length")
         if not np.all(np.isfinite(support)):
             raise ValidationError("support points must be finite")
+        if not np.all(np.isfinite(masses)):
+            raise ValidationError("masses must be finite")
         if np.any(masses < 0):
             raise ValidationError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > MASS_SUM_TOL:
@@ -76,6 +88,30 @@ def squared_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(diff**2, axis=2)
 
 
+def validate_solver_params(epsilon: float, tol: float, max_iter: int) -> None:
+    """Reject entropic solver settings under which no iteration can converge."""
+    if not epsilon > 0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+
+
+def _log_masses(masses: np.ndarray) -> np.ndarray:
+    return np.log(masses, where=masses > 0, out=np.full_like(masses, -np.inf))
+
+
+def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(m), axis))``, computed in place: ``m`` is overwritten."""
+    peak = m.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0  # an all -inf slice sums to 0, not NaN
+    m -= peak
+    np.exp(m, out=m)
+    with np.errstate(divide="ignore"):
+        return np.log(m.sum(axis=axis)) + peak.squeeze(axis)
+
+
 def sinkhorn_plan(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -92,24 +128,27 @@ def sinkhorn_plan(
         raise DimensionError(
             f"measures live in different dimensions ({mu.dimension} vs {nu.dimension})"
         )
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    validate_solver_params(epsilon, tol, max_iter)
 
     a = mu.masses
     b = nu.masses
-    loga = np.log(a, where=a > 0, out=np.full_like(a, -np.inf))
-    logb = np.log(b, where=b > 0, out=np.full_like(b, -np.inf))
-    C = squared_cost_matrix(mu.support, nu.support)
+    logb = _log_masses(b)
+    neg_cost = -squared_cost_matrix(mu.support, nu.support) / epsilon
+    row_kernel = neg_cost + logb[None, :]
+    col_kernel = neg_cost + _log_masses(a)[:, None]
+    work = np.empty_like(neg_cost)
 
-    f = np.zeros(len(mu))
+    # f and g are the duals scaled by 1/epsilon
     g = np.zeros(len(nu))
-    err = np.inf
-    it = 0
+    f_next = -_logsumexp(np.add(row_kernel, g[None, :], out=work), axis=1)
     for it in range(1, max_iter + 1):
-        f = -epsilon * logsumexp((g[None, :] - C) / epsilon + logb[None, :], axis=1)
-        g = -epsilon * logsumexp((f[:, None] - C) / epsilon + loga[:, None], axis=0)
-        log_plan = (f[:, None] + g[None, :] - C) / epsilon + loga[:, None] + logb[None, :]
-        plan = np.exp(log_plan)
+        f = f_next
+        g = -_logsumexp(np.add(col_kernel, f[:, None], out=work), axis=0)
+        f_next = -_logsumexp(np.add(row_kernel, g[None, :], out=work), axis=1)
+        # the column marginal is exactly b here; the row marginal is a * exp(f - f_next)
+        if it < max_iter and np.abs(a * np.exp(f - f_next) - a).sum() > tol:
+            continue
+        plan = np.exp(col_kernel + f[:, None] + g[None, :] + logb[None, :])
         row_err = float(np.abs(plan.sum(axis=1) - a).sum())
         col_err = float(np.abs(plan.sum(axis=0) - b).sum())
         err = max(row_err, col_err)
@@ -133,7 +172,12 @@ def barycenter_fixed_support(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DiscreteMeasure:
-    """Entropic W2 barycenter on a fixed support via iterative Bregman projections."""
+    """Entropic W2 barycenter on a fixed support via iterative Bregman projections.
+
+    Raises ``ConvergenceError`` when the masses still move by more than ``tol``
+    (L1) after ``max_iter`` sweeps.
+    """
+    validate_solver_params(epsilon, tol, max_iter)
     support = np.atleast_2d(np.asarray(support, dtype=float))
     if support.size == 0:
         raise ValidationError("barycenter support must be non-empty")
@@ -150,31 +194,33 @@ def barycenter_fixed_support(
         if meas.dimension != d:
             raise DimensionError("all measures must share the support's dimension")
 
-    neg_costs = []
-    logas = []
-    for meas in measures:
-        neg_costs.append(-squared_cost_matrix(meas.support, support) / epsilon)
-        a = meas.masses
-        logas.append(np.log(a, where=a > 0, out=np.full_like(a, -np.inf)))
+    neg_costs = [-squared_cost_matrix(meas.support, support) / epsilon for meas in measures]
+    logas = [_log_masses(meas.masses) for meas in measures]
+    works = [np.empty_like(nc) for nc in neg_costs]
 
     log_b = np.full(support.shape[0], -np.log(support.shape[0]))
     lvs = [np.zeros(support.shape[0]) for _ in measures]
     prev_b = np.exp(log_b)
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         lktus = []
-        for nc, loga, lv in zip(neg_costs, logas, lvs):
-            lu = loga - logsumexp(nc + lv[None, :], axis=1)
-            lktus.append(logsumexp(nc + lu[:, None], axis=0))
+        for nc, loga, lv, work in zip(neg_costs, logas, lvs, works):
+            lu = loga - _logsumexp(np.add(nc, lv[None, :], out=work), axis=1)
+            lktus.append(_logsumexp(np.add(nc, lu[:, None], out=work), axis=0))
         log_b = sum(wk * lk for wk, lk in zip(w, lktus))
         lvs = [log_b - lk for lk in lktus]
         b = np.exp(log_b)
-        if np.abs(b - prev_b).sum() <= tol:
+        change = float(np.abs(b - prev_b).sum())
+        if change <= tol:
             break
         prev_b = b
+    else:
+        raise ConvergenceError(
+            f"Bregman barycenter did not converge (mass change {change:.3e} after {it} iters)",
+            iterations=it,
+            marginal_error=change,
+        )
 
-    b = np.exp(log_b)
-    b = b / b.sum()
-    return DiscreteMeasure(support=support, masses=b)
+    return DiscreteMeasure(support=support, masses=b / b.sum())
 
 
 def default_barycenter_support(

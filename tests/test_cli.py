@@ -1,7 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import fairscore
 
 from fairscore.cli import main
 
@@ -204,3 +209,42 @@ def test_verify_nd_instance(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     assert main(["transform", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"theta": "abc"},
+        {"theta_overrides": [{"theta": 0.5}]},
+        {"weight_mode": "explicit", "explicit_weights": [{"weight": 0.5}]},
+        {"theta_overrides": 0.5},
+    ],
+    ids=["non-numeric-theta", "override-without-group", "weight-without-group", "not-a-list"],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, extra):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, **extra)
+    assert main(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_rejects_non_numeric_thetas(tmp_path, capsys):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--thetas", "0,half,1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("name, value", [("max_iter", 0), ("tol", 0.0), ("epsilon", 0.0)])
+def test_bad_solver_setting_exits_2(tmp_path, capsys, name, value):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, **{name: value})
+    assert main(["transform", "--config", cfg]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(fairscore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, fairscore.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

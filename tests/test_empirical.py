@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairscore import ValidationError, cdf_rank, discretize_quantiles, empirical_from_samples, quantile
+from fairscore import (
+    EmpiricalDistribution,
+    ValidationError,
+    cdf_rank,
+    discretize_quantiles,
+    empirical_from_samples,
+    quantile,
+)
 from fairscore.empirical import grid_ranks, midranks
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -30,6 +37,11 @@ def test_from_samples_rejects_empty_and_nonfinite():
         empirical_from_samples([])
     with pytest.raises(ValidationError):
         empirical_from_samples([1.0, float("inf")])
+
+
+def test_distribution_rejects_nan_weight():
+    with pytest.raises(ValidationError, match="finite"):
+        EmpiricalDistribution(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
 
 
 def test_quantile_convention():

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fairscore import (
+    ConvergenceError,
     DimensionError,
     DiscreteMeasure,
     ScoreRecord,
@@ -14,6 +18,7 @@ from fairscore import (
 )
 from fairscore.oracle import lp_transport_exact
 from fairscore.transportnd import (
+    _logsumexp,
     compute_barycenter_nd,
     default_barycenter_support,
     squared_cost_matrix,
@@ -65,6 +70,85 @@ def test_sinkhorn_nonconvergence_flagged():
     plan = sinkhorn_plan(mu, nu, epsilon=0.5, tol=1e-15, max_iter=1)
     assert not plan.converged
     assert plan.iterations_run == 1
+
+
+def reference_sinkhorn(mu, nu, epsilon, tol, max_iter):
+    """The original loop: materialises the plan and checks both marginals every sweep."""
+    a, b = mu.masses, nu.masses
+    loga = np.log(a, where=a > 0, out=np.full_like(a, -np.inf))
+    logb = np.log(b, where=b > 0, out=np.full_like(b, -np.inf))
+    C = squared_cost_matrix(mu.support, nu.support)
+    f = np.zeros(len(mu))
+    g = np.zeros(len(nu))
+    for it in range(1, max_iter + 1):
+        f = -epsilon * logsumexp((g[None, :] - C) / epsilon + logb[None, :], axis=1)
+        g = -epsilon * logsumexp((f[:, None] - C) / epsilon + loga[:, None], axis=0)
+        log_plan = (f[:, None] + g[None, :] - C) / epsilon + loga[:, None] + logb[None, :]
+        plan = np.exp(log_plan)
+        row_err = float(np.abs(plan.sum(axis=1) - a).sum())
+        col_err = float(np.abs(plan.sum(axis=0) - b).sum())
+        err = max(row_err, col_err)
+        if err <= tol:
+            break
+    return plan, it, err <= tol, err
+
+
+def random_masses(rng, n, kind):
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    masses = rng.dirichlet(np.ones(n))
+    if kind == "zero":
+        masses[0] = 0.0
+        masses /= masses.sum()
+    return masses
+
+
+@pytest.mark.parametrize("kind", ["uniform", "nonuniform", "zero"])
+@pytest.mark.parametrize(
+    "epsilon, tol, max_iter",
+    [(0.5, 1e-10, 1000), (0.05, 1e-8, 1000), (0.01, 1e-6, 10000), (0.005, 1e-9, 40)],
+)
+def test_sinkhorn_matches_reference_loop(kind, epsilon, tol, max_iter):
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        n, m = rng.integers(2, 30), rng.integers(2, 30)
+        mu = DiscreteMeasure(rng.uniform(size=(n, 2)), random_masses(rng, n, kind))
+        nu = DiscreteMeasure(rng.uniform(size=(m, 2)), random_masses(rng, m, kind))
+        plan = sinkhorn_plan(mu, nu, epsilon=epsilon, tol=tol, max_iter=max_iter)
+        ref_plan, ref_iters, ref_converged, ref_err = reference_sinkhorn(
+            mu, nu, epsilon, tol, max_iter
+        )
+        assert plan.iterations_run == ref_iters
+        assert plan.converged == ref_converged
+        np.testing.assert_allclose(plan.matrix, ref_plan, rtol=0, atol=1e-12)
+        assert plan.marginal_error == pytest.approx(ref_err, rel=1e-6, abs=1e-14)
+
+
+def test_logsumexp_guards_all_minus_inf_slices():
+    m = np.array([[0.0, -np.inf, 3.0], [-np.inf, -np.inf, -np.inf], [1e3, 1e3 - 1.0, -5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for axis in (0, 1):
+            np.testing.assert_allclose(
+                _logsumexp(m.copy(), axis=axis), logsumexp(m, axis=axis), rtol=1e-15
+            )
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("max_iter", 0), ("tol", 0.0), ("tol", -1e-6), ("epsilon", 0.0), ("epsilon", -0.1)],
+)
+def test_solvers_reject_bad_settings(name, value):
+    mu = uniform_measure([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match=name):
+        sinkhorn_plan(mu, mu, **{name: value})
+    with pytest.raises(ValidationError, match=name):
+        barycenter_fixed_support([mu], [1.0], mu.support, **{name: value})
+
+
+def test_discrete_measure_rejects_nan_mass():
+    with pytest.raises(ValidationError, match="finite"):
+        DiscreteMeasure([[0.0], [1.0]], [np.nan, 1.0])
 
 
 def test_sinkhorn_cost_bounds_vs_lp():
@@ -119,6 +203,16 @@ def test_barycenter_of_two_diracs_concentrates_at_midpoint():
     bary = barycenter_fixed_support([mu, nu], [0.5, 0.5], support, epsilon=0.005, tol=1e-12)
     assert np.argmax(bary.masses) == 1
     assert bary.masses[1] > 0.9
+
+
+def test_barycenter_nonconvergence_raises():
+    rng = np.random.default_rng(8)
+    mu = uniform_measure(rng.uniform(size=(5, 2)))
+    nu = uniform_measure(rng.uniform(size=(7, 2)))
+    with pytest.raises(ConvergenceError) as info:
+        barycenter_fixed_support([mu, nu], [0.5, 0.5], SEPARATED, tol=1e-15, max_iter=3)
+    assert info.value.iterations == 3
+    assert info.value.marginal_error > 1e-15
 
 
 def test_barycenter_empty_support_rejected():
