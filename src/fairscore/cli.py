@@ -19,7 +19,13 @@ import numpy as np
 
 from .empirical import DEFAULT_GRID_SIZE, empirical_from_samples
 from .errors import FairscoreError, OracleGuardError, ValidationError
-from .interpolation import FairScores, ThetaPolicy, interpolate_scores
+from .interpolation import (
+    FairScores,
+    ThetaPolicy,
+    apply_theta,
+    barycenter_targets,
+    interpolate_scores,
+)
 from .metrics import SelectionRule, build_report
 from .oracle import (
     BRUTEFORCE_MAX_N,
@@ -377,6 +383,7 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
     _emit_warnings(pop, cfg)
 
     bary = compute_barycenter_1d(pop, cfg)
+    targets = barycenter_targets(pop, bary)
     rule = cfg.selection_rule()
     header = [
         "theta",
@@ -390,7 +397,7 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
         header.append("selection_ratio")
     out_rows = []
     for theta in thetas:
-        fair = interpolate_scores(pop, bary, ThetaPolicy(default_theta=theta))
+        fair = apply_theta(pop, bary, targets, ThetaPolicy(default_theta=theta))
         report = build_report(pop, fair, m=cfg.grid_size, rule=rule)
         row = [
             _fmt(theta),

@@ -78,6 +78,35 @@ def check_policy_against(policy: ThetaPolicy, pop: ScoredPopulation) -> None:
             raise ValidationError(f"theta override for nonexistent group {key}")
 
 
+def barycenter_targets(pop: ScoredPopulation, bary: Barycenter1D) -> np.ndarray:
+    """T(s) for every record: the barycenter quantile at its in-group midrank.
+
+    The targets do not depend on theta, so a sweep computes them once.
+    """
+    raw = pop.scores_array()
+    targets = np.empty_like(raw)
+    for idx in pop.groups.values():
+        idx = np.asarray(idx, dtype=int)
+        targets[idx] = bary.grid.evaluate(midranks(raw[idx]))
+    return targets
+
+
+def apply_theta(
+    pop: ScoredPopulation, bary: Barycenter1D, targets: np.ndarray, policy: ThetaPolicy
+) -> FairScores:
+    """fair = (1 - theta_g) * s + theta_g * T(s); a group with theta 0 keeps s bitwise."""
+    check_policy_against(policy, pop)
+    raw = pop.scores_array()
+    fair = np.empty_like(raw)
+    for key, idx in pop.groups.items():
+        idx = np.asarray(idx, dtype=int)
+        s = raw[idx]
+        theta = resolve_theta(policy, key)
+        # without this branch a raw -0.0 would come out as 0.0
+        fair[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * targets[idx]
+    return FairScores(values=fair, theta_used=policy, barycenter_ref=bary)
+
+
 def interpolate_scores(
     pop: ScoredPopulation, bary: Barycenter1D, policy: ThetaPolicy
 ) -> FairScores:
@@ -87,17 +116,4 @@ def interpolate_scores(
             "interpolate_scores handles 1-D scores only; "
             "use interpolate_scores_nd for multi-dimensional populations"
         )
-    check_policy_against(policy, pop)
-
-    raw = pop.scores_array()
-    fair = np.empty_like(raw)
-    for key, idx in pop.groups.items():
-        idx = np.asarray(idx, dtype=int)
-        s = raw[idx]
-        theta = resolve_theta(policy, key)
-        if theta == 0.0:
-            fair[idx] = s
-            continue
-        targets = bary.grid.evaluate(midranks(s))
-        fair[idx] = (1.0 - theta) * s + theta * targets
-    return FairScores(values=fair, theta_used=policy, barycenter_ref=bary)
+    return apply_theta(pop, bary, barycenter_targets(pop, bary), policy)

@@ -5,13 +5,17 @@ Individual fairness is measured as the cross-group strict-inversion rate: the
 fraction of cross-group pairs with distinct raw scores whose strict raw-score
 order is reversed by the transform. Raw-score ties across groups are excluded
 from the pair universe and fair-score ties never count as inversions.
+
+The 1-D metrics are vectorized numpy. Inversions are counted by a bottom-up
+merge count (segmented ``searchsorted`` plus one int sort per level), in
+O(n log^2 n) for the whole population and once per group; the top-k
+selection order is one ``np.lexsort``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -73,50 +77,33 @@ class FairnessReport:
         }
 
 
-class _Fenwick:
-    """Binary indexed tree over compressed value indices."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, i: int) -> None:
-        i += 1
-        while i <= self.size:
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Count of inserted elements with compressed index <= i."""
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
-
-
 def _count_inversions(raw: np.ndarray, fair: np.ndarray) -> int:
-    """Pairs with raw_i < raw_j and fair_i > fair_j, raw ties excluded, in O(n log n)."""
-    order = np.lexsort((fair, raw))
-    raw_sorted = raw[order]
-    fair_sorted = fair[order]
-    comp = {v: i for i, v in enumerate(np.unique(fair))}
-    tree = _Fenwick(len(comp))
-    inserted = 0
-    inversions = 0
-    i = 0
+    """Pairs with raw_i < raw_j and fair_i > fair_j, raw ties excluded.
+
+    After a lexsort by (raw, fair), raw ties are in fair order and add
+    nothing, so the count is the number of inversions of the dense fair
+    ranks. A bottom-up merge counts them: at width w, every element of a
+    right half is counted against the strictly greater elements of its left
+    half, then each pair of halves is merged by one int sort of the keys
+    ``block * (n + 1) + rank``. log2(n) sorts give O(n log^2 n).
+    """
     n = raw.size
-    while i < n:
-        j = i
-        while j < n and raw_sorted[j] == raw_sorted[i]:
-            j += 1
-        for k in range(i, j):  # count against strictly smaller raw only
-            inversions += inserted - tree.prefix(comp[fair_sorted[k]])
-        for k in range(i, j):
-            tree.add(comp[fair_sorted[k]])
-        inserted += j - i
-        i = j
+    _, rank = np.unique(fair[np.lexsort((fair, raw))], return_inverse=True)
+    pos = np.arange(n, dtype=np.int64)
+    stride = n + 1
+    inversions = 0
+    w = 1
+    while w < n:
+        block = pos // (2 * w)
+        keys = block * stride + rank
+        right = pos % (2 * w) >= w
+        # left-half keys are sorted across all blocks, and a block that has a
+        # right half has a full left half ending at (block + 1) * w
+        left_keys = keys[~right]
+        not_greater = np.searchsorted(left_keys, keys[right], side="right")
+        inversions += int(np.sum((block[right] + 1) * w - not_greater))
+        rank = np.sort(keys) - block * stride
+        w *= 2
     return inversions
 
 
@@ -147,28 +134,6 @@ def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
     if cross_pairs == 0:
         return 0.0
     return cross_inv / cross_pairs
-
-
-def individual_fairness_error_naive(pop: ScoredPopulation, fair: FairScores) -> float:
-    """O(n^2) enumeration of the same quantity; reference for the fast path."""
-    if len(fair) != len(pop):
-        raise ValidationError("fair scores are not aligned with the population")
-    raw = pop.scores_array()
-    fv = fair.values
-    group_of = np.empty(len(pop), dtype=int)
-    for gi, idx in enumerate(pop.groups.values()):
-        group_of[np.asarray(idx, dtype=int)] = gi
-
-    pairs = 0
-    inversions = 0
-    for i, j in combinations(range(len(pop)), 2):
-        if group_of[i] == group_of[j] or raw[i] == raw[j]:
-            continue
-        pairs += 1
-        lo, hi = (i, j) if raw[i] < raw[j] else (j, i)
-        if fv[lo] > fv[hi]:
-            inversions += 1
-    return inversions / pairs if pairs else 0.0
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -228,11 +193,9 @@ def selection_rates(
         k = rule.top_k
         if not 1 <= k <= n:
             raise ValidationError(f"top_k {k} out of range [1, {n}]")
-        # boundary ties broken by (raw score, then id) descending
-        order = sorted(range(n), key=lambda i: pop.records[i].id, reverse=True)
-        order.sort(key=lambda i: raw[i], reverse=True)
-        order.sort(key=lambda i: fv[i], reverse=True)
-        selected[order[:k]] = True
+        # descending by (fair, raw, id); ids are unique, so this order is total
+        ids = np.array([r.id for r in pop.records])
+        selected[np.lexsort((ids, raw, fv))[::-1][:k]] = True
 
     rates = {}
     for key, idx in pop.groups.items():

@@ -7,18 +7,21 @@ guard instead of silently taking forever.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
 
 from .empirical import EmpiricalDistribution, QuantileGrid, grid_ranks, quantile
 from .errors import OracleGuardError, ValidationError
+from .interpolation import FairScores
+from .population import ScoredPopulation
 from .transportnd import DiscreteMeasure, squared_cost_matrix
 
 BRUTEFORCE_MAX_N = 8
 LP_MAX_SUPPORT = 20
 COORDINATE_MAX_M = 50
+PAIRWISE_MAX_N = 2000
 
 
 def ot_cost_bruteforce(x: Sequence, y: Sequence) -> float:
@@ -106,3 +109,32 @@ def barycenter_coordinate_oracle(
     # enforce monotonicity against grid-search jitter
     out = np.maximum.accumulate(out)
     return QuantileGrid(ranks=ranks, quantiles=out)
+
+
+def individual_fairness_error_naive(pop: ScoredPopulation, fair: FairScores) -> float:
+    """Cross-group strict-inversion rate by O(n^2) pair enumeration.
+
+    Reference for ``metrics.individual_fairness_error``: every cross-group
+    pair with distinct raw scores counts, and it is an inversion when the
+    fair scores order it strictly the other way.
+    """
+    if len(fair) != len(pop):
+        raise ValidationError("fair scores are not aligned with the population")
+    if len(pop) > PAIRWISE_MAX_N:
+        raise OracleGuardError(f"pairwise oracle refuses n > {PAIRWISE_MAX_N}")
+    raw = pop.scores_array()
+    fv = fair.values
+    group_of = np.empty(len(pop), dtype=int)
+    for gi, idx in enumerate(pop.groups.values()):
+        group_of[np.asarray(idx, dtype=int)] = gi
+
+    pairs = 0
+    inversions = 0
+    for i, j in combinations(range(len(pop)), 2):
+        if group_of[i] == group_of[j] or raw[i] == raw[j]:
+            continue
+        pairs += 1
+        lo, hi = (i, j) if raw[i] < raw[j] else (j, i)
+        if fv[lo] > fv[hi]:
+            inversions += 1
+    return inversions / pairs if pairs else 0.0

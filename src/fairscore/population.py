@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,13 +70,23 @@ class ScoredPopulation:
         return list(self.groups)
 
     def scores_array(self) -> np.ndarray:
-        """All scores as an array: shape (n,) in 1-D, (n, d) otherwise."""
+        """All scores as a read-only array: shape (n,) in 1-D, (n, d) otherwise.
+
+        Built once per population; every call returns the same array.
+        """
+        return self._scores
+
+    @cached_property
+    def _scores(self) -> np.ndarray:
         if self.dimension == 1:
-            return np.array(
+            scores = np.array(
                 [r.score if not isinstance(r.score, tuple) else r.score[0] for r in self.records],
                 dtype=float,
             )
-        return np.array([r.score_vector() for r in self.records], dtype=float)
+        else:
+            scores = np.array([r.score_vector() for r in self.records], dtype=float)
+        scores.flags.writeable = False
+        return scores
 
     def group_scores(self, key: GroupKey) -> np.ndarray:
         idx = np.asarray(self.groups[key], dtype=int)

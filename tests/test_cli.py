@@ -136,6 +136,30 @@ def test_sweep_outputs_table(tmp_path):
     assert float(rows[1][4]) == 0.0
 
 
+def test_sweep_rows_match_audit_at_each_theta(tmp_path):
+    text = "id,sex,score\n" + "".join(
+        f"r{i},{'AB'[i % 2]},{(i * 7) % 11 / 4}\n" for i in range(40)
+    )
+    write(tmp_path / "in.csv", text)
+    cfg = base_config(tmp_path, selection_top_k=9)
+    thetas = ["0", "0.25", "0.75", "1"]
+    assert main(["sweep", "--config", cfg, "--thetas", ",".join(thetas)]) == 0
+    rows = read_rows(tmp_path / "out.csv")
+    assert [r[0] for r in rows[1:]] == thetas
+    for row in rows[1:]:
+        assert main(["audit", "--config", cfg, "--theta", row[0]]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        expected = [
+            report["individual_fairness_error"],
+            report["group_fairness_w2"],
+            report["group_fairness_ks"],
+            report["utility_loss_mean_abs"],
+            report["utility_loss_w2"],
+            report["selection"]["ratio"],
+        ]
+        assert [float(v) for v in row[1:]] == expected
+
+
 def test_sweep_rejects_bad_theta(tmp_path, capsys):
     write(tmp_path / "in.csv", AB_CSV)
     cfg = base_config(tmp_path)

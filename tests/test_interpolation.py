@@ -13,6 +13,7 @@ from fairscore import (
     interpolate_scores,
     resolve_theta,
 )
+from fairscore.interpolation import apply_theta, barycenter_targets
 from fairscore.transport1d import w2_distance
 
 from conftest import random_population, random_theta_policy
@@ -169,3 +170,30 @@ def test_single_group_theta_one_hits_barycenter():
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.2, {gB: 1.0}))
     idx = np.asarray(pop.groups[gB])
     np.testing.assert_allclose(np.sort(fair.values[idx]), bary.grid.quantiles, atol=1e-9)
+
+
+def test_shared_targets_reproduce_interpolate_scores_bitwise():
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        pop = random_population(rng, int(rng.integers(5, 80)), int(rng.integers(1, 5)))
+        bary = barycenter_1d(group_dists(pop), size_weights(pop), 32, keys=pop.group_keys())
+        targets = barycenter_targets(pop, bary)
+        for _ in range(4):
+            policy = random_theta_policy(rng, pop)
+            want = interpolate_scores(pop, bary, policy).values
+            got = apply_theta(pop, bary, targets, policy).values
+            assert want.tobytes() == got.tobytes()
+
+
+def test_theta_zero_keeps_negative_zero():
+    records = [
+        ScoreRecord("a1", ("A",), -0.0),
+        ScoreRecord("a2", ("A",), 1.0),
+        ScoreRecord("b1", ("B",), 2.0),
+        ScoreRecord("b2", ("B",), 3.0),
+    ]
+    pop = build_population(records, 1)
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), 2, keys=pop.group_keys())
+    fair = interpolate_scores(pop, bary, ThetaPolicy(0.0))
+    assert fair.values.tobytes() == pop.scores_array().tobytes()
+    assert np.signbit(fair.values[0])

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairscore import (
     GroupKey,
@@ -18,7 +21,8 @@ from fairscore import (
     utility_loss,
 )
 from fairscore.interpolation import FairScores
-from fairscore.metrics import individual_fairness_error_naive
+from fairscore.metrics import _count_inversions
+from fairscore.oracle import individual_fairness_error_naive
 
 from conftest import random_population, random_theta_policy
 
@@ -181,3 +185,161 @@ def test_build_report_round_trip():
     assert d["group_fairness_w2"] == pytest.approx(5.0, abs=1e-9)
     assert set(d["selection"]["rates"]) == {"A", "B"}
     assert d["theta"]["default_theta"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# References for the vectorized kernels: the pure-Python code they replaced.
+
+
+class _Fenwick:
+    """Binary indexed tree over compressed value indices."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.tree = [0] * (size + 1)
+
+    def add(self, i: int) -> None:
+        i += 1
+        while i <= self.size:
+            self.tree[i] += 1
+            i += i & (-i)
+
+    def prefix(self, i: int) -> int:
+        """Count of inserted elements with compressed index <= i."""
+        i += 1
+        total = 0
+        while i > 0:
+            total += self.tree[i]
+            i -= i & (-i)
+        return total
+
+
+def fenwick_count_inversions(raw, fair):
+    """Pairs with raw_i < raw_j and fair_i > fair_j, raw ties excluded, via a Fenwick tree."""
+    order = np.lexsort((fair, raw))
+    raw_sorted = raw[order]
+    fair_sorted = fair[order]
+    comp = {v: i for i, v in enumerate(np.unique(fair))}
+    tree = _Fenwick(len(comp))
+    inserted = 0
+    inversions = 0
+    i = 0
+    n = raw.size
+    while i < n:
+        j = i
+        while j < n and raw_sorted[j] == raw_sorted[i]:
+            j += 1
+        for k in range(i, j):  # count against strictly smaller raw only
+            inversions += inserted - tree.prefix(comp[fair_sorted[k]])
+        for k in range(i, j):
+            tree.add(comp[fair_sorted[k]])
+        inserted += j - i
+        i = j
+    return inversions
+
+
+def brute_count_inversions(raw, fair):
+    return sum(
+        1
+        for i, j in combinations(range(raw.size), 2)
+        if (raw[i] < raw[j] and fair[i] > fair[j]) or (raw[j] < raw[i] and fair[j] > fair[i])
+    )
+
+
+def three_pass_top_k(pop, fv, k):
+    """Indices selected by the stable three-pass sort: (fair, raw, id) descending."""
+    raw = pop.scores_array()
+    order = sorted(range(len(pop)), key=lambda i: pop.records[i].id, reverse=True)
+    order.sort(key=lambda i: raw[i], reverse=True)
+    order.sort(key=lambda i: fv[i], reverse=True)
+    return set(order[:k])
+
+
+def _random_tied(rng, n):
+    return np.round(rng.normal(size=n), int(rng.integers(0, 2)))
+
+
+@pytest.mark.parametrize(
+    "raw, fair",
+    [
+        (np.array([0.5]), np.array([2.0])),
+        (np.full(7, 3.0), np.arange(7.0)[::-1].copy()),  # all raw tied
+        (np.arange(9.0), np.full(9, -1.0)),  # all fair tied
+        (np.arange(13.0), np.arange(13.0)[::-1].copy()),  # strictly reversed
+    ],
+    ids=["n1", "raw-tied", "fair-tied", "reversed"],
+)
+def test_count_inversions_edge_cases(raw, fair):
+    expected = brute_count_inversions(raw, fair)
+    assert _count_inversions(raw, fair) == expected
+    assert fenwick_count_inversions(raw, fair) == expected
+
+
+def test_count_inversions_reversed_gives_all_pairs():
+    for n in (1, 2, 3, 31, 64, 100):
+        raw = np.arange(float(n))
+        assert _count_inversions(raw, -raw) == n * (n - 1) // 2
+
+
+def test_count_inversions_matches_references_on_odd_sizes():
+    rng = np.random.default_rng(41)
+    for n in (3, 5, 6, 7, 11, 17, 33, 63, 65, 100, 129, 257):
+        raw = _random_tied(rng, n)
+        fair = _random_tied(rng, n)
+        expected = fenwick_count_inversions(raw, fair)
+        assert _count_inversions(raw, fair) == expected
+        if n <= 129:
+            assert brute_count_inversions(raw, fair) == expected
+
+
+def test_count_inversions_matches_fenwick_at_scale():
+    rng = np.random.default_rng(43)
+    raw = np.round(rng.normal(size=3001), 2)
+    fair = np.round(raw + rng.normal(size=raw.size), 1)
+    assert _count_inversions(raw, fair) == fenwick_count_inversions(raw, fair)
+
+
+@st.composite
+def tied_population_and_fair(draw):
+    """A 1-D population with raw ties, fair ties and possibly singleton groups."""
+    n = draw(st.integers(1, 40))
+    n_groups = draw(st.integers(1, 5))
+    raw = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    groups = draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n))
+    fair = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    records = [ScoreRecord(f"r{i}", (f"g{g}",), float(r) / 2) for i, (r, g) in enumerate(zip(raw, groups))]
+    pop = build_population(records, 1)
+    return pop, FairScores(np.array(fair, dtype=float), ThetaPolicy(0.0), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_population_and_fair())
+def test_ife_matches_pairwise_oracle_property(case):
+    pop, fair = case
+    assert individual_fairness_error(pop, fair) == pytest.approx(
+        individual_fairness_error_naive(pop, fair), abs=1e-12
+    )
+
+
+def test_top_k_matches_three_pass_sort_with_ties_at_the_cut():
+    rng = np.random.default_rng(47)
+    n = 300
+    # ids in shuffled order, so the id tie-break is not the record order; one
+    # group per record, so the rates spell out exactly which records are selected
+    ids = [f"id{j}" for j in rng.permutation(n)]
+    raw = np.round(rng.uniform(0, 1, size=n), 1)
+    records = [ScoreRecord(ids[i], (ids[i],), float(raw[i])) for i in range(n)]
+    pop = build_population(records, 1)
+    fv = np.round(raw * 0.5 + 0.1 * (np.arange(n) % 2), 1)
+    fair = FairScores(fv, ThetaPolicy(0.0), None)
+    checked = 0
+    for k in range(1, n + 1):
+        chosen = three_pass_top_k(pop, fv, k)
+        last = min(chosen, key=lambda i: (fv[i], raw[i]))
+        # only cuts that fall inside a block tied on (fair, raw)
+        if all(i in chosen for i in range(n) if fv[i] == fv[last] and raw[i] == raw[last]):
+            continue
+        checked += 1
+        rates = selection_rates(pop, fair, SelectionRule(top_k=k)).rates
+        assert {i for i in range(n) if rates[GroupKey((ids[i],))] == 1.0} == chosen
+    assert checked > 50

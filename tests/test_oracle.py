@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from fairscore import DiscreteMeasure, OracleGuardError, empirical_from_samples
+from fairscore import (
+    DiscreteMeasure,
+    OracleGuardError,
+    ScoreRecord,
+    ThetaPolicy,
+    build_population,
+    empirical_from_samples,
+)
+from fairscore.interpolation import FairScores
 from fairscore.oracle import (
+    PAIRWISE_MAX_N,
     barycenter_coordinate_oracle,
+    individual_fairness_error_naive,
     lp_transport_exact,
     ot_cost_bruteforce,
 )
@@ -72,6 +82,13 @@ def test_lp_guard():
     big = DiscreteMeasure(np.zeros((21, 1)), np.full(21, 1 / 21))
     with pytest.raises(OracleGuardError):
         lp_transport_exact(big, big)
+
+
+def test_pairwise_ife_guard():
+    n = PAIRWISE_MAX_N + 1
+    pop = build_population([ScoreRecord(str(i), ("AB"[i % 2],), float(i)) for i in range(n)], 1)
+    with pytest.raises(OracleGuardError):
+        individual_fairness_error_naive(pop, FairScores(np.zeros(n), ThetaPolicy(0.0), None))
 
 
 def test_coordinate_oracle_hand_case():
