@@ -31,6 +31,7 @@ from .population import (
     ScoredPopulation,
     ScoreRecord,
     build_population,
+    population_from_records,
     validate_population,
 )
 from .synth import Beta, Gaussian, GroupSpec, Uniform, generate_synthetic
@@ -82,6 +83,7 @@ __all__ = [
     "interpolate_scores",
     "interpolate_scores_nd",
     "ot_map_1d",
+    "population_from_records",
     "quantile",
     "resolve_theta",
     "selection_rates",

@@ -86,7 +86,6 @@ def barycenter_targets(pop: ScoredPopulation, bary: Barycenter1D) -> np.ndarray:
     raw = pop.scores_array()
     targets = np.empty_like(raw)
     for idx in pop.groups.values():
-        idx = np.asarray(idx, dtype=int)
         targets[idx] = bary.grid.evaluate(midranks(raw[idx]))
     return targets
 
@@ -99,7 +98,6 @@ def apply_theta(
     raw = pop.scores_array()
     fair = np.empty_like(raw)
     for key, idx in pop.groups.items():
-        idx = np.asarray(idx, dtype=int)
         s = raw[idx]
         theta = resolve_theta(policy, key)
         # without this branch a raw -0.0 would come out as 0.0

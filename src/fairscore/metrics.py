@@ -19,11 +19,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .empirical import empirical_from_samples
+from .empirical import discretize_quantiles, empirical_from_samples
 from .errors import ValidationError
 from .interpolation import FairScores, ThetaPolicy
 from .population import GroupKey, ScoredPopulation
-from .transport1d import w2_distance
+from .transport1d import w2_from_quantiles
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,6 @@ def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
     cross_pairs = _distinct_pairs(raw)
     cross_inv = _count_inversions(raw, fv)
     for idx in pop.groups.values():
-        idx = np.asarray(idx, dtype=int)
         cross_pairs -= _distinct_pairs(raw[idx])
         cross_inv -= _count_inversions(raw[idx], fv[idx])
     if cross_pairs == 0:
@@ -136,31 +135,46 @@ def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
     return cross_inv / cross_pairs
 
 
+def _ecdf(sorted_values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    return np.searchsorted(sorted_values, points, side="right") / sorted_values.size
+
+
+def _distinct(sorted_values: np.ndarray) -> np.ndarray:
+    return sorted_values[np.append(True, sorted_values[1:] != sorted_values[:-1])]
+
+
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
     a = np.sort(a)
     b = np.sort(b)
-    xs = np.concatenate([a, b])
-    fa = np.searchsorted(a, xs, side="right") / a.size
-    fb = np.searchsorted(b, xs, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+    points = np.concatenate([a, b])
+    return float(np.max(np.abs(_ecdf(a, points) - _ecdf(b, points))))
 
 
 def group_fairness_error(
     pop: ScoredPopulation, fair: FairScores, m: int
 ) -> tuple[float, float]:
-    """Max pairwise grid-W2 and max pairwise KS between fair group distributions."""
+    """Max pairwise grid-W2 and max pairwise KS between fair group distributions.
+
+    Each group is sorted once, and its quantile grid and its ECDF are
+    evaluated once. The ECDFs are evaluated at the distinct values of every
+    group: between two samples of a pair both ECDFs are constant, so the
+    points of other groups change no pairwise maximum.
+    """
     if pop.dimension != 1:
         raise ValidationError("group_fairness_error is defined for 1-D scores")
     if len(pop.groups) < 2:
         raise ValidationError("group fairness needs at least two groups")
     fv = fair.values
-    samples = {k: fv[np.asarray(idx, dtype=int)] for k, idx in pop.groups.items()}
-    dists = {k: empirical_from_samples(v) for k, v in samples.items()}
+    dists = [empirical_from_samples(fv[idx]) for idx in pop.groups.values()]
+    points = np.concatenate([_distinct(dist.values) for dist in dists])
+    quantiles = [discretize_quantiles(dist, m).quantiles for dist in dists]
+    cdfs = [_ecdf(dist.values, points) for dist in dists]
     w2 = 0.0
     ks = 0.0
-    for a, b in combinations(pop.group_keys(), 2):
-        w2 = max(w2, w2_distance(dists[a], dists[b], m))
-        ks = max(ks, _ks_statistic(samples[a], samples[b]))
+    for a, b in combinations(range(len(cdfs)), 2):
+        w2 = max(w2, w2_from_quantiles(quantiles[a], quantiles[b]))
+        ks = max(ks, float(np.max(np.abs(cdfs[a] - cdfs[b]))))
     return w2, ks
 
 
@@ -194,12 +208,10 @@ def selection_rates(
         if not 1 <= k <= n:
             raise ValidationError(f"top_k {k} out of range [1, {n}]")
         # descending by (fair, raw, id); ids are unique, so this order is total
-        ids = np.array([r.id for r in pop.records])
-        selected[np.lexsort((ids, raw, fv))[::-1][:k]] = True
+        selected[np.lexsort((pop.id_array, raw, fv))[::-1][:k]] = True
 
     rates = {}
     for key, idx in pop.groups.items():
-        idx = np.asarray(idx, dtype=int)
         rates[key] = float(np.count_nonzero(selected[idx]) / idx.size)
     max_rate = max(rates.values())
     ratio = 1.0 if max_rate == 0.0 else min(rates.values()) / max_rate

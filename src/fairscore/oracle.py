@@ -126,7 +126,7 @@ def individual_fairness_error_naive(pop: ScoredPopulation, fair: FairScores) -> 
     fv = fair.values
     group_of = np.empty(len(pop), dtype=int)
     for gi, idx in enumerate(pop.groups.values()):
-        group_of[np.asarray(idx, dtype=int)] = gi
+        group_of[idx] = gi
 
     pairs = 0
     inversions = 0

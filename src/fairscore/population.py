@@ -1,11 +1,24 @@
-"""Canonical data model: scored individuals and their intersectional group partition."""
+"""Canonical data model: scored individuals and their intersectional group partition.
+
+A population is held as columns, not as one object per individual:
+
+* ``ids``: the record ids, as given (Python ``str``);
+* ``scores``: a read-only float array, shape (n,) for 1-D scores and (n, d)
+  for d-dimensional ones;
+* ``groups``: each ``GroupKey``, in lexicographic order, mapped to the
+  read-only ``np.intp`` array of its row indices (ascending).
+
+``build_population(ids, group_values, scores)`` is the one constructor. The
+CLI calls it with the parsed CSV columns; ``population_from_records`` adapts a
+list of ``ScoreRecord`` objects (tests, ``synth`` output) to it. ``records``
+is a lazy per-row view for code that wants ``ScoreRecord`` objects back.
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -55,86 +68,141 @@ class GroupSizeWarning:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredPopulation:
-    """Immutable population with a deterministic (lexicographic) group partition."""
+    """Immutable columnar population with a lexicographic group partition."""
 
-    records: tuple[ScoreRecord, ...]
-    dimension: int
-    groups: dict[GroupKey, tuple[int, ...]] = field(compare=False)
+    ids: tuple[str, ...]
+    scores: np.ndarray
+    groups: dict[GroupKey, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    @property
+    def dimension(self) -> int:
+        return 1 if self.scores.ndim == 1 else self.scores.shape[1]
 
     def group_keys(self) -> list[GroupKey]:
         return list(self.groups)
 
     def scores_array(self) -> np.ndarray:
-        """All scores as a read-only array: shape (n,) in 1-D, (n, d) otherwise.
-
-        Built once per population; every call returns the same array.
-        """
-        return self._scores
-
-    @cached_property
-    def _scores(self) -> np.ndarray:
-        if self.dimension == 1:
-            scores = np.array(
-                [r.score if not isinstance(r.score, tuple) else r.score[0] for r in self.records],
-                dtype=float,
-            )
-        else:
-            scores = np.array([r.score_vector() for r in self.records], dtype=float)
-        scores.flags.writeable = False
-        return scores
+        """All scores as a read-only array: shape (n,) in 1-D, (n, d) otherwise."""
+        return self.scores
 
     def group_scores(self, key: GroupKey) -> np.ndarray:
-        idx = np.asarray(self.groups[key], dtype=int)
-        return self.scores_array()[idx]
+        return self.scores[self.groups[key]]
+
+    @cached_property
+    def id_array(self) -> np.ndarray:
+        """The ids as one numpy unicode array, built on first use."""
+        return np.array(self.ids)
+
+    @cached_property
+    def records(self) -> Sequence[ScoreRecord]:
+        """Per-row ``ScoreRecord`` view; each record is built when it is read."""
+        return _RecordView(self)
 
 
-def _check_finite(value: float, record_id: str) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"record {record_id!r} has a non-finite score component")
+class _RecordView(Sequence):
+    def __init__(self, pop: ScoredPopulation):
+        self._pop = pop
+        self._keys = pop.group_keys()
+        self._code = np.empty(len(pop), dtype=np.intp)
+        for code, idx in enumerate(pop.groups.values()):
+            self._code[idx] = code
+
+    def __len__(self) -> int:
+        return len(self._pop)
+
+    def __getitem__(self, i: int) -> ScoreRecord:
+        score = self._pop.scores[i]
+        return ScoreRecord(
+            id=self._pop.ids[i],
+            group_values=self._keys[self._code[i]].values,
+            score=float(score) if score.ndim == 0 else tuple(score.tolist()),
+        )
 
 
-def build_population(records: Sequence[ScoreRecord], attribute_count: int) -> ScoredPopulation:
-    """Validate records and partition them into intersectional groups.
+def _first_duplicate(ids: Sequence[str]) -> int | None:
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for i, rec_id in enumerate(ids):
+        if rec_id in seen:
+            return i
+        seen.add(rec_id)
+    return None
 
+
+def build_population(
+    ids: Sequence[str], group_values: Sequence[tuple[str, ...]], scores
+) -> ScoredPopulation:
+    """Validate the columns and partition the rows into intersectional groups.
+
+    ``group_values`` holds one tuple per row and ``scores`` is array-like of
+    shape (n,) or (n, d); an (n, 1) array is stored as (n,). Ids must be
+    unique and scores finite; of several bad rows, the first is reported.
     Group iteration order is lexicographic by group key so every downstream
     computation is reproducible.
     """
+    n = len(ids)
+    if n == 0:
+        raise ValidationError("population must contain at least one record")
+    scores = np.array(scores, dtype=float)
+    if scores.ndim == 2 and scores.shape[1] == 1:
+        scores = scores[:, 0]
+    if scores.ndim not in (1, 2) or scores.shape[0] != n or len(group_values) != n:
+        raise ValidationError("ids, group values and scores must have one entry per row")
+
+    dup = _first_duplicate(ids)
+    finite = np.isfinite(scores) if scores.ndim == 1 else np.isfinite(scores).all(axis=1)
+    bad = np.flatnonzero(~finite)
+    if bad.size and (dup is None or bad[0] < dup):
+        raise ValidationError(f"record {ids[bad[0]]!r} has a non-finite score component")
+    if dup is not None:
+        raise ValidationError(f"duplicate record id {ids[dup]!r}")
+    scores.flags.writeable = False
+
+    distinct = sorted(set(group_values))
+    code_of = {values: code for code, values in enumerate(distinct)}
+    codes = np.fromiter(map(code_of.__getitem__, group_values), dtype=np.intp, count=n)
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=len(distinct)))[:-1]
+    groups = {}
+    for values, idx in zip(distinct, np.split(order, bounds)):
+        idx.flags.writeable = False
+        groups[GroupKey(values)] = idx
+    return ScoredPopulation(ids=tuple(ids), scores=scores, groups=groups)
+
+
+def population_from_records(
+    records: Sequence[ScoreRecord], attribute_count: int
+) -> ScoredPopulation:
+    """Check each record's arity and score dimension, then ``build_population``."""
     if attribute_count < 1:
         raise ValidationError("attribute_count must be positive")
     if not records:
         raise ValidationError("population must contain at least one record")
-
-    seen_ids: set[str] = set()
-    dimension: int | None = None
-    partition: dict[GroupKey, list[int]] = {}
-    for i, rec in enumerate(records):
-        if rec.id in seen_ids:
-            raise ValidationError(f"duplicate record id {rec.id!r}")
-        seen_ids.add(rec.id)
+    dimension = len(records[0].score_vector())
+    vectors = []
+    for rec in records:
         if len(rec.group_values) != attribute_count:
             raise ValidationError(
                 f"record {rec.id!r} has {len(rec.group_values)} group values, "
                 f"expected {attribute_count}"
             )
         vec = rec.score_vector()
-        if dimension is None:
-            dimension = len(vec)
-        elif len(vec) != dimension:
+        if len(vec) != dimension:
             raise ValidationError(
                 f"record {rec.id!r} has score dimension {len(vec)}, expected {dimension}"
             )
-        for component in vec:
-            _check_finite(float(component), rec.id)
-        key = GroupKey(tuple(rec.group_values))
-        partition.setdefault(key, []).append(i)
-
-    groups = {key: tuple(partition[key]) for key in sorted(partition)}
-    return ScoredPopulation(records=tuple(records), dimension=int(dimension), groups=groups)
+        vectors.append(vec)
+    return build_population(
+        [rec.id for rec in records],
+        [tuple(rec.group_values) for rec in records],
+        vectors,
+    )
 
 
 def validate_population(pop: ScoredPopulation, min_group_size: int = 100) -> list[GroupSizeWarning]:

@@ -248,7 +248,7 @@ def group_measures(pop: ScoredPopulation) -> dict:
     scores = pop.scores_array()
     out = {}
     for key, idx in pop.groups.items():
-        pts = scores[np.asarray(idx, dtype=int)]
+        pts = scores[idx]
         out[key] = DiscreteMeasure(support=pts, masses=np.full(len(idx), 1.0 / len(idx)))
     return out
 
@@ -278,7 +278,7 @@ def compute_barycenter_nd(
         weights = [len(pop.groups[k]) / len(pop) for k in keys]
     measures = []
     for key in keys:
-        idx = np.asarray(pop.groups[key], dtype=int)
+        idx = pop.groups[key]
         measures.append(
             DiscreteMeasure(support=norm[idx], masses=np.full(idx.size, 1.0 / idx.size))
         )
@@ -319,7 +319,6 @@ def interpolate_scores_nd(
 
     fair = np.empty_like(scores)
     for key, idx in pop.groups.items():
-        idx = np.asarray(idx, dtype=int)
         theta = resolve_theta(policy, key)
         pts = norm_scores[idx]
         if theta == 0.0:

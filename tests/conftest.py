@@ -6,8 +6,8 @@ from fairscore import (
     ScoreRecord,
     ThetaPolicy,
     barycenter_1d,
-    build_population,
     empirical_from_samples,
+    population_from_records,
 )
 from fairscore.synth import two_gaussian_records
 
@@ -21,7 +21,7 @@ def ab_population():
         ScoreRecord("b1", ("B",), 2.0),
         ScoreRecord("b2", ("B",), 4.0),
     ]
-    return build_population(records, attribute_count=1)
+    return population_from_records(records, attribute_count=1)
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def ab_barycenter(ab_population):
 
 @pytest.fixture(scope="session")
 def two_gaussian_population():
-    return build_population(two_gaussian_records(size=1000, seed=7), attribute_count=1)
+    return population_from_records(two_gaussian_records(size=1000, seed=7), attribute_count=1)
 
 
 def random_population(rng, n, n_groups, dimension=1):
@@ -52,7 +52,7 @@ def random_population(rng, n, n_groups, dimension=1):
     # make sure every group is inhabited
     for g, name in enumerate(group_names):
         records.append(ScoreRecord(f"g{g}", (name,), 0.0 if dimension == 1 else (0.0,) * dimension))
-    return build_population(records, attribute_count=1)
+    return population_from_records(records, attribute_count=1)
 
 
 def random_theta_policy(rng, pop):

@@ -13,10 +13,10 @@ from fairscore import (
     SelectionRule,
     ThetaPolicy,
     barycenter_1d,
-    build_population,
     empirical_from_samples,
     interpolate_scores,
     interpolate_scores_nd,
+    population_from_records,
     selection_rates,
     sinkhorn_plan,
     utility_loss,
@@ -50,7 +50,7 @@ def fit_transform(pop, theta, m):
 
 @pytest.fixture(scope="module")
 def fixture_pop():
-    return build_population(two_gaussian_records(size=1000, seed=7), attribute_count=1)
+    return population_from_records(two_gaussian_records(size=1000, seed=7), attribute_count=1)
 
 
 def test_criterion_1_endpoint_identity(fixture_pop):
@@ -92,7 +92,7 @@ def test_criterion_3_monotonicity():
         ]
         for g, name in enumerate(names):  # keep every group inhabited
             records.append(ScoreRecord(f"pad{g}", (name,), 0.0))
-        pop = build_population(records, 1)
+        pop = population_from_records(records, 1)
         bary = barycenter_1d(group_dists(pop), size_weights(pop), 256, keys=pop.group_keys())
         policy = ThetaPolicy(
             float(rng.uniform(0, 1)),
@@ -126,7 +126,7 @@ def test_criterion_4_linear_parity_decay():
             ScoreRecord(f"b{i}", ("B",), float(x))
             for i, x in enumerate(rng.normal(rng.uniform(0, 3), rng.uniform(0.5, 2), n))
         ]
-        pop = build_population(records, 1)
+        pop = population_from_records(records, 1)
         dists = group_dists(pop)
         raw_w2 = w2_distance(dists[0], dists[1], n)
         full_util = utility_loss(pop, fit_transform(pop, 1.0, n))
@@ -211,7 +211,7 @@ def test_criterion_6_sinkhorn_correctness():
         ] + [
             ScoreRecord(f"b{i}", ("B",), tuple(map(float, p))) for i, p in enumerate(b)
         ]
-        pop = build_population(records, 1)
+        pop = population_from_records(records, 1)
         mirror_eps = 0.01
         midpoints = ((a[:, None, :] + b[None, :, :]) / 2.0).reshape(-1, 2)
         support = np.vstack([a, b, midpoints])
@@ -304,7 +304,7 @@ def test_criterion_9_hand_fixture():
         ScoreRecord("b1", ("B",), 2.0),
         ScoreRecord("b2", ("B",), 4.0),
     ]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     bary = barycenter_1d(group_dists(pop), [0.5, 0.5], 2, keys=pop.group_keys())
     at_one = interpolate_scores(pop, bary, ThetaPolicy(1.0)).values
     at_half = interpolate_scores(pop, bary, ThetaPolicy(0.5)).values

@@ -8,6 +8,7 @@ import pytest
 
 import fairscore
 
+from fairscore import QuantileGrid
 from fairscore.cli import main
 
 
@@ -205,12 +206,18 @@ def test_verify_passes_on_tiny_fixture(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_verify_negative_control(tmp_path, capsys):
-    from fairscore.cli import load_config, run_verify
+def test_verify_negative_control(tmp_path, capsys, monkeypatch):
+    import fairscore.cli
 
+    oracle = fairscore.cli.barycenter_coordinate_oracle
+
+    def shifted_oracle(*args, **kwargs):
+        grid = oracle(*args, **kwargs)
+        return QuantileGrid(ranks=grid.ranks, quantiles=grid.quantiles + 0.1)
+
+    monkeypatch.setattr(fairscore.cli, "barycenter_coordinate_oracle", shifted_oracle)
     write(tmp_path / "in.csv", AB_CSV)
-    cfg = load_config(base_config(tmp_path))
-    assert run_verify(cfg, corrupt=True) == 1
+    assert main(["verify", "--config", base_config(tmp_path)]) == 1
     assert "FAIL barycenter vs coordinate search" in capsys.readouterr().out
 
 
@@ -250,6 +257,15 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, extra):
     cfg = base_config(tmp_path, **extra)
     assert main(["transform", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["score_columns", "group_columns"])
+def test_empty_column_list_exits_2(tmp_path, capsys, key):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, **{key: []})
+    assert main(["transform", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def test_sweep_rejects_non_numeric_thetas(tmp_path, capsys):

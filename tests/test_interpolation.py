@@ -8,9 +8,9 @@ from fairscore import (
     ThetaPolicy,
     ValidationError,
     barycenter_1d,
-    build_population,
     empirical_from_samples,
     interpolate_scores,
+    population_from_records,
     resolve_theta,
 )
 from fairscore.interpolation import apply_theta, barycenter_targets
@@ -68,7 +68,7 @@ def test_multidimensional_population_routed(ab_barycenter):
         ScoreRecord("a", ("A",), (0.0, 1.0)),
         ScoreRecord("b", ("B",), (1.0, 0.0)),
     ]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     with pytest.raises(DimensionError, match="interpolate_scores_nd"):
         interpolate_scores(pop, ab_barycenter, ThetaPolicy(1.0))
 
@@ -95,7 +95,7 @@ def test_equal_raw_scores_get_equal_fair_scores():
         ScoreRecord("d", ("B",), 0.0),
         ScoreRecord("e", ("B",), 3.0),
     ]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     bary = barycenter_1d(group_dists(pop), size_weights(pop), 10, keys=pop.group_keys())
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.7))
     assert fair.values[0] == fair.values[1]
@@ -106,7 +106,7 @@ def test_parity_endpoint_aligns_group_grids():
     n = 60
     records = [ScoreRecord(f"a{i}", ("A",), float(x)) for i, x in enumerate(rng.normal(0, 1, n))]
     records += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(rng.normal(2, 1, n))]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     m = n
     bary = barycenter_1d(group_dists(pop), [0.5, 0.5], m, keys=pop.group_keys())
     fair = interpolate_scores(pop, bary, ThetaPolicy(1.0))
@@ -126,7 +126,7 @@ def test_linear_parity_decay_exact():
     n = 40
     records = [ScoreRecord(f"a{i}", ("A",), float(x)) for i, x in enumerate(rng.normal(0, 1, n))]
     records += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(rng.normal(3, 2, n))]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     bary = barycenter_1d(group_dists(pop), [0.5, 0.5], n, keys=pop.group_keys())
     raw_dists = group_dists(pop)
     raw_w2 = w2_distance(raw_dists[0], raw_dists[1], n)
@@ -151,7 +151,7 @@ def test_affine_equivariance():
     mapped_records = [
         ScoreRecord(r.id, r.group_values, a * r.score + b) for r in pop.records
     ]
-    mapped_pop = build_population(mapped_records, 1)
+    mapped_pop = population_from_records(mapped_records, 1)
     mapped_bary = barycenter_1d(
         group_dists(mapped_pop), size_weights(mapped_pop), 64, keys=mapped_pop.group_keys()
     )
@@ -164,7 +164,7 @@ def test_single_group_theta_one_hits_barycenter():
     n = 30
     records = [ScoreRecord(f"a{i}", ("A",), float(x)) for i, x in enumerate(rng.normal(0, 1, n))]
     records += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(rng.normal(4, 1, n))]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     bary = barycenter_1d(group_dists(pop), [0.5, 0.5], n, keys=pop.group_keys())
     gB = GroupKey(("B",))
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.2, {gB: 1.0}))
@@ -192,7 +192,7 @@ def test_theta_zero_keeps_negative_zero():
         ScoreRecord("b1", ("B",), 2.0),
         ScoreRecord("b2", ("B",), 3.0),
     ]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     bary = barycenter_1d(group_dists(pop), size_weights(pop), 2, keys=pop.group_keys())
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.0))
     assert fair.values.tobytes() == pop.scores_array().tobytes()

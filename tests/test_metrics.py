@@ -17,8 +17,10 @@ from fairscore import (
     group_fairness_error,
     individual_fairness_error,
     interpolate_scores,
+    population_from_records,
     selection_rates,
     utility_loss,
+    w2_distance,
 )
 from fairscore.interpolation import FairScores
 from fairscore.metrics import _count_inversions
@@ -34,7 +36,7 @@ def far_apart_population():
         ScoreRecord("b1", ("B",), 10.0),
         ScoreRecord("b2", ("B",), 11.0),
     ]
-    return build_population(records, 1)
+    return population_from_records(records, 1)
 
 
 def transform(pop, theta, m):
@@ -61,7 +63,7 @@ def test_ife_hand_example():
 
 def test_ife_single_group_is_zero():
     records = [ScoreRecord(str(i), ("A",), float(i)) for i in range(5)]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     fair = FairScores(np.arange(5.0)[::-1].copy(), ThetaPolicy(0.0), None)
     assert individual_fairness_error(pop, fair) == 0.0
 
@@ -93,7 +95,7 @@ def test_group_fairness_hand_values():
 
 def test_group_fairness_single_group_rejected():
     records = [ScoreRecord(str(i), ("A",), float(i)) for i in range(4)]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     fair = FairScores(pop.scores_array(), ThetaPolicy(0.0), None)
     with pytest.raises(ValidationError):
         group_fairness_error(pop, fair, 4)
@@ -150,7 +152,7 @@ def test_selection_rates_top_k_deterministic_ties():
         ScoreRecord("a2", ("A",), 1.0),
         ScoreRecord("b1", ("B",), 1.0),
     ]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     fair = FairScores(np.ones(3), ThetaPolicy(0.0), None)
     out = selection_rates(pop, fair, SelectionRule(top_k=1))
     # all fair and raw scores tie; the largest id ("b1") wins
@@ -308,7 +310,7 @@ def tied_population_and_fair(draw):
     groups = draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n))
     fair = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     records = [ScoreRecord(f"r{i}", (f"g{g}",), float(r) / 2) for i, (r, g) in enumerate(zip(raw, groups))]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     return pop, FairScores(np.array(fair, dtype=float), ThetaPolicy(0.0), None)
 
 
@@ -329,7 +331,7 @@ def test_top_k_matches_three_pass_sort_with_ties_at_the_cut():
     ids = [f"id{j}" for j in rng.permutation(n)]
     raw = np.round(rng.uniform(0, 1, size=n), 1)
     records = [ScoreRecord(ids[i], (ids[i],), float(raw[i])) for i in range(n)]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     fv = np.round(raw * 0.5 + 0.1 * (np.arange(n) % 2), 1)
     fair = FairScores(fv, ThetaPolicy(0.0), None)
     checked = 0
@@ -343,3 +345,55 @@ def test_top_k_matches_three_pass_sort_with_ties_at_the_cut():
         rates = selection_rates(pop, fair, SelectionRule(top_k=k)).rates
         assert {i for i in range(n) if rates[GroupKey((ids[i],))] == 1.0} == chosen
     assert checked > 50
+
+
+def pairwise_ks(a, b):
+    """Two-sample KS by sorting both samples and evaluating at their union."""
+    a = np.sort(a)
+    b = np.sort(b)
+    xs = np.concatenate([a, b])
+    fa = np.searchsorted(a, xs, side="right") / a.size
+    fb = np.searchsorted(b, xs, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def pairwise_group_fairness(pop, fair, m):
+    """The per-pair loop group_fairness_error replaced: each pair is sorted and gridded again."""
+    fv = fair.values
+    samples = {k: fv[idx] for k, idx in pop.groups.items()}
+    dists = {k: empirical_from_samples(v) for k, v in samples.items()}
+    w2 = 0.0
+    ks = 0.0
+    for a, b in combinations(pop.group_keys(), 2):
+        w2 = max(w2, w2_distance(dists[a], dists[b], m))
+        ks = max(ks, pairwise_ks(samples[a], samples[b]))
+    return w2, ks
+
+
+@st.composite
+def grouped_fair_scores(draw):
+    """2 to 8 inhabited groups (singletons allowed) with tied and signed-zero fair scores."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=8))
+    n = sum(sizes)
+    codes = draw(st.permutations([g for g, size in enumerate(sizes) for _ in range(size)]))
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+    fair = draw(st.lists(values, min_size=n, max_size=n))
+    pop = build_population([f"r{i}" for i in range(n)], [(f"g{g}",) for g in codes], np.zeros(n))
+    m = draw(st.sampled_from([2, 3, 16]))
+    return pop, FairScores(np.array(fair), ThetaPolicy(0.0), None), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_fair_scores())
+def test_group_fairness_equals_pairwise_loop(case):
+    pop, fair, m = case
+    assert group_fairness_error(pop, fair, m) == pairwise_group_fairness(pop, fair, m)
+
+
+def test_group_fairness_equals_pairwise_loop_on_tied_sweep():
+    rng = np.random.default_rng(53)
+    pop = random_population(rng, 5000, 8)
+    for theta in (0.0, 0.3, 1.0):
+        fair = transform(pop, theta, 200)
+        fair = FairScores(np.round(fair.values, 2), ThetaPolicy(theta), None)
+        assert group_fairness_error(pop, fair, 200) == pairwise_group_fairness(pop, fair, 200)

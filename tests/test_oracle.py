@@ -6,8 +6,8 @@ from fairscore import (
     OracleGuardError,
     ScoreRecord,
     ThetaPolicy,
-    build_population,
     empirical_from_samples,
+    population_from_records,
 )
 from fairscore.interpolation import FairScores
 from fairscore.oracle import (
@@ -86,7 +86,7 @@ def test_lp_guard():
 
 def test_pairwise_ife_guard():
     n = PAIRWISE_MAX_N + 1
-    pop = build_population([ScoreRecord(str(i), ("AB"[i % 2],), float(i)) for i in range(n)], 1)
+    pop = population_from_records([ScoreRecord(str(i), ("AB"[i % 2],), float(i)) for i in range(n)], 1)
     with pytest.raises(OracleGuardError):
         individual_fairness_error_naive(pop, FairScores(np.zeros(n), ThetaPolicy(0.0), None))
 

@@ -7,6 +7,7 @@ from fairscore import (
     ScoreRecord,
     ValidationError,
     build_population,
+    population_from_records,
     validate_population,
 )
 
@@ -16,62 +17,62 @@ def rec(i, group, score=1.0):
 
 
 def test_single_attribute_partition():
-    pop = build_population([rec(0, "A"), rec(1, "A"), rec(2, "B"), rec(3, "B")], 1)
+    pop = population_from_records([rec(0, "A"), rec(1, "A"), rec(2, "B"), rec(3, "B")], 1)
     assert len(pop.groups) == 2
     assert len(pop.groups[GroupKey(("A",))]) == 2
     assert len(pop.groups[GroupKey(("B",))]) == 2
 
 
 def test_intersectional_partition():
-    pop = build_population(
+    pop = population_from_records(
         [rec(0, ("f", "x")), rec(1, ("f", "y")), rec(2, ("f", "x"))], 2
     )
     assert len(pop.groups) == 2
-    assert pop.groups[GroupKey(("f", "x"))] == (0, 2)
-    assert pop.groups[GroupKey(("f", "y"))] == (1,)
+    assert pop.groups[GroupKey(("f", "x"))].tolist() == [0, 2]
+    assert pop.groups[GroupKey(("f", "y"))].tolist() == [1]
 
 
 def test_duplicate_id_rejected():
     records = [ScoreRecord("a", ("A",), 1.0), ScoreRecord("a", ("B",), 2.0)]
     with pytest.raises(ValidationError, match="duplicate"):
-        build_population(records, 1)
+        population_from_records(records, 1)
 
 
 def test_inconsistent_dimension_rejected():
     records = [rec(0, "A", 1.0), rec(1, "A", (1.0, 2.0))]
     with pytest.raises(ValidationError, match="dimension"):
-        build_population(records, 1)
+        population_from_records(records, 1)
 
 
 def test_nan_score_rejected():
     with pytest.raises(ValidationError, match="finite"):
-        build_population([rec(0, "A", float("nan"))], 1)
+        population_from_records([rec(0, "A", float("nan"))], 1)
 
 
 def test_wrong_attribute_count_rejected():
     with pytest.raises(ValidationError):
-        build_population([rec(0, ("A", "B"))], 1)
+        population_from_records([rec(0, ("A", "B"))], 1)
 
 
 def test_empty_population_rejected():
     with pytest.raises(ValidationError):
-        build_population([], 1)
+        population_from_records([], 1)
 
 
 def test_group_order_is_lexicographic():
-    pop = build_population([rec(0, "c"), rec(1, "a"), rec(2, "b")], 1)
+    pop = population_from_records([rec(0, "c"), rec(1, "a"), rec(2, "b")], 1)
     assert [k.values for k in pop.group_keys()] == [("a",), ("b",), ("c",)]
 
 
 def test_min_group_size_warnings():
     records = [rec(i, "A") for i in range(500)] + [rec(1000 + i, "B") for i in range(40)]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     assert validate_population(pop, min_group_size=100) != []
     (warning,) = validate_population(pop, min_group_size=100)
     assert warning.group == GroupKey(("B",))
     assert warning.size == 40
     assert validate_population(pop, min_group_size=1) == []
-    big = build_population(
+    big = population_from_records(
         [rec(i, "A") for i in range(500)] + [rec(1000 + i, "B") for i in range(500)], 1
     )
     assert validate_population(big, min_group_size=100) == []
@@ -82,25 +83,27 @@ def test_min_group_size_warnings():
 )
 def test_partition_completeness_and_determinism(names):
     records = [rec(i, name, float(i)) for i, name in enumerate(names)]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     assert sum(len(idx) for idx in pop.groups.values()) == len(records)
-    again = build_population(records, 1)
-    assert pop.groups == again.groups
+    again = population_from_records(records, 1)
+    assert {k: v.tolist() for k, v in pop.groups.items()} == {
+        k: v.tolist() for k, v in again.groups.items()
+    }
     assert list(pop.groups) == list(again.groups)
     seen = sorted(i for idx in pop.groups.values() for i in idx)
     assert seen == list(range(len(records)))
 
 
 def test_scores_array_shapes():
-    pop1 = build_population([rec(0, "A", 1.0), rec(1, "B", 2.0)], 1)
+    pop1 = population_from_records([rec(0, "A", 1.0), rec(1, "B", 2.0)], 1)
     assert pop1.scores_array().shape == (2,)
-    pop2 = build_population([rec(0, "A", (1.0, 2.0)), rec(1, "B", (3.0, 4.0))], 1)
+    pop2 = population_from_records([rec(0, "A", (1.0, 2.0)), rec(1, "B", (3.0, 4.0))], 1)
     assert pop2.scores_array().shape == (2, 2)
     np.testing.assert_array_equal(pop2.group_scores(GroupKey(("B",))), [[3.0, 4.0]])
 
 
 def test_scores_array_is_built_once_and_read_only():
-    pop = build_population([rec(0, "A", 1.0), rec(1, "B", 2.0)], 1)
+    pop = population_from_records([rec(0, "A", 1.0), rec(1, "B", 2.0)], 1)
     scores = pop.scores_array()
     assert pop.scores_array() is scores
     with pytest.raises(ValueError):
@@ -111,6 +114,74 @@ def test_scores_array_is_built_once_and_read_only():
 def test_group_scores_index_the_cached_array():
     names = ["b", "a", "c", "a", "b", "b", "c"]
     for score in (lambda i: float(i) / 3, lambda i: (float(i), -float(i))):
-        pop = build_population([rec(i, name, score(i)) for i, name in enumerate(names)], 1)
+        pop = population_from_records([rec(i, name, score(i)) for i, name in enumerate(names)], 1)
         for key, idx in pop.groups.items():
             np.testing.assert_array_equal(pop.group_scores(key), pop.scores_array()[list(idx)])
+
+
+def test_columnar_build_partitions_with_read_only_index_arrays():
+    scores = np.array([0.5, 1.5, 2.5, 3.5])
+    pop = build_population(["w", "x", "y", "z"], [("b",), ("a",), ("b",), ("a",)], scores)
+    assert pop.ids == ("w", "x", "y", "z")
+    assert pop.dimension == 1
+    assert list(pop.groups) == [GroupKey(("a",)), GroupKey(("b",))]
+    for key, expected in zip(pop.groups, ([1, 3], [0, 2])):
+        idx = pop.groups[key]
+        assert idx.dtype == np.intp and idx.tolist() == expected
+        with pytest.raises(ValueError):
+            idx[0] = 0
+    with pytest.raises(ValueError):
+        pop.scores[0] = 9.0
+    scores[0] = 9.0  # the population holds its own copy
+    assert pop.scores[0] == 0.5
+
+
+def test_columnar_build_keeps_one_column_scores_one_dimensional():
+    pop = build_population(["a", "b"], [("A",), ("B",)], np.array([[1.0], [2.0]]))
+    assert pop.dimension == 1 and pop.scores.shape == (2,)
+    pop2 = build_population(["a", "b"], [("A",), ("B",)], [[1.0, 2.0], [3.0, 4.0]])
+    assert pop2.dimension == 2 and pop2.scores.shape == (2, 2)
+
+
+def test_columnar_build_rejects_misaligned_columns():
+    with pytest.raises(ValidationError, match="one entry per row"):
+        build_population(["a", "b"], [("A",)], [1.0, 2.0])
+    with pytest.raises(ValidationError, match="one entry per row"):
+        build_population(["a", "b"], [("A",), ("B",)], [1.0])
+
+
+def test_first_bad_row_wins_between_duplicate_and_non_finite():
+    groups = [("A",)] * 3
+    with pytest.raises(ValidationError, match="'b' has a non-finite"):
+        build_population(["a", "b", "a"], groups, [1.0, float("nan"), 2.0])
+    with pytest.raises(ValidationError, match="duplicate record id 'a'"):
+        build_population(["a", "a", "c"], groups, [1.0, 2.0, float("inf")])
+
+
+def test_records_view_round_trips_the_records():
+    records = [rec(0, ("f", "x"), 1.5), rec(1, ("m", "y"), -0.0), rec(2, ("f", "x"), 3.0)]
+    pop = population_from_records(records, 2)
+    assert len(pop.records) == 3
+    assert list(pop.records) == records
+    assert pop.records[-1] == records[-1]
+    pop2 = population_from_records([rec(0, "A", (1.0, 2.0)), rec(1, "B", (3.0, 4.0))], 1)
+    assert pop2.records[1] == rec(1, "B", (3.0, 4.0))
+
+
+def test_id_array_is_cached():
+    pop = population_from_records([rec("b", "A"), rec("a", "B")], 1)
+    assert pop.id_array is pop.id_array
+    assert pop.id_array.tolist() == ["b", "a"]
+
+
+def test_group_indices_ascend_at_scale():
+    rng = np.random.default_rng(5)
+    n = 5000
+    names = rng.choice(["c", "a", "b"], size=n)
+    ids = [str(i) for i in range(n)]
+    pop = build_population(ids, [(str(v),) for v in names], rng.normal(size=n))
+    assert [k.values for k in pop.groups] == [("a",), ("b",), ("c",)]
+    for key, idx in pop.groups.items():
+        assert np.all(np.diff(idx) > 0)
+        assert (names[idx] == key.values[0]).all()
+    assert sum(idx.size for idx in pop.groups.values()) == n

@@ -12,8 +12,8 @@ from fairscore import (
     ThetaPolicy,
     ValidationError,
     barycenter_fixed_support,
-    build_population,
     interpolate_scores_nd,
+    population_from_records,
     sinkhorn_plan,
 )
 from fairscore.oracle import lp_transport_exact
@@ -241,7 +241,7 @@ def make_nd_population(a_points, b_points):
         ScoreRecord(f"b{i}", ("B",), tuple(float(v) for v in p))
         for i, p in enumerate(b_points)
     ]
-    return build_population(records, 1)
+    return population_from_records(records, 1)
 
 
 def test_nd_theta_zero_identity():
@@ -261,7 +261,7 @@ def test_nd_single_point_forced_projection():
 
 def test_nd_rejects_1d_population():
     records = [ScoreRecord("a", ("A",), 1.0), ScoreRecord("b", ("B",), 2.0)]
-    pop = build_population(records, 1)
+    pop = population_from_records(records, 1)
     bary = DiscreteMeasure([[1.0]], [1.0])
     with pytest.raises(DimensionError, match="interpolate_scores"):
         interpolate_scores_nd(pop, bary, ThetaPolicy(1.0))
@@ -305,7 +305,7 @@ def test_nd_path_consistent_with_1d_path():
     b = rng.uniform(0.6, 1.0, size=16)
     records_1d = [ScoreRecord(f"a{i}", ("A",), float(x)) for i, x in enumerate(a)]
     records_1d += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(b)]
-    pop1 = build_population(records_1d, 1)
+    pop1 = population_from_records(records_1d, 1)
     dists = [empirical_from_samples(pop1.group_scores(k)) for k in pop1.group_keys()]
     bary1 = barycenter_1d(dists, [0.5, 0.5], 16, keys=pop1.group_keys())
     fair1 = interpolate_scores(pop1, bary1, ThetaPolicy(1.0))
