@@ -37,6 +37,7 @@ from .population import (
 from .synth import Beta, Gaussian, GroupSpec, Uniform, generate_synthetic
 from .transport1d import Barycenter1D, barycenter_1d, ot_map_1d, w2_distance
 from .transportnd import (
+    BregmanBarycenter,
     DiscreteMeasure,
     TransportPlan,
     barycenter_fixed_support,
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Barycenter1D",
     "Beta",
+    "BregmanBarycenter",
     "ConvergenceError",
     "DimensionError",
     "DiscreteMeasure",

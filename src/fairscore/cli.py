@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
@@ -46,10 +48,12 @@ from .population import GroupKey, ScoredPopulation, build_population, validate_p
 from .synth import Beta, Gaussian, GroupSpec, Uniform, generate_synthetic
 from .transport1d import Barycenter1D, barycenter_1d, w2_distance_squared
 from .transportnd import (
+    BregmanBarycenter,
+    barycenter_targets_nd,
     compute_barycenter_nd,
     group_measures,
-    interpolate_scores_nd,
     sinkhorn_plan,
+    squared_cost_matrix,
     validate_solver_params,
 )
 
@@ -111,52 +115,84 @@ class RunConfig:
         return ThetaPolicy(default_theta=self.theta, overrides=dict(self.theta_overrides))
 
 
-_DIST_PARSERS = {
-    "gaussian": lambda d: Gaussian(float(d["mean"]), float(d["sd"])),
-    "beta": lambda d: Beta(float(d["a"]), float(d["b"])),
-    "uniform": lambda d: Uniform(float(d["lo"]), float(d["hi"])),
+_DISTRIBUTIONS = {
+    "gaussian": (Gaussian, ("mean", "sd")),
+    "beta": (Beta, ("a", "b")),
+    "uniform": (Uniform, ("lo", "hi")),
 }
 
 
 def _cast(name: str, cast, value):
-    """``cast(value)``, with a bad value reported as a ValidationError naming ``name``."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} value {value!r} is not a valid {cast.__name__}") from None
+    """``cast(value)``, with a bad value reported as a ValidationError naming ``name``.
+
+    JSON ``true``/``false`` is no number, an integer field takes no fraction
+    (nor an infinity) and a string field must hold a string.
+    """
+    wrong_type = (
+        isinstance(value, bool)
+        or (cast is str and not isinstance(value, str))
+        or (cast is int and isinstance(value, float) and not value.is_integer())
+    )
+    if not wrong_type:
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} value {value!r} is not a valid {cast.__name__}")
+
+
+def _object(name: str, value, keys=()) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {value!r}")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValidationError(f"{name} {value!r} needs the key(s) {', '.join(missing)}")
+    return value
+
+
+def _list(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _strings(name: str, value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{name} must be a list of strings, got {value!r}")
+    return value
 
 
 def _parse_group_entries(raw: dict, section: str, value_field: str) -> dict[GroupKey, float]:
-    if not isinstance(raw[section], list):
-        raise ValidationError(f"{section} must be a list of entries")
     out = {}
-    for entry in raw[section]:
-        if not isinstance(entry, dict) or "group" not in entry or value_field not in entry:
-            raise ValidationError(
-                f"{section} entry {entry!r} needs a 'group' and a {value_field!r} key"
-            )
-        key = GroupKey(tuple(str(v) for v in entry["group"]))
+    for entry in _list(section, raw[section]):
+        _object(f"{section} entry", entry, ("group", value_field))
+        key = GroupKey(tuple(_strings(f"{section} group", entry["group"])))
         out[key] = _cast(f"{section} {value_field}", float, entry[value_field])
     return out
 
 
-def _parse_synth(raw: dict) -> tuple[list[GroupSpec], int]:
+def _parse_synth(raw) -> tuple[list[GroupSpec], int]:
+    _object("synth", raw)
     specs = []
-    for g in raw.get("groups", []):
+    for g in _list("synth groups", raw.get("groups", [])):
+        _object("synth group", g, ("key", "size", "dims"))
         dims = []
-        for d in g["dims"]:
-            kind = d.get("type")
-            if kind not in _DIST_PARSERS:
+        for d in _list("synth group dims", g["dims"]):
+            kind = _object("synth dimension", d, ("type",))["type"]
+            if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
                 raise ValidationError(f"unknown synthetic distribution type {kind!r}")
-            dims.append(_DIST_PARSERS[kind](d))
+            cls, params = _DISTRIBUTIONS[kind]
+            _object(f"{kind} dimension", d, params)
+            dims.append(cls(*(_cast(f"{kind} {p}", float, d[p]) for p in params)))
         specs.append(
             GroupSpec(
-                key=GroupKey(tuple(str(v) for v in g["key"])),
-                size=int(g["size"]),
+                key=GroupKey(tuple(_strings("synth group key", g["key"]))),
+                size=_cast("synth group size", int, g["size"]),
                 dims=tuple(dims),
             )
         )
-    return specs, int(raw.get("seed", 0))
+    return specs, _cast("synth seed", int, raw.get("seed", 0))
 
 
 def load_config(path: str) -> RunConfig:
@@ -166,6 +202,7 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+    _object(f"config file {path}", raw)
 
     cfg = RunConfig()
     simple = {
@@ -187,10 +224,9 @@ def load_config(path: str) -> RunConfig:
     for name, cast in simple.items():
         if raw.get(name) is not None:
             setattr(cfg, name, _cast(f"config key {name!r}", cast, raw[name]))
-    if "score_columns" in raw:
-        cfg.score_columns = [str(c) for c in raw["score_columns"]]
-    if "group_columns" in raw:
-        cfg.group_columns = [str(c) for c in raw["group_columns"]]
+    for name in ("score_columns", "group_columns"):
+        if name in raw:
+            setattr(cfg, name, _strings(name, raw[name]))
     if "theta_overrides" in raw:
         cfg.theta_overrides = _parse_group_entries(raw, "theta_overrides", "theta")
     if "explicit_weights" in raw:
@@ -232,6 +268,18 @@ def _apply_flag_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig
 # CSV ingestion / emission
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector; restore the caller's setting on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_csv(cfg: RunConfig) -> tuple[list[str], list[list[str]], ScoredPopulation]:
     """Read the input CSV once and build the population from its columns.
 
@@ -239,30 +287,34 @@ def load_csv(cfg: RunConfig) -> tuple[list[str], list[list[str]], ScoredPopulati
     is taken out with one ``map``, each score column is parsed with one
     ``np.fromiter(map(float, ...))`` and the whole table is checked with
     vectorized tests. Only when a test fails are the rows scanned one by one,
-    so that the error names the first bad row.
+    so that the error names the first bad row. The cyclic garbage collector is
+    paused meanwhile.
     """
     if cfg.input is None:
         raise ValidationError("no input file configured")
-    try:
-        with open(cfg.input, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"input file {cfg.input} is empty") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise ValidationError(f"cannot read input file {cfg.input}: {exc}") from exc
+    # the rows and columns hold only strings, so there are no cycles to collect
+    with _gc_paused():
+        try:
+            with open(cfg.input, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                try:
+                    header = next(reader)
+                except StopIteration:
+                    raise ValidationError(f"input file {cfg.input} is empty") from None
+                rows = list(reader)
+        except OSError as exc:
+            raise ValidationError(f"cannot read input file {cfg.input}: {exc}") from exc
 
-    col_index = {name: i for i, name in enumerate(header)}
-    for name in cfg.score_columns + cfg.group_columns + ([cfg.id_column] if cfg.id_column else []):
-        if name not in col_index:
-            raise ValidationError(f"column {name!r} not found in input header")
+        col_index = {name: i for i, name in enumerate(header)}
+        needed = cfg.score_columns + cfg.group_columns + ([cfg.id_column] if cfg.id_column else [])
+        for name in needed:
+            if name not in col_index:
+                raise ValidationError(f"column {name!r} not found in input header")
 
-    columns = _parse_columns(header, rows, cfg, col_index)
-    if columns is None:
-        _raise_first_bad_row(header, rows, cfg, col_index)
-    pop = build_population(*columns)
+        columns = _parse_columns(header, rows, cfg, col_index)
+        if columns is None:
+            _raise_first_bad_row(header, rows, cfg, col_index)
+        pop = build_population(*columns)
     return header, rows, pop
 
 
@@ -350,11 +402,8 @@ def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> Barycenter1D
     return barycenter_1d(dists, barycenter_weights(pop, cfg), cfg.grid_size, keys=keys)
 
 
-def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
-    policy = cfg.theta_policy()
-    if pop.dimension == 1:
-        return interpolate_scores(pop, compute_barycenter_1d(pop, cfg), policy)
-    bary = compute_barycenter_nd(
+def _barycenter_nd(pop: ScoredPopulation, cfg: RunConfig) -> BregmanBarycenter:
+    return compute_barycenter_nd(
         pop,
         weights=barycenter_weights(pop, cfg),
         epsilon=cfg.epsilon,
@@ -362,9 +411,19 @@ def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
         max_iter=cfg.max_iter,
         seed=cfg.seed,
     )
-    return interpolate_scores_nd(
-        pop, bary, policy, epsilon=cfg.epsilon, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+
+
+def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
+    """Fair scores under the configured theta policy.
+
+    In n-D the transport maps come from the barycenter's own Bregman
+    couplings, so the barycenter is the only entropic solve.
+    """
+    policy = cfg.theta_policy()
+    if pop.dimension == 1:
+        return interpolate_scores(pop, compute_barycenter_1d(pop, cfg), policy)
+    bary = _barycenter_nd(pop, cfg)
+    return apply_theta(pop, bary, barycenter_targets_nd(pop, bary), policy)
 
 
 def _write_report(report, path: str | None) -> None:
@@ -473,14 +532,7 @@ def run_barycenter(cfg: RunConfig) -> int:
         ]
         _write_csv(cfg.output, ["rank", "quantile"], rows)
     else:
-        bary = compute_barycenter_nd(
-            pop,
-            weights=barycenter_weights(pop, cfg),
-            epsilon=cfg.epsilon,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            seed=cfg.seed,
-        )
+        bary = _barycenter_nd(pop, cfg)
         header = [f"support_{k + 1}" for k in range(bary.dimension)] + ["mass"]
         rows = [
             [_fmt(c) for c in point] + [_fmt(mass)]
@@ -586,8 +638,6 @@ def run_verify(cfg: RunConfig) -> int:
                     measures[a], measures[b], epsilon=cfg.epsilon, tol=cfg.tol,
                     max_iter=cfg.max_iter,
                 )
-                from .transportnd import squared_cost_matrix
-
                 cost = plan.cost(squared_cost_matrix(measures[a].support, measures[b].support))
                 lp_cost, _ = lp_transport_exact(measures[a], measures[b])
                 slack = cfg.epsilon * np.log(len(measures[a]) * len(measures[b]) + 1.0)

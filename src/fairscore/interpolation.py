@@ -91,9 +91,14 @@ def barycenter_targets(pop: ScoredPopulation, bary: Barycenter1D) -> np.ndarray:
 
 
 def apply_theta(
-    pop: ScoredPopulation, bary: Barycenter1D, targets: np.ndarray, policy: ThetaPolicy
+    pop: ScoredPopulation, bary: object, targets: np.ndarray, policy: ThetaPolicy
 ) -> FairScores:
-    """fair = (1 - theta_g) * s + theta_g * T(s); a group with theta 0 keeps s bitwise."""
+    """fair = (1 - theta_g) * s + theta_g * T(s); a group with theta 0 keeps s bitwise.
+
+    The one blend of the 1-D and the n-D path: ``targets`` holds T(s) per record
+    (shape (n,) or (n, d)) and ``bary`` is the barycenter they map to. Rows of
+    groups with theta 0 are not read.
+    """
     check_policy_against(policy, pop)
     raw = pop.scores_array()
     fair = np.empty_like(raw)

@@ -1,31 +1,45 @@
 """Multi-dimensional score support via entropic-regularized optimal transport.
 
-Both solvers share one log-domain kernel: the cost is scaled once to
-``K = -C/epsilon`` and every update is a numpy log-sum-exp over ``K`` plus a
-dual or log-mass vector, so they stay stable for epsilon down to 1e-3 on
-scores scaled to [0, 1].
-
-Sinkhorn keeps the scaled duals ``f`` and ``g`` and never forms the plan inside
-its loop. After the g-update the plan's column marginal is exactly ``b`` and
-its row marginal is ``a * exp(f - f_next)``, where ``f_next`` is the next
-f-update, which the loop needs anyway. Once that dual estimate is within
-``tol``, the plan is materialised and its marginal L1 error is checked
-directly; iteration continues unless that check passes too.
+Both solvers share one log-domain kernel, ``_sweep``: the cost is scaled once
+to ``K = -C/epsilon`` and each sweep takes one ``exp`` per measure. The row
+pass forms ``E = exp(K + lv - rowmax)`` and its row sums ``s``; the column
+log-sum-exp is then ``log((a/s) @ E) - lv``, one matrix-vector product.
+Columns whose sum falls below ``UNDERFLOW_FLOOR`` (a support point far from
+every atom at small epsilon) are recomputed with a max-shifted log-sum-exp.
+This stays stable for epsilon down to 1e-3 on scores scaled to [0, 1].
 
 Barycenters use iterative Bregman projections on a fixed support and stop when
-the barycenter masses move by at most ``tol`` (L1) between sweeps. Transport
-plans are turned into maps via barycentric projection.
+the barycenter masses move by at most ``tol`` (L1) between sweeps. Each
+measure's final coupling ``diag(u_k) K_k diag(v_k)`` (``u_k`` recomputed from
+the last ``v_k``, so its row marginal is exactly ``a_k``) gives that measure's
+barycentric projection, so ``transform`` and ``audit`` need no second solve:
+the barycenter is the only entropic solve on their n-D path.
+
+Sinkhorn is used only by ``verify`` and by ``interpolate_scores_nd``, which
+maps a population onto any given barycenter. It keeps the scaled duals ``f``
+and ``g`` and never forms the plan inside its loop. After the g-update the
+plan's column marginal is exactly ``b`` and its row marginal is
+``a * exp(f - f_next)``, where ``f_next`` comes from the next sweep, which the
+loop needs anyway. Once that dual estimate is within ``tol``, the plan is
+materialised and its marginal L1 error is checked directly; iteration
+continues unless that check passes too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
-from .interpolation import FairScores, ThetaPolicy, check_policy_against, resolve_theta
+from .interpolation import (
+    FairScores,
+    ThetaPolicy,
+    apply_theta,
+    check_policy_against,
+    resolve_theta,
+)
 from .population import ScoredPopulation
 
 MASS_SUM_TOL = 1e-9
@@ -34,6 +48,9 @@ DEFAULT_EPSILON = 0.01
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10000
 DEFAULT_SUPPORT_LIMIT = 2000
+
+# a column sum of E below this is recomputed in the log domain
+UNDERFLOW_FLOOR = 1e-280
 
 
 @dataclass(frozen=True)
@@ -112,6 +129,39 @@ def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
         return np.log(m.sum(axis=axis)) + peak.squeeze(axis)
 
 
+def _row_pass(neg_cost: np.ndarray, lv: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Fill ``work`` with ``E = exp(K + lv - rowmax)``; return ``rowmax``.
+
+    ``lv`` needs a finite entry, so every row of ``E`` has an entry 1.
+    """
+    np.add(neg_cost, lv, out=work)
+    peak = work.max(axis=1)
+    work -= peak[:, None]
+    np.exp(work, out=work)
+    return peak
+
+
+def _sweep(
+    neg_cost: np.ndarray, lv: np.ndarray, a: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One entropic sweep with one ``exp``: row log-sums, then column log-sums.
+
+    Returns ``row`` with ``row_i = log sum_j exp(K_ij + lv_j)`` and ``col`` with
+    ``col_j = log sum_i exp(K_ij + log a_i - row_i)``, the column pass after the
+    row scaling ``u = a / exp(row)``. Zero-mass atoms keep a finite ``row``.
+    """
+    peak = _row_pass(neg_cost, lv, work)
+    sums = work.sum(axis=1)
+    row = np.log(sums) + peak
+    col_sums = (a / sums) @ work
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col = np.log(col_sums) - lv
+    low = col_sums < UNDERFLOW_FLOOR
+    if low.any():  # every E entry of these columns may have underflowed
+        col[low] = _logsumexp(neg_cost[:, low] + (_log_masses(a) - row)[:, None], axis=0)
+    return row, col
+
+
 def sinkhorn_plan(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -132,23 +182,21 @@ def sinkhorn_plan(
 
     a = mu.masses
     b = nu.masses
+    loga = _log_masses(a)
     logb = _log_masses(b)
     neg_cost = -squared_cost_matrix(mu.support, nu.support) / epsilon
-    row_kernel = neg_cost + logb[None, :]
-    col_kernel = neg_cost + _log_masses(a)[:, None]
     work = np.empty_like(neg_cost)
 
-    # f and g are the duals scaled by 1/epsilon
-    g = np.zeros(len(nu))
-    f_next = -_logsumexp(np.add(row_kernel, g[None, :], out=work), axis=1)
+    # f and g are the duals scaled by 1/epsilon; the sweep from g gives
+    # f = -row and the next g = -col
+    row, col = _sweep(neg_cost, logb, a, work)
     for it in range(1, max_iter + 1):
-        f = f_next
-        g = -_logsumexp(np.add(col_kernel, f[:, None], out=work), axis=0)
-        f_next = -_logsumexp(np.add(row_kernel, g[None, :], out=work), axis=1)
-        # the column marginal is exactly b here; the row marginal is a * exp(f - f_next)
-        if it < max_iter and np.abs(a * np.exp(f - f_next) - a).sum() > tol:
+        f, g = -row, -col
+        row, col = _sweep(neg_cost, logb + g, a, work)
+        # the column marginal is exactly b here; the row marginal is a * exp(f + row)
+        if it < max_iter and np.abs(a * np.exp(f + row) - a).sum() > tol:
             continue
-        plan = np.exp(col_kernel + f[:, None] + g[None, :] + logb[None, :])
+        plan = np.exp(neg_cost + (loga + f)[:, None] + (logb + g)[None, :])
         row_err = float(np.abs(plan.sum(axis=1) - a).sum())
         col_err = float(np.abs(plan.sum(axis=0) - b).sum())
         err = max(row_err, col_err)
@@ -164,6 +212,21 @@ def sinkhorn_plan(
     )
 
 
+@dataclass(frozen=True)
+class BregmanBarycenter(DiscreteMeasure):
+    """A barycenter together with what its Bregman solve learned.
+
+    ``projections[k]`` holds, for each point of input measure ``k``, its
+    barycentric projection under that measure's final coupling onto the
+    support. ``iterations`` is the number of sweeps run and ``mass_change``
+    the last L1 change of the masses.
+    """
+
+    projections: tuple[np.ndarray, ...]
+    iterations: int
+    mass_change: float
+
+
 def barycenter_fixed_support(
     measures: Sequence[DiscreteMeasure],
     weights: Sequence[float],
@@ -171,7 +234,7 @@ def barycenter_fixed_support(
     epsilon: float = DEFAULT_EPSILON,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> DiscreteMeasure:
+) -> BregmanBarycenter:
     """Entropic W2 barycenter on a fixed support via iterative Bregman projections.
 
     Raises ``ConvergenceError`` when the masses still move by more than ``tol``
@@ -195,19 +258,16 @@ def barycenter_fixed_support(
             raise DimensionError("all measures must share the support's dimension")
 
     neg_costs = [-squared_cost_matrix(meas.support, support) / epsilon for meas in measures]
-    logas = [_log_masses(meas.masses) for meas in measures]
+    masses = [meas.masses for meas in measures]
     works = [np.empty_like(nc) for nc in neg_costs]
 
-    log_b = np.full(support.shape[0], -np.log(support.shape[0]))
     lvs = [np.zeros(support.shape[0]) for _ in measures]
-    prev_b = np.exp(log_b)
+    prev_b = np.full(support.shape[0], 1.0 / support.shape[0])
     for it in range(1, max_iter + 1):
-        lktus = []
-        for nc, loga, lv, work in zip(neg_costs, logas, lvs, works):
-            lu = loga - _logsumexp(np.add(nc, lv[None, :], out=work), axis=1)
-            lktus.append(_logsumexp(np.add(nc, lu[:, None], out=work), axis=0))
-        log_b = sum(wk * lk for wk, lk in zip(w, lktus))
-        lvs = [log_b - lk for lk in lktus]
+        # col is log(K^T u) with u = a / (K v), the projection onto the row marginal a
+        cols = [_sweep(*args)[1] for args in zip(neg_costs, lvs, masses, works)]
+        log_b = sum(wk * col for wk, col in zip(w, cols))
+        lvs = [log_b - col for col in cols]
         b = np.exp(log_b)
         change = float(np.abs(b - prev_b).sum())
         if change <= tol:
@@ -220,7 +280,19 @@ def barycenter_fixed_support(
             marginal_error=change,
         )
 
-    return DiscreteMeasure(support=support, masses=b / b.sum())
+    # coupling k is diag(u) K diag(v) with u recomputed from the last v, so row i
+    # is a_i * E_i / sum(E_i) and the projection of point i is E_i @ support / sum(E_i)
+    projections = []
+    for nc, lv, work in zip(neg_costs, lvs, works):
+        _row_pass(nc, lv, work)
+        projections.append((work @ support) / work.sum(axis=1, keepdims=True))
+    return BregmanBarycenter(
+        support=support,
+        masses=b / b.sum(),
+        projections=tuple(projections),
+        iterations=it,
+        mass_change=change,
+    )
 
 
 def default_barycenter_support(
@@ -261,11 +333,12 @@ def compute_barycenter_nd(
     max_iter: int = DEFAULT_MAX_ITER,
     support_limit: int = DEFAULT_SUPPORT_LIMIT,
     seed: int = 0,
-) -> DiscreteMeasure:
+) -> BregmanBarycenter:
     """Barycenter of the group score clouds, in original score coordinates.
 
     Transport happens on per-dimension min-max normalized coordinates; the
-    returned support is de-normalized back.
+    returned support and projections are de-normalized back. The projections
+    follow ``pop.group_keys()``.
     """
     scores = pop.scores_array()
     if scores.ndim == 1:
@@ -286,7 +359,26 @@ def compute_barycenter_nd(
     bary = barycenter_fixed_support(
         measures, weights, support, epsilon=epsilon, tol=tol, max_iter=max_iter
     )
-    return DiscreteMeasure(support=bary.support * scale + lo, masses=bary.masses)
+    return replace(
+        bary,
+        support=bary.support * scale + lo,
+        projections=tuple(p * scale + lo for p in bary.projections),
+    )
+
+
+def barycenter_targets_nd(pop: ScoredPopulation, bary: BregmanBarycenter) -> np.ndarray:
+    """T(s) for every record: its projection under its group's Bregman coupling.
+
+    The n-D counterpart of ``interpolation.barycenter_targets``; ``bary`` comes
+    from ``compute_barycenter_nd(pop, ...)``.
+    """
+    sizes = [len(pop.groups[k]) for k in pop.group_keys()]
+    if [len(p) for p in bary.projections] != sizes:
+        raise ValidationError("barycenter projections do not match the population's groups")
+    targets = np.empty_like(pop.scores_array())
+    for idx, projection in zip(pop.groups.values(), bary.projections):
+        targets[idx] = projection
+    return targets
 
 
 def interpolate_scores_nd(
@@ -297,10 +389,11 @@ def interpolate_scores_nd(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FairScores:
-    """Theta-interpolated transport of each group toward the barycenter (d >= 2).
+    """Theta-interpolated transport of each group toward any barycenter (d >= 2).
 
     Each group point is mapped to its barycentric projection under the group's
-    Sinkhorn plan, then blended with the raw point by the group's theta.
+    Sinkhorn plan onto ``bary``, then blended with the raw point by
+    ``apply_theta``. Groups with theta 0 run no solve.
     """
     if pop.dimension < 2:
         raise DimensionError(
@@ -313,18 +406,15 @@ def interpolate_scores_nd(
 
     scores = pop.scores_array()
     lo, scale = _normalization_bounds(np.vstack([scores, bary.support]))
-    norm_scores = (scores - lo) / scale
-    norm_support = (bary.support - lo) / scale
-    norm_bary = DiscreteMeasure(support=norm_support, masses=bary.masses)
+    norm_bary = DiscreteMeasure(support=(bary.support - lo) / scale, masses=bary.masses)
 
-    fair = np.empty_like(scores)
+    targets = np.empty_like(scores)  # rows of theta-0 groups are never read
     for key, idx in pop.groups.items():
-        theta = resolve_theta(policy, key)
-        pts = norm_scores[idx]
-        if theta == 0.0:
-            fair[idx] = scores[idx]
+        if resolve_theta(policy, key) == 0.0:
             continue
-        mu = DiscreteMeasure(support=pts, masses=np.full(idx.size, 1.0 / idx.size))
+        mu = DiscreteMeasure(
+            support=(scores[idx] - lo) / scale, masses=np.full(idx.size, 1.0 / idx.size)
+        )
         plan = sinkhorn_plan(mu, norm_bary, epsilon=epsilon, tol=tol, max_iter=max_iter)
         if not plan.converged:
             raise ConvergenceError(
@@ -333,8 +423,6 @@ def interpolate_scores_nd(
                 iterations=plan.iterations_run,
                 marginal_error=plan.marginal_error,
             )
-        row_mass = plan.matrix.sum(axis=1, keepdims=True)
-        projected = (plan.matrix @ norm_support) / row_mass
-        blended = (1.0 - theta) * pts + theta * projected
-        fair[idx] = blended * scale + lo
-    return FairScores(values=fair, theta_used=policy, barycenter_ref=bary)
+        projected = (plan.matrix @ norm_bary.support) / plan.matrix.sum(axis=1, keepdims=True)
+        targets[idx] = projected * scale + lo
+    return apply_theta(pop, bary, targets, policy)

@@ -238,6 +238,16 @@ def test_verify_nd_instance(tmp_path, capsys):
     assert "sinkhorn" in capsys.readouterr().out
 
 
+def test_nd_transform_reports_bregman_nonconvergence(tmp_path, capsys):
+    text = "id,sex,s1,s2\na1,A,0,0\na2,A,1,0\na3,A,0.2,0.4\nb1,B,0,1\nb2,B,1,1\n"
+    write(tmp_path / "in.csv", text)
+    cfg = base_config(tmp_path, score_columns=["s1", "s2"], max_iter=1)
+    assert main(["transform", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: Bregman barycenter did not converge")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["transform", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -249,13 +259,70 @@ def test_missing_config_file(tmp_path):
         {"theta_overrides": [{"theta": 0.5}]},
         {"weight_mode": "explicit", "explicit_weights": [{"weight": 0.5}]},
         {"theta_overrides": 0.5},
+        {"theta_overrides": [{"group": 5, "theta": 0.5}]},
+        {"theta": True},
+        {"max_iter": float("inf")},
+        {"grid_size": 2.5},
     ],
-    ids=["non-numeric-theta", "override-without-group", "weight-without-group", "not-a-list"],
+    ids=[
+        "non-numeric-theta",
+        "override-without-group",
+        "weight-without-group",
+        "not-a-list",
+        "group-not-a-list",
+        "bool-theta",
+        "infinite-max-iter",
+        "fractional-grid-size",
+    ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, extra):
     write(tmp_path / "in.csv", AB_CSV)
     cfg = base_config(tmp_path, **extra)
     assert main(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = write(tmp_path / "config.json", json.dumps([{"input": str(tmp_path / "in.csv")}]))
+    assert main(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["score_columns", "group_columns"])
+def test_column_list_given_as_string_exits_2(tmp_path, capsys, key):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, **{key: "score"})
+    assert main(["transform", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be a list of strings" in err
+
+
+def test_non_string_config_value_is_named(tmp_path, capsys):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, id_column=3)
+    assert main(["transform", "--config", cfg]) == 2
+    assert "config key 'id_column' value 3 is not a valid str" in capsys.readouterr().err
+
+
+GAUSSIAN = {"type": "gaussian", "mean": 0.4, "sd": 0.1}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"size": 5, "dims": [GAUSSIAN]},
+        {"key": ["A"], "size": 5},
+        {"key": ["A"], "size": 5, "dims": [{"type": "gaussian", "mean": 0.4}]},
+        {"key": ["A"], "size": "x", "dims": [GAUSSIAN]},
+        {"key": "A", "size": 5, "dims": [GAUSSIAN]},
+        {"key": ["A"], "size": 5, "dims": [{"type": ["gaussian"]}]},
+    ],
+    ids=["no-key", "no-dims", "gaussian-without-sd", "non-numeric-size", "string-key", "list-type"],
+)
+def test_malformed_synth_group_exits_2(tmp_path, capsys, group):
+    cfg = base_config(tmp_path, synth={"seed": 1, "groups": [group]})
+    assert main(["synth", "--config", cfg, "--output", str(tmp_path / "synth.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -6,12 +6,15 @@ can get wrong. The error tests pin the exact ``error:`` line, including which
 of two bad rows is reported.
 """
 
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from fairscore.cli import main
+import fairscore.cli
+from fairscore import ValidationError
+from fairscore.cli import RunConfig, load_csv, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,3 +171,31 @@ def test_two_score_columns_report_the_first_bad_field(tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["transform", "--config", str(tmp_path / "config.json")]) == 2
     assert capsys.readouterr().err == "error: row 3: score column 's2' value 'x' is not a number\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good-rows", "bad-row"])
+def test_load_csv_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabled, bad):
+    rows = with_row(4, "b1,B,x") if bad else AB_ROWS
+    (tmp_path / "in.csv").write_text("\n".join([AB_HEADER, *rows]) + "\n", encoding="utf-8")
+    cfg = RunConfig(input=str(tmp_path / "in.csv"), group_columns=["sex"], id_column="id")
+    states = []
+    build = fairscore.cli.build_population
+
+    def recording_build(*columns):
+        states.append(gc.isenabled())
+        return build(*columns)
+
+    monkeypatch.setattr(fairscore.cli, "build_population", recording_build)
+    caller_state = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if bad:
+            with pytest.raises(ValidationError, match="row 4"):
+                load_csv(cfg)
+        else:
+            assert len(load_csv(cfg)[2]) == len(AB_ROWS)
+            assert states == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if caller_state else gc.disable)()

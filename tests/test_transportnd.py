@@ -16,6 +16,8 @@ from fairscore import (
     population_from_records,
     sinkhorn_plan,
 )
+import fairscore.transportnd
+from fairscore.cli import RunConfig, transform_population
 from fairscore.oracle import lp_transport_exact
 from fairscore.transportnd import (
     _logsumexp,
@@ -215,6 +217,105 @@ def test_barycenter_nonconvergence_raises():
     assert info.value.marginal_error > 1e-15
 
 
+def reference_barycenter(measures, weights, support, epsilon, tol, max_iter):
+    """The log-domain Bregman loop with two exps per sweep; returns (masses, iters, lvs).
+
+    Raises ConvergenceError like the solver.
+    """
+    w = np.asarray(weights, dtype=float)
+    neg_costs = [-squared_cost_matrix(meas.support, support) / epsilon for meas in measures]
+    logas = [np.log(m.masses, where=m.masses > 0, out=np.full(len(m), -np.inf)) for m in measures]
+    m = support.shape[0]
+    log_b = np.full(m, -np.log(m))
+    lvs = [np.zeros(m) for _ in measures]
+    prev_b = np.exp(log_b)
+    for it in range(1, max_iter + 1):
+        lktus = []
+        for nc, loga, lv in zip(neg_costs, logas, lvs):
+            lu = loga - _logsumexp(nc + lv[None, :], axis=1)
+            lktus.append(_logsumexp(nc + lu[:, None], axis=0))
+        log_b = sum(wk * lk for wk, lk in zip(w, lktus))
+        lvs = [log_b - lk for lk in lktus]
+        b = np.exp(log_b)
+        change = float(np.abs(b - prev_b).sum())
+        if change <= tol:
+            return b / b.sum(), it, lvs
+        prev_b = b
+    raise ConvergenceError("reference did not converge", iterations=it, marginal_error=change)
+
+
+def random_barycenter_case(rng):
+    """1-4 measures with small weights and zero-mass atoms, a support partly far away."""
+    k = int(rng.integers(1, 5))
+    weights = rng.dirichlet(np.full(k, 0.5)) + 1e-3
+    measures = []
+    for _ in range(k):
+        n = int(rng.integers(1, 25))
+        masses = rng.dirichlet(np.ones(n))
+        if n > 1 and rng.uniform() < 0.5:
+            masses[rng.integers(n)] = 0.0
+        measures.append(DiscreteMeasure(rng.uniform(size=(n, 2)), masses / masses.sum()))
+    support = rng.uniform(size=(int(rng.integers(1, 30)), 2))
+    if rng.uniform() < 0.4:
+        support[: int(rng.integers(1, len(support) + 1))] += rng.uniform(1.5, 4.0)
+    return measures, weights / weights.sum(), support
+
+
+@pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 1e-2, 0.1, 1.0])
+def test_barycenter_matches_reference_loop(monkeypatch, epsilon):
+    fallback_calls = []
+    logsumexp_fn = fairscore.transportnd._logsumexp
+
+    def counting_logsumexp(m, axis):
+        fallback_calls.append(m.shape)
+        return logsumexp_fn(m, axis)
+
+    monkeypatch.setattr(fairscore.transportnd, "_logsumexp", counting_logsumexp)
+    rng = np.random.default_rng(int(epsilon * 1e4) + 5)
+    verdicts = set()
+    for _ in range(24):
+        measures, weights, support = random_barycenter_case(rng)
+        args = (measures, weights, support, epsilon, 1e-9, 300)
+        try:
+            ref_masses, ref_iters, _ = reference_barycenter(*args)
+        except ConvergenceError as ref_err:
+            with pytest.raises(ConvergenceError) as info:
+                barycenter_fixed_support(*args)
+            assert info.value.iterations == ref_err.iterations
+            assert info.value.marginal_error == pytest.approx(ref_err.marginal_error, abs=1e-12)
+            verdicts.add("raised")
+            continue
+        bary = barycenter_fixed_support(*args)
+        assert bary.iterations == ref_iters
+        assert np.abs(bary.masses - ref_masses).sum() <= 1e-12
+        verdicts.add("converged")
+    assert verdicts == ({"converged", "raised"} if epsilon <= 1e-2 else {"converged"})
+    if epsilon <= 1e-3:
+        assert fallback_calls, "no case reached the underflow fallback"
+
+
+def test_barycenter_projections_follow_final_couplings():
+    rng = np.random.default_rng(12)
+    for epsilon in (3e-3, 1e-2, 0.1):
+        for _ in range(6):
+            measures, weights, support = random_barycenter_case(rng)
+            bary = barycenter_fixed_support(measures, weights, support, epsilon, 1e-8, 20000)
+            _, _, lvs = reference_barycenter(measures, weights, support, epsilon, 1e-8, 20000)
+            assert bary.iterations >= 1 and bary.mass_change <= 1e-8
+            assert len(bary.projections) == len(measures)
+            for meas, lv, projection in zip(measures, lvs, bary.projections):
+                nc = -squared_cost_matrix(meas.support, support) / epsilon
+                a = meas.masses
+                lu = np.log(a, where=a > 0, out=np.full(len(a), -np.inf))
+                lu -= _logsumexp(nc + lv[None, :], axis=1)
+                plan = np.exp(nc + lu[:, None] + lv[None, :])
+                np.testing.assert_allclose(plan.sum(axis=1), a, rtol=1e-12, atol=1e-15)
+                live = a > 0
+                expected = (plan @ support)[live] / a[live, None]
+                np.testing.assert_allclose(projection[live], expected, rtol=0, atol=1e-12)
+                assert np.isfinite(projection).all()
+
+
 def test_barycenter_empty_support_rejected():
     mu = uniform_measure([[0.0, 0.0]])
     with pytest.raises(ValidationError):
@@ -329,3 +430,40 @@ def test_nd_path_consistent_with_1d_path():
     )
     score_range = pad[:, 0].max() - pad[:, 0].min()
     assert np.abs(fairn.values[:, 0] - fair1.values).max() <= 0.05 * score_range
+
+
+def gaussian_nd_population(rng, sizes=(70, 50)):
+    a = rng.normal(loc=(0.3, 0.5), scale=(0.1, 0.05), size=(sizes[0], 2))
+    b = rng.normal(loc=(0.6, 0.4), scale=(0.05, 0.1), size=(sizes[1], 2))
+    a[0, 0] = -0.0  # theta 0 must keep the sign of zero
+    return make_nd_population(a, b)
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("epsilon", [0.003, 0.01, 0.03])
+def test_fused_maps_match_sinkhorn_maps(epsilon, tol):
+    pop = gaussian_nd_population(np.random.default_rng(5))
+    cfg = RunConfig(epsilon=epsilon, tol=tol, max_iter=100000)
+    fused = transform_population(pop, cfg)
+    bary = fused.barycenter_ref
+    two_solve = interpolate_scores_nd(
+        pop, bary, ThetaPolicy(1.0), epsilon=epsilon, tol=tol, max_iter=100000
+    )
+    scores = pop.scores_array()
+    score_range = scores.max(axis=0) - scores.min(axis=0)
+    assert np.all(np.abs(fused.values - two_solve.values) <= 100 * tol * score_range)
+    assert np.abs(fused.values - scores).max() > 1000 * tol  # the maps do move the points
+
+
+def test_fused_theta_zero_is_bitwise_identity():
+    pop = gaussian_nd_population(np.random.default_rng(6))
+    scores = pop.scores_array()
+    fair = transform_population(pop, RunConfig(theta=0.0))
+    assert fair.values.tobytes() == scores.tobytes()
+
+    key_a, key_b = pop.group_keys()
+    cfg = RunConfig(theta=1.0, theta_overrides={key_a: 0.0})
+    fair = transform_population(pop, cfg)
+    idx_a, idx_b = pop.groups[key_a], pop.groups[key_b]
+    assert fair.values[idx_a].tobytes() == scores[idx_a].tobytes()
+    assert np.abs(fair.values[idx_b] - scores[idx_b]).max() > 0.01
