@@ -4,11 +4,25 @@ Subcommands: transform, audit, sweep, barycenter, synth, verify.
 Configuration comes from a JSON file; command-line flags override it.
 Exit codes: 0 success, 1 runtime/verification failure, 2 validation error.
 
-Data flows as columns. ``load_csv`` parses the file once, takes the id, group
-and score columns out of the parsed rows and builds the population from them
-(see ``population``); no per-row object is made. ``transform`` formats the
-fair scores with ``format(v, ".17g")``, appends them to the parsed rows and
-writes all rows with one ``csv.writer.writerows`` call.
+Data flows as columns. ``load_csv`` takes the id, group and score columns out
+of the input and builds the population from them (see ``population``); no
+per-row object is made. The input is read one of two ways:
+
+- The line path. The text holds no ``"``, no ``\\r`` and no NUL, every line has
+  the header's number of fields (at least 2), no line is longer than
+  ``csv.field_size_limit()`` and every value is good. Then each record is one
+  line, and its fields are the line split at commas. The columns are slices
+  of one ``split(",")`` of the joined lines, and the lines are kept for output.
+- The ``csv.reader`` path, for every other input and for every input that
+  fails a check of the line path. It keeps the parsed rows and reports the
+  first bad row.
+
+``transform`` writes each fair score as ``format(v, ".17g")``. On the line
+path it writes each input line, a comma and its fair scores. ``csv.writer``
+would write the same bytes: it quotes a field only when it holds a comma, a
+quote or a line break, and neither these fields nor the numbers do. On the
+``csv.reader`` path it appends the fair scores to the rows and writes them
+with ``csv.writer.writerows``.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -280,56 +295,114 @@ def _gc_paused():
             gc.enable()
 
 
-def load_csv(cfg: RunConfig) -> tuple[list[str], list[list[str]], ScoredPopulation]:
+def load_csv(cfg: RunConfig) -> tuple[list[str], list, ScoredPopulation]:
     """Read the input CSV once and build the population from its columns.
 
-    The rows stay as parsed (for pass-through on output). Each needed column
-    is taken out with one ``map``, each score column is parsed with one
-    ``np.fromiter(map(float, ...))`` and the whole table is checked with
-    vectorized tests. Only when a test fails are the rows scanned one by one,
-    so that the error names the first bad row. The cyclic garbage collector is
-    paused meanwhile.
+    Returns the header, the records for pass-through on output (the data
+    lines on the line path, the parsed rows on the ``csv.reader`` path) and
+    the population. Each needed column is parsed with one ``map`` and the
+    whole table is checked with vectorized tests. Only when a test fails are
+    the rows scanned one by one, so that the error names the first bad row.
+    The cyclic garbage collector is paused meanwhile.
     """
     if cfg.input is None:
         raise ValidationError("no input file configured")
-    # the rows and columns hold only strings, so there are no cycles to collect
+    # the records and columns hold only strings, so there are no cycles to collect
     with _gc_paused():
-        try:
-            with open(cfg.input, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise ValidationError(f"input file {cfg.input} is empty") from None
-                rows = list(reader)
-        except OSError as exc:
-            raise ValidationError(f"cannot read input file {cfg.input}: {exc}") from exc
-
-        col_index = {name: i for i, name in enumerate(header)}
-        needed = cfg.score_columns + cfg.group_columns + ([cfg.id_column] if cfg.id_column else [])
-        for name in needed:
-            if name not in col_index:
-                raise ValidationError(f"column {name!r} not found in input header")
-
-        columns = _parse_columns(header, rows, cfg, col_index)
-        if columns is None:
-            _raise_first_bad_row(header, rows, cfg, col_index)
+        # the text goes to _load_lines alone, which drops it once it is split
+        loaded = _load_lines(_read_text(cfg.input), cfg)
+        header, records, columns = loaded or _load_rows(cfg)
         pop = build_population(*columns)
-    return header, rows, pop
+    return header, records, pop
 
 
-def _parse_columns(header: list[str], rows: list[list[str]], cfg: RunConfig, col_index: dict):
-    """(ids, group values, scores) of a well-formed table, or None if any row is bad."""
-    n = len(rows)
-    if set(map(len, rows)) - {len(header)}:
+@contextmanager
+def _reading(path: str):
+    """Report a file that cannot be read or is not UTF-8 as a ValidationError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot read input file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input file {path} is not valid UTF-8: {exc}") from None
+
+
+def _read_text(path: str) -> str:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _load_lines(text: str, cfg: RunConfig):
+    """(header, data lines, columns) on the line path (see the module docstring), or None.
+
+    The text is split at ``\\n`` only: ``splitlines`` also breaks at
+    ``\\x0b``, ``\\x85`` and others, which ``csv.reader`` keeps in a field.
+    With fewer than 2 header fields an empty line would pass the field count.
+    NUL is left to ``csv.reader``, which rejects it before Python 3.11. None sends the input to the ``csv.reader`` path, which names its error.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
         return None
-    group_cols = [tuple(map(itemgetter(col_index[name]), rows)) for name in cfg.group_columns]
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last record
+    header = lines[0].split(",") if lines else []
+    width = len(header)
+    if width < 2 or len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    col_index = _column_index(header, cfg)
+    flat = ",".join(lines).split(",")
+    columns = _parse_columns(lambda j: flat[width + j :: width], len(lines) - 1, cfg, col_index)
+    return None if columns is None else (header, lines[1:], columns)
+
+
+def _load_rows(cfg: RunConfig):
+    """(header, rows, columns) read with ``csv.reader``; raises the first bad row's error."""
+    with _reading(cfg.input):
+        with open(cfg.input, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+                rows = list(reader)
+            except StopIteration:
+                raise ValidationError(f"input file {cfg.input} is empty") from None
+            except csv.Error as exc:
+                raise ValidationError(
+                    f"input file {cfg.input}, line {reader.line_num}: {exc}"
+                ) from None
+
+    col_index = _column_index(header, cfg)
+    columns = None
+    if not set(map(len, rows)) - {len(header)}:
+        columns = _parse_columns(lambda j: map(itemgetter(j), rows), len(rows), cfg, col_index)
+    if columns is None:
+        _raise_first_bad_row(header, rows, cfg, col_index)
+    return header, rows, columns
+
+
+def _column_index(header: list[str], cfg: RunConfig) -> dict[str, int]:
+    col_index = {name: i for i, name in enumerate(header)}
+    needed = cfg.score_columns + cfg.group_columns + ([cfg.id_column] if cfg.id_column else [])
+    for name in needed:
+        if name not in col_index:
+            raise ValidationError(f"column {name!r} not found in input header")
+    return col_index
+
+
+def _parse_columns(column, n: int, cfg: RunConfig, col_index: dict):
+    """(ids, group values, scores) of ``n`` rows of the right width, or None if any row is bad.
+
+    ``column(j)`` gives the values of column ``j`` in row order.
+    """
+    group_cols = [tuple(column(col_index[name])) for name in cfg.group_columns]
     if any("" in set(col) for col in group_cols):
         return None
     try:
         scores = np.column_stack(
             [
-                np.fromiter(map(float, map(itemgetter(col_index[name]), rows)), float, n)
+                np.fromiter(map(float, column(col_index[name])), float, n)
                 for name in cfg.score_columns
             ]
         )
@@ -338,7 +411,7 @@ def _parse_columns(header: list[str], rows: list[list[str]], cfg: RunConfig, col
     if not np.isfinite(scores).all():
         return None
     if cfg.id_column:
-        ids = tuple(map(itemgetter(col_index[cfg.id_column]), rows))
+        ids = tuple(column(col_index[cfg.id_column]))
     else:
         ids = tuple(map(str, range(2, n + 2)))  # the row number; the header is row 1
     return ids, list(zip(*group_cols)), scores
@@ -373,6 +446,24 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_with_columns(
+    path: str, header: list[str], records: list, names: list[str], values: np.ndarray
+) -> None:
+    """Write the input records with the columns ``names`` of ``values`` appended."""
+    columns = values.reshape(len(records), -1).T.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if isinstance(records[0], str):  # data lines from _load_lines
+            fh.write(",".join(header + names) + "\n")
+            fh.write("\n".join(map(("{}" + ",{:.17g}" * len(names)).format, records, *columns)))
+            fh.write("\n")
+            return
+        for row, *row_values in zip(records, *columns):
+            row.extend(map(_fmt, row_values))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header + names)
+        writer.writerows(records)
 
 
 def _emit_warnings(pop: ScoredPopulation, cfg: RunConfig) -> None:
@@ -442,19 +533,14 @@ def run_transform(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.output is None:
         raise ValidationError("transform requires an output path")
-    header, rows, pop = load_csv(cfg)
+    header, records, pop = load_csv(cfg)
     _emit_warnings(pop, cfg)
     fair = transform_population(pop, cfg)
-
     if pop.dimension == 1:
-        header.append("fair_score")
-        for row, value in zip(rows, fair.values.tolist()):
-            row.append(format(value, ".17g"))
+        names = ["fair_score"]
     else:
-        header.extend(f"fair_score_{k + 1}" for k in range(pop.dimension))
-        for row, values in zip(rows, fair.values.tolist()):
-            row.extend(_fmt(v) for v in values)
-    _write_csv(cfg.output, header, rows)
+        names = [f"fair_score_{k + 1}" for k in range(pop.dimension)]
+    _write_with_columns(cfg.output, header, records, names, fair.values)
 
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
     _write_report(report, cfg.report)
@@ -464,7 +550,7 @@ def run_transform(cfg: RunConfig) -> int:
 def run_audit(cfg: RunConfig) -> int:
     """Metrics only: compute fair scores under the configured theta, emit the report."""
     cfg.validate()
-    _, _, pop = load_csv(cfg)
+    pop = load_csv(cfg)[2]
     _emit_warnings(pop, cfg)
     fair = transform_population(pop, cfg)
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
@@ -481,7 +567,7 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
             raise ValidationError(f"sweep theta {theta} outside [0, 1]")
     if cfg.output is None:
         raise ValidationError("sweep requires an output path")
-    _, _, pop = load_csv(cfg)
+    pop = load_csv(cfg)[2]
     if pop.dimension != 1:
         raise ValidationError("sweep metrics are defined for 1-D scores")
     _emit_warnings(pop, cfg)
@@ -522,7 +608,7 @@ def run_barycenter(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.output is None:
         raise ValidationError("barycenter requires an output path")
-    _, _, pop = load_csv(cfg)
+    pop = load_csv(cfg)[2]
     _emit_warnings(pop, cfg)
     if pop.dimension == 1:
         bary = compute_barycenter_1d(pop, cfg)
@@ -573,7 +659,7 @@ def run_synth(cfg: RunConfig) -> int:
 def run_verify(cfg: RunConfig) -> int:
     """Re-check the configured instance against the brute-force oracles."""
     cfg.validate()
-    _, _, pop = load_csv(cfg)
+    pop = load_csv(cfg)[2]
     failures = 0
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -638,6 +724,14 @@ def run_verify(cfg: RunConfig) -> int:
                     measures[a], measures[b], epsilon=cfg.epsilon, tol=cfg.tol,
                     max_iter=cfg.max_iter,
                 )
+                if not plan.converged:  # its marginals are off, so it is no coupling
+                    check(
+                        f"sinkhorn({a},{b}) converged",
+                        False,
+                        f"marginal error {plan.marginal_error:.3e} after "
+                        f"{plan.iterations_run} iterations",
+                    )
+                    continue
                 cost = plan.cost(squared_cost_matrix(measures[a].support, measures[b].support))
                 lp_cost, _ = lp_transport_exact(measures[a], measures[b])
                 slack = cfg.epsilon * np.log(len(measures[a]) * len(measures[b]) + 1.0)

@@ -238,6 +238,31 @@ def test_verify_nd_instance(tmp_path, capsys):
     assert "sinkhorn" in capsys.readouterr().out
 
 
+def test_verify_nd_reports_an_unconverged_plan(tmp_path, capsys):
+    # with one Sinkhorn sweep this plan's entropic cost lands inside the LP
+    # bounds, so comparing it with the LP would pass although it is no coupling
+    text = "id,sex,s1,s2\na0,A,0.25,0.75\na1,A,0.75,0.25\na2,A,0.5,1\n" \
+        "b3,B,1,1\nb4,B,0.25,0.75\nb5,B,1,0.75\n"
+    write(tmp_path / "in.csv", text)
+    cfg = base_config(tmp_path, score_columns=["s1", "s2"], max_iter=1)
+    assert main(["verify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL sinkhorn(A,B) converged: marginal error ")
+    assert captured.out.endswith(" after 1 iterations\n")
+    assert "exact LP" not in captured.out
+    assert captured.err == "1 check(s) failed\n"
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    (tmp_path / "in.csv").write_bytes(b"id,sex,score\na1,A,0\n\xe9,B,1\n")
+    assert main(["transform", "--config", base_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: input file {tmp_path / 'in.csv'} is not valid UTF-8: 'utf-8' codec can't "
+        "decode byte 0xe9 in position 20: invalid continuation byte\n"
+    )
+
+
 def test_nd_transform_reports_bregman_nonconvergence(tmp_path, capsys):
     text = "id,sex,s1,s2\na1,A,0,0\na2,A,1,0\na3,A,0.2,0.4\nb1,B,0,1\nb2,B,1,1\n"
     write(tmp_path / "in.csv", text)

@@ -2,15 +2,25 @@
 
 The golden files under ``tests/golden/`` hold the expected output bytes for
 ``GOLDEN_INPUT``, which gathers the cases a column-at-a-time loader or writer
-can get wrong. The error tests pin the exact ``error:`` line, including which
-of two bad rows is reported.
+can get wrong; its quotes and CRLF line endings send it down the
+``csv.reader`` path. The error tests pin the exact ``error:`` line, including
+which of two bad rows is reported. Their LF inputs take the line path first
+and its fallback to ``csv.reader`` when a check fails. The property test
+compares the line path's output with what ``csv.reader`` and ``csv.writer``
+make of the same input.
 """
 
+import csv
 import gc
+import io
 import json
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairscore.cli
 from fairscore import ValidationError
@@ -116,6 +126,9 @@ def with_row(rownum, text):
         (with_row(2, "a1,A,1e400"), "row 2: score column 'score' is not finite"),
         (with_row(6, "a1,B,5"), "duplicate record id 'a1'"),
         ([], "population must contain at least one record"),
+        # an empty line has 0 fields on both paths
+        ([*AB_ROWS[:2], "", *AB_ROWS[2:]], "row 4: expected 3 fields, got 0"),
+        ([*AB_ROWS, ""], "row 7: expected 3 fields, got 0"),
     ],
     ids=[
         "short-row",
@@ -130,6 +143,8 @@ def with_row(rownum, text):
         "overflow",
         "duplicate-id",
         "header-only",
+        "blank-line",
+        "blank-last-line",
     ],
 )
 def test_bad_input_exits_2_with_the_row_error(tmp_path, capsys, rows, message):
@@ -199,3 +214,130 @@ def test_load_csv_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabl
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if caller_state else gc.disable)()
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was called on the line path")
+
+
+def test_line_path_reads_no_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fairscore.cli.csv, "reader", _no_csv_reader)
+    assert run_rows(tmp_path, capsys, AB_ROWS) == (0, "")
+    lines = (tmp_path / "out.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[0] == AB_HEADER + ",fair_score"
+    assert [line.rsplit(",", 1)[0] for line in lines[1:-1]] == AB_ROWS
+    assert lines[-1] == ""
+
+
+def test_field_over_the_limit_exits_2(tmp_path, capsys):
+    # the long field is a pass-through one, which the line path would accept
+    rows = [f"{row},n" for row in AB_ROWS]
+    rows[1] += "x" * 131_072
+    message = f"input file {tmp_path / 'in.csv'}, line 3: field larger than field limit (131072)"
+    assert run_rows(tmp_path, capsys, rows, AB_HEADER + ",note") == (2, f"error: {message}\n")
+
+
+def test_one_column_header_reports_an_empty_line(tmp_path):
+    # with 1 column an empty line has the header's comma count, 0
+    (tmp_path / "in.csv").write_text("g\n1\n\n2\n", encoding="utf-8")
+    cfg = RunConfig(input=str(tmp_path / "in.csv"), score_columns=["g"], group_columns=["g"])
+    with pytest.raises(ValidationError) as err:
+        load_csv(cfg)
+    assert str(err.value) == "row 3: expected 1 fields, got 0"
+
+
+def test_line_at_the_field_limit_takes_the_line_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fairscore.cli.csv, "reader", _no_csv_reader)
+    rows = with_row(3, "a2,A," + "0" * (131_072 - 5))
+    assert run_rows(tmp_path, capsys, rows) == (0, "")
+
+
+# Text fields: empty, spaces, control and line-separator characters that
+# str.splitlines() breaks at but csv.reader keeps, and non-ASCII letters.
+# NUL is included where csv.reader accepts it (Python 3.11 on); it sends the
+# input down the csv.reader path.
+_FIELD_CHARS = "ab Z9;'\x0b\x0c\x1c\x1e\x85\u2028éß東"
+try:
+    list(csv.reader(["\0"]))
+    _FIELD_CHARS += "\0"
+except csv.Error:
+    pass
+
+
+@st.composite
+def quote_free_tables(draw):
+    """(input text, score column names) of a well-formed table without ``"`` or ``\\r``."""
+    dimension = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 12))
+    score_names = ["score"] if dimension == 1 else ["s1", "s2"]
+    notes = draw(st.integers(0, 2))
+    header = ["id", "sex", *score_names, *(f"note{k}" for k in range(notes))]
+    text_field = st.text(alphabet=_FIELD_CHARS, max_size=6)
+    number = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    padded = st.tuples(st.sampled_from(["", " "]), number, st.sampled_from(["", "  "]))
+    lines = [",".join(header)]
+    for i in range(n):
+        group = "AB"[i % 2] if i < 2 else draw(st.sampled_from(["A", "B", " A", "é"]))
+        scores = ["".join(draw(padded)) for _ in score_names]
+        lines.append(",".join([f"r{i}", group, *scores, *(draw(text_field) for _ in range(notes))]))
+    newline = draw(st.sampled_from(["\n", ""]))
+    return "\n".join(lines) + newline, score_names
+
+
+def reference_output(text: str, produced: bytes, fair_width: int) -> bytes:
+    """csv.reader's rows of ``text``, with the last ``fair_width`` columns of
+    ``produced`` appended, written by csv.writer."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    output = csv.reader(io.StringIO(produced.decode("utf-8"), newline=""))
+    fair = [row[-fair_width:] for row in output]
+    assert len(fair) == len(rows)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(row + extra for row, extra in zip(rows, fair))
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(quote_free_tables())
+def test_quote_free_tables_round_trip_like_csv(table):
+    text, score_names = table
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.csv").write_bytes(text.encode("utf-8"))
+        cfg = {
+            "input": str(tmp / "in.csv"),
+            "score_columns": score_names,
+            "group_columns": ["sex"],
+            "id_column": "id",
+            "min_group_size": 1,
+            "grid_size": 8,
+            "epsilon": 0.1,
+            "output": str(tmp / "out.csv"),
+            "report": str(tmp / "report.json"),
+        }
+        (tmp / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        reader = _no_csv_reader if "\0" not in text else csv.reader
+        with mock.patch.object(fairscore.cli.csv, "reader", reader):
+            assert main(["transform", "--config", str(tmp / "config.json")]) == 0
+        produced = (tmp / "out.csv").read_bytes()
+    assert produced == reference_output(text, produced, len(score_names))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'id,sex,score,note\na1,A,0,"x"\na2,A,2,y\nb1,B,2,\nb2,B,4,"z"\n',
+        "id,sex,score\r\na1,A,0\r\na2,A,2\r\nb1,B,2\r\nb2,B,4\r\n",
+        "id,sex,score\ra1,A,0\ra2,A,2\rb1,B,2\rb2,B,4",
+    ],
+    ids=["quoted-field", "crlf", "cr"],
+)
+def test_quotes_and_carriage_returns_take_the_csv_path(tmp_path, capsys, text):
+    (tmp_path / "in.csv").write_bytes(text.encode("utf-8"))
+    cfg = RunConfig(
+        input=str(tmp_path / "in.csv"), id_column="id", group_columns=["sex"], min_group_size=1,
+        output=str(tmp_path / "out.csv"), report=str(tmp_path / "report.json"),
+    )
+    assert fairscore.cli.run_transform(cfg) == 0
+    produced = (tmp_path / "out.csv").read_bytes()
+    assert produced == reference_output(text, produced, 1)
+    assert b'"' not in produced and b"\r" not in produced
