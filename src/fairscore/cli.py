@@ -1,8 +1,12 @@
 """Batch pipeline: CSV in, fair scores and reports out.
 
 Subcommands: transform, audit, sweep, barycenter, synth, verify.
-Configuration comes from a JSON file; command-line flags override it.
-Exit codes: 0 success, 1 runtime/verification failure, 2 validation error.
+Exit codes: 0 success, 1 runtime/verification failure or out of memory, 2 validation error.
+
+A JSON config file sets the ``RunConfig`` fields, and flags override it. Each
+field declares its JSON parser and its flag, if any (see ``_key``), so
+``load_config``, the flags and the overrides are loops over ``fields(RunConfig)``.
+A JSON ``null`` leaves a key at its default; an unknown key exits 2.
 
 Data flows as columns. ``load_csv`` takes the id, group and score columns out
 of the input and builds the population from them (see ``population``); no
@@ -34,7 +38,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -77,58 +82,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class RunConfig:
-    input: str | None = None
-    score_columns: list[str] = field(default_factory=lambda: ["score"])
-    group_columns: list[str] = field(default_factory=lambda: ["group"])
-    id_column: str | None = None
-    theta: float = 1.0
-    theta_overrides: dict[GroupKey, float] = field(default_factory=dict)
-    weight_mode: str = "size"  # size | uniform | explicit
-    explicit_weights: dict[GroupKey, float] = field(default_factory=dict)
-    grid_size: int = DEFAULT_GRID_SIZE
-    epsilon: float = 0.01
-    tol: float = 1e-6
-    max_iter: int = 10000
-    min_group_size: int = 100
-    output: str | None = None
-    report: str | None = None
-    seed: int = 0
-    selection_threshold: float | None = None
-    selection_top_k: int | None = None
-    synth: list[GroupSpec] | None = None
-    synth_seed: int = 0
-
-    def validate(self) -> None:
-        for name in ("score_columns", "group_columns"):
-            if not getattr(self, name):
-                raise ValidationError(f"{name} must name at least one column")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta {self.theta} outside [0, 1]")
-        for key, theta in self.theta_overrides.items():
-            if not 0.0 <= theta <= 1.0:
-                raise ValidationError(f"theta override {theta} for group {key} outside [0, 1]")
-        if self.grid_size < 2:
-            raise ValidationError("grid_size must be at least 2")
-        if self.weight_mode not in ("size", "uniform", "explicit"):
-            raise ValidationError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.weight_mode == "explicit" and not self.explicit_weights:
-            raise ValidationError("weight_mode 'explicit' requires explicit_weights")
-        if self.selection_threshold is not None and self.selection_top_k is not None:
-            raise ValidationError("configure at most one of selection threshold and top-k")
-        validate_solver_params(self.epsilon, self.tol, self.max_iter)
-
-    def selection_rule(self) -> SelectionRule | None:
-        if self.selection_threshold is not None:
-            return SelectionRule(threshold=self.selection_threshold)
-        if self.selection_top_k is not None:
-            return SelectionRule(top_k=self.selection_top_k)
-        return None
-
-    def theta_policy(self) -> ThetaPolicy:
-        return ThetaPolicy(default_theta=self.theta, overrides=dict(self.theta_overrides))
-
+WEIGHT_MODES = ("size", "uniform", "explicit")
 
 _DISTRIBUTIONS = {
     "gaussian": (Gaussian, ("mean", "sd")),
@@ -151,7 +105,7 @@ def _cast(name: str, cast, value):
     if not wrong_type:
         try:
             return cast(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ValidationError(f"{name} value {value!r} is not a valid {cast.__name__}")
 
@@ -178,17 +132,24 @@ def _strings(name: str, value) -> list[str]:
     return value
 
 
-def _parse_group_entries(raw: dict, section: str, value_field: str) -> dict[GroupKey, float]:
+def _scalar(key: str, value, cast):
+    return _cast(f"config key {key!r}", cast, value)
+
+
+_STR, _INT, _FLOAT = (partial(_scalar, cast=cast) for cast in (str, int, float))
+
+
+def _group_entries(section: str, value, value_field: str) -> dict[GroupKey, float]:
     out = {}
-    for entry in _list(section, raw[section]):
+    for entry in _list(section, value):
         _object(f"{section} entry", entry, ("group", value_field))
         key = GroupKey(tuple(_strings(f"{section} group", entry["group"])))
         out[key] = _cast(f"{section} {value_field}", float, entry[value_field])
     return out
 
 
-def _parse_synth(raw) -> tuple[list[GroupSpec], int]:
-    _object("synth", raw)
+def _parse_synth(key: str, raw) -> tuple[list[GroupSpec], int]:
+    _object(key, raw)
     specs = []
     for g in _list("synth groups", raw.get("groups", [])):
         _object("synth group", g, ("key", "size", "dims"))
@@ -210,73 +171,102 @@ def _parse_synth(raw) -> tuple[list[GroupSpec], int]:
     return specs, _cast("synth seed", int, raw.get("seed", 0))
 
 
+def _comma_list(text: str) -> list[str]:
+    return [c.strip() for c in text.split(",")]
+
+
+def _key(default, parse, flag=None, help=None, **argparse_kw):
+    """A config key: its default, JSON parser ``parse(key, value)``, flag and argparse kwargs."""
+    meta = {"parse": parse, "flag": flag, "argparse": dict(argparse_kw, help=help)}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class RunConfig:
+    """The settings of one run. Each field is a config key; ``_key`` declares it."""
+
+    input: str | None = _key(None, _STR, "--input", "input CSV path")
+    output: str | None = _key(None, _STR, "--output", "output path")
+    report: str | None = _key(None, _STR, "--report", "JSON report path (default: stdout)")
+    score_columns: list[str] = _key(
+        ["score"], _strings, "--score-columns", "comma-separated score columns", type=_comma_list
+    )
+    group_columns: list[str] = _key(
+        ["group"], _strings, "--group-columns", "comma-separated group columns", type=_comma_list
+    )
+    id_column: str | None = _key(None, _STR, "--id-column", "column holding unique record ids")
+    theta: float = _key(1.0, _FLOAT, "--theta", "default theta in [0, 1]", type=float)
+    grid_size: int = _key(DEFAULT_GRID_SIZE, _INT, "--grid-size", "quantile grid size m", type=int)
+    weight_mode: str = _key("size", _STR, "--weight-mode", choices=WEIGHT_MODES)
+    epsilon: float = _key(0.01, _FLOAT, "--epsilon", "entropic regularization (n-D)", type=float)
+    tol: float = _key(1e-6, _FLOAT, "--tol", "solver tolerance (n-D)", type=float)
+    max_iter: int = _key(10000, _INT, "--max-iter", "solver iteration cap (n-D)", type=int)
+    min_group_size: int = _key(100, _INT, "--min-group-size", type=int)
+    seed: int = _key(0, _INT, "--seed", "seed for support subsampling", type=int)
+    selection_threshold: float | None = _key(
+        None, _FLOAT, "--threshold", "selection threshold", type=float, metavar="THRESHOLD"
+    )
+    selection_top_k: int | None = _key(
+        None, _INT, "--top-k", "selection top-k", type=int, metavar="TOP_K"
+    )
+    theta_overrides: dict[GroupKey, float] = _key({}, partial(_group_entries, value_field="theta"))
+    explicit_weights: dict[GroupKey, float] = _key(
+        {}, partial(_group_entries, value_field="weight")
+    )
+    synth: tuple[list[GroupSpec], int] | None = _key(None, _parse_synth)  # (groups, seed)
+
+    def validate(self) -> None:
+        for name in ("score_columns", "group_columns"):
+            if not getattr(self, name):
+                raise ValidationError(f"{name} must name at least one column")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValidationError(f"theta {self.theta} outside [0, 1]")
+        for key, theta in self.theta_overrides.items():
+            if not 0.0 <= theta <= 1.0:
+                raise ValidationError(f"theta override {theta} for group {key} outside [0, 1]")
+        if self.grid_size < 2:
+            raise ValidationError("grid_size must be at least 2")
+        if self.weight_mode not in WEIGHT_MODES:
+            raise ValidationError(f"unknown weight_mode {self.weight_mode!r}")
+        if self.weight_mode == "explicit" and not self.explicit_weights:
+            raise ValidationError("weight_mode 'explicit' requires explicit_weights")
+        for key, weight in self.explicit_weights.items():
+            if not math.isfinite(weight):
+                raise ValidationError(f"explicit weight {weight} for group {key} is not finite")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
+        if self.selection_threshold is not None and self.selection_top_k is not None:
+            raise ValidationError("configure at most one of selection threshold and top-k")
+        self.selection_rule()  # a NaN threshold is rejected here
+        validate_solver_params(self.epsilon, self.tol, self.max_iter)
+
+    def selection_rule(self) -> SelectionRule | None:
+        if self.selection_threshold is not None:
+            return SelectionRule(threshold=self.selection_threshold)
+        if self.selection_top_k is not None:
+            return SelectionRule(top_k=self.selection_top_k)
+        return None
+
+    def theta_policy(self) -> ThetaPolicy:
+        return ThetaPolicy(default_theta=self.theta, overrides=dict(self.theta_overrides))
+
+
 def load_config(path: str) -> RunConfig:
+    """The settings in a JSON config file; a ``null`` value leaves its key at the default."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a non-UTF-8 file and an over-long integer
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     _object(f"config file {path}", raw)
-
-    cfg = RunConfig()
-    simple = {
-        "input": str,
-        "id_column": str,
-        "theta": float,
-        "weight_mode": str,
-        "grid_size": int,
-        "epsilon": float,
-        "tol": float,
-        "max_iter": int,
-        "min_group_size": int,
-        "output": str,
-        "report": str,
-        "seed": int,
-        "selection_threshold": float,
-        "selection_top_k": int,
-    }
-    for name, cast in simple.items():
-        if raw.get(name) is not None:
-            setattr(cfg, name, _cast(f"config key {name!r}", cast, raw[name]))
-    for name in ("score_columns", "group_columns"):
-        if name in raw:
-            setattr(cfg, name, _strings(name, raw[name]))
-    if "theta_overrides" in raw:
-        cfg.theta_overrides = _parse_group_entries(raw, "theta_overrides", "theta")
-    if "explicit_weights" in raw:
-        cfg.explicit_weights = _parse_group_entries(raw, "explicit_weights", "weight")
-    if "synth" in raw:
-        cfg.synth, cfg.synth_seed = _parse_synth(raw["synth"])
-    return cfg
-
-
-def _apply_flag_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    for flag, attr in [
-        ("input", "input"),
-        ("output", "output"),
-        ("report", "report"),
-        ("theta", "theta"),
-        ("grid_size", "grid_size"),
-        ("epsilon", "epsilon"),
-        ("tol", "tol"),
-        ("max_iter", "max_iter"),
-        ("min_group_size", "min_group_size"),
-        ("seed", "seed"),
-        ("weight_mode", "weight_mode"),
-        ("threshold", "selection_threshold"),
-        ("top_k", "selection_top_k"),
-        ("id_column", "id_column"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[attr] = value
-    if getattr(args, "score_columns", None):
-        updates["score_columns"] = [c.strip() for c in args.score_columns.split(",")]
-    if getattr(args, "group_columns", None):
-        updates["group_columns"] = [c.strip() for c in args.group_columns.split(",")]
-    return replace(cfg, **updates)
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+    unknown = raw.keys() - parsers.keys()
+    if unknown:
+        raise ValidationError(f"config file {path} has unknown key(s) {', '.join(sorted(unknown))}")
+    return RunConfig(**{k: parsers[k](k, v) for k, v in raw.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +624,7 @@ def run_synth(cfg: RunConfig) -> int:
         raise ValidationError("config has no 'synth' section")
     if cfg.output is None:
         raise ValidationError("synth requires an output path")
-    records = generate_synthetic(cfg.synth, cfg.synth_seed)
+    records = generate_synthetic(*cfg.synth)
     dim = len(records[0].score_vector())
     attr_count = len(records[0].group_values)
     group_cols = (
@@ -752,26 +742,6 @@ def run_verify(cfg: RunConfig) -> int:
 # Argument parsing
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--input", help="input CSV path")
-    parser.add_argument("--output", help="output path")
-    parser.add_argument("--report", help="JSON report path (default: stdout)")
-    parser.add_argument("--score-columns", dest="score_columns", help="comma-separated score columns")
-    parser.add_argument("--group-columns", dest="group_columns", help="comma-separated group columns")
-    parser.add_argument("--id-column", dest="id_column", help="column holding unique record ids")
-    parser.add_argument("--theta", type=float, help="default theta in [0, 1]")
-    parser.add_argument("--grid-size", dest="grid_size", type=int, help="quantile grid size m")
-    parser.add_argument("--weight-mode", dest="weight_mode", choices=["size", "uniform", "explicit"])
-    parser.add_argument("--epsilon", type=float, help="entropic regularization (n-D)")
-    parser.add_argument("--tol", type=float, help="solver tolerance (n-D)")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="solver iteration cap (n-D)")
-    parser.add_argument("--min-group-size", dest="min_group_size", type=int)
-    parser.add_argument("--seed", type=int, help="seed for support subsampling")
-    parser.add_argument("--threshold", type=float, help="selection threshold")
-    parser.add_argument("--top-k", dest="top_k", type=int, help="selection top-k")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairscore",
@@ -787,7 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "re-check the instance against brute-force oracles"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
+        p.add_argument("--config", help="JSON config file")
+        for f in fields(RunConfig):
+            if f.metadata["flag"]:
+                p.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
         if name == "sweep":
             p.add_argument("--thetas", required=True, help="comma-separated theta values")
     return parser
@@ -797,7 +770,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_flag_overrides(cfg, args)
+        flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+        cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
         if args.command == "transform":
             return run_transform(cfg)
         if args.command == "audit":
@@ -815,8 +789,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FairscoreError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
+    except (FairscoreError, MemoryError) as exc:
+        print(f"failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -36,6 +36,8 @@ class SelectionRule:
     def __post_init__(self):
         if (self.threshold is None) == (self.top_k is None):
             raise ValidationError("specify exactly one of threshold or top_k")
+        if self.threshold is not None and np.isnan(self.threshold):
+            raise ValidationError("selection threshold must be a number, got nan")
 
 
 @dataclass(frozen=True)

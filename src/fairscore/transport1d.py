@@ -57,10 +57,10 @@ def _normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size != count:
         raise ValidationError("number of weights must match number of distributions")
-    if np.any(w <= 0):
+    if not np.all(w > 0):  # a NaN weight fails this too
         raise ValidationError("barycenter weights must be strictly positive")
     total = w.sum()
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if not abs(total - 1.0) <= WEIGHT_TOL:
         raise ValidationError("barycenter weights must sum to 1")
     return w / total
 

@@ -106,11 +106,15 @@ def squared_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def validate_solver_params(epsilon: float, tol: float, max_iter: int) -> None:
-    """Reject entropic solver settings under which no iteration can converge."""
-    if not epsilon > 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    """Reject entropic solver settings under which no iteration can converge.
+
+    ``epsilon`` and ``tol`` must be positive and finite, ``max_iter`` at least 1.
+    """
+    for name, value in (("epsilon", epsilon), ("tol", tol)):
+        if not value > 0:
+            raise ValidationError(f"{name} must be positive, got {value}")
+        if value == np.inf:  # an infinite tol stops after one sweep and calls it converged
+            raise ValidationError(f"{name} must be finite, got {value}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
 
@@ -249,7 +253,7 @@ def barycenter_fixed_support(
     w = np.asarray(weights, dtype=float)
     if w.size != len(measures):
         raise ValidationError("number of weights must match number of measures")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > MASS_SUM_TOL:
+    if not (np.all(w > 0) and abs(w.sum() - 1.0) <= MASS_SUM_TOL):  # a NaN weight fails this too
         raise ValidationError("weights must be strictly positive and sum to 1")
     w = w / w.sum()
     d = support.shape[1]

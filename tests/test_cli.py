@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairscore
 
 from fairscore import QuantileGrid
-from fairscore.cli import main
+from fairscore.cli import RunConfig, main
 
 
 AB_CSV = "id,sex,score\na1,A,0\na2,A,2\nb1,B,2\nb2,B,4\n"
@@ -288,6 +291,7 @@ def test_missing_config_file(tmp_path):
         {"theta": True},
         {"max_iter": float("inf")},
         {"grid_size": 2.5},
+        {"theta": 10**400},
     ],
     ids=[
         "non-numeric-theta",
@@ -298,6 +302,7 @@ def test_missing_config_file(tmp_path):
         "bool-theta",
         "infinite-max-iter",
         "fractional-grid-size",
+        "huge-integer-theta",
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, extra):
@@ -380,3 +385,130 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, fairscore.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"theta": "\xe9"}')
+    assert main(["transform", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not valid JSON: ")
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, thetaa=0.0, Theta=0.5)
+    assert main(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: config file {cfg} has unknown key(s) Theta, thetaa\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_null_leaves_a_key_at_its_default(tmp_path):
+    write(tmp_path / "in.csv", AB_CSV)
+    nulls = ["theta", "score_columns", "theta_overrides", "explicit_weights", "selection_top_k"]
+    cfg = base_config(tmp_path, **dict.fromkeys(nulls), synth=None)
+    assert main(["transform", "--config", cfg]) == 0
+    assert [r[3] for r in read_rows(tmp_path / "out.csv")[1:]] == ["1", "3", "1", "3"]
+
+
+@pytest.mark.parametrize("flag", ["--score-columns", "--group-columns"])
+def test_empty_column_flag_exits_2(tmp_path, capsys, flag):
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["transform", "--config", base_config(tmp_path), flag, ""]) == 2
+    assert capsys.readouterr().err == "error: column '' not found in input header\n"
+
+
+NAN_WEIGHTS = [{"group": ["A"], "weight": float("nan")}, {"group": ["B"], "weight": 0.5}]
+
+
+@pytest.mark.parametrize(
+    "extra, flags, named",
+    [
+        ({"selection_threshold": float("nan")}, [], "selection threshold"),
+        ({}, ["--threshold", "nan"], "selection threshold"),
+        ({"weight_mode": "explicit", "explicit_weights": NAN_WEIGHTS}, [], "explicit weight"),
+        ({"tol": float("inf")}, [], "tol must be finite"),
+        ({"epsilon": float("inf")}, [], "epsilon must be finite"),
+        ({}, ["--tol", "inf"], "tol must be finite"),
+        ({"seed": -1}, [], "seed"),
+        ({}, ["--seed", "-3"], "seed"),
+    ],
+    ids=[
+        "nan-threshold", "nan-threshold-flag", "nan-weight", "infinite-tol",
+        "infinite-epsilon", "infinite-tol-flag", "negative-seed", "negative-seed-flag",
+    ],
+)
+def test_bad_setting_exits_2_before_the_input_is_read(
+    tmp_path, capsys, monkeypatch, extra, flags, named
+):
+    import fairscore.cli
+
+    def read_input(cfg):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(fairscore.cli, "load_csv", read_input)
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["transform", "--config", base_config(tmp_path, **extra), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+def test_out_of_memory_is_a_failure_line(tmp_path, capsys, monkeypatch, message):
+    import fairscore.cli
+
+    def exhausted(pop, cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fairscore.cli, "compute_barycenter_1d", exhausted)
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["transform", "--config", base_config(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"failure: {message or 'out of memory'}\n"
+
+
+def test_readme_names_every_config_key_and_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    names = [f.name for f in fields(RunConfig)]
+    names += [f.metadata["flag"] for f in fields(RunConfig) if f.metadata["flag"]]
+    assert [name for name in names if f"`{name}" not in readme] == []
+
+
+# Random JSON for every config key but the paths, which could name any file.
+# Numbers stay within 1e6 (a float such as 1e9 is a valid grid_size), so that
+# no example allocates gigabytes. Many values have a plausible shape, so that
+# examples also get past the type checks.
+WORDS = st.sampled_from(
+    ["A", "B", "sex", "score", "id", "group", "theta", "weight", "explicit", "uniform", "size",
+     "key", "dims", "type", "gaussian", "beta", "groups", "seed", "mean", "sd"]
+)
+NUMBERS = (
+    st.integers(-(10**6), 10**6) | st.floats(-1e6, 1e6) | st.floats(0, 1) | st.integers(0, 9)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | NUMBERS | WORDS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(WORDS | st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+GROUP_ENTRIES = st.lists(
+    st.fixed_dictionaries(
+        {"group": st.lists(WORDS, max_size=2), "theta": NUMBERS, "weight": NUMBERS}
+    ),
+    max_size=3,
+)
+JSON_VALUES = ANY_JSON | NUMBERS | st.lists(WORDS, max_size=2) | GROUP_ENTRIES
+FUZZED_KEYS = [f.name for f in fields(RunConfig) if f.name not in ("input", "output", "report")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write(path / "in.csv", AB_CSV)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON_VALUES, max_size=4))
+def test_fuzzed_config_exits_0_or_2(fuzz_dir, values):
+    cfg = base_config(fuzz_dir, **values)
+    assert main(["audit", "--config", cfg]) in (0, 2)

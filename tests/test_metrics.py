@@ -169,6 +169,11 @@ def test_selection_rule_needs_exactly_one_mode():
         SelectionRule(threshold=1.0, top_k=2)
 
 
+def test_selection_rule_rejects_nan_threshold():
+    with pytest.raises(ValidationError, match="nan"):
+        SelectionRule(threshold=float("nan"))
+
+
 def test_ife_nondecreasing_over_sweep(two_gaussian_population):
     pop = two_gaussian_population
     values = [

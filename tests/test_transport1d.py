@@ -81,6 +81,9 @@ def test_barycenter_validation():
         barycenter_1d([dist(0, 1), dist(1, 2)], [1.5, -0.5], 4)
     with pytest.raises(ValidationError):
         barycenter_1d([dist(0, 1), dist(1, 2)], [0.4, 0.4], 4)
+    for weights in ([np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValidationError):
+            barycenter_1d([dist(0, 1), dist(1, 2)], weights, 4)
 
 
 def test_barycenter_records_weights():

@@ -138,7 +138,10 @@ def test_logsumexp_guards_all_minus_inf_slices():
 
 @pytest.mark.parametrize(
     "name, value",
-    [("max_iter", 0), ("tol", 0.0), ("tol", -1e-6), ("epsilon", 0.0), ("epsilon", -0.1)],
+    [
+        ("max_iter", 0), ("tol", 0.0), ("tol", -1e-6), ("epsilon", 0.0), ("epsilon", -0.1),
+        ("tol", np.inf), ("epsilon", np.inf),
+    ],
 )
 def test_solvers_reject_bad_settings(name, value):
     mu = uniform_measure([[0.0, 0.0], [1.0, 1.0]])
@@ -314,6 +317,12 @@ def test_barycenter_projections_follow_final_couplings():
                 expected = (plan @ support)[live] / a[live, None]
                 np.testing.assert_allclose(projection[live], expected, rtol=0, atol=1e-12)
                 assert np.isfinite(projection).all()
+
+
+def test_barycenter_rejects_nan_weight():
+    mu = uniform_measure([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match="weights must be strictly positive"):
+        barycenter_fixed_support([mu, mu], [np.nan, 1.0], mu.support)
 
 
 def test_barycenter_empty_support_rejected():
