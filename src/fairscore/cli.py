@@ -3,6 +3,12 @@
 Subcommands: transform, audit, sweep, barycenter, synth, verify.
 Exit codes: 0 success, 1 runtime/verification failure or out of memory, 2 validation error.
 
+Each command loads, solves and emits once: ``main`` validates the config,
+``load_csv`` reads the input, and no file is written before everything the
+command writes has been computed. ``audit`` is ``transform`` without the
+fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth`` writes the
+columns of ``generate_synthetic``.
+
 A JSON config file sets the ``RunConfig`` fields, and flags override it. Each
 field declares its JSON parser and its flag, if any (see ``_key``), so
 ``load_config``, the flags and the overrides are loops over ``fields(RunConfig)``.
@@ -40,7 +46,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -55,7 +61,7 @@ from .interpolation import (
     barycenter_targets,
     interpolate_scores,
 )
-from .metrics import SelectionRule, build_report
+from .metrics import FairnessReport, SelectionRule, build_report
 from .oracle import (
     BRUTEFORCE_MAX_N,
     COORDINATE_MAX_M,
@@ -66,7 +72,7 @@ from .oracle import (
 )
 from .population import GroupKey, ScoredPopulation, build_population, validate_population
 from .synth import Beta, Gaussian, GroupSpec, Uniform, generate_synthetic
-from .transport1d import Barycenter1D, barycenter_1d, w2_distance_squared
+from .transport1d import Barycenter1D, barycenter_1d, w2_distance
 from .transportnd import (
     BregmanBarycenter,
     barycenter_targets_nd,
@@ -80,6 +86,10 @@ from .transportnd import (
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _numbered(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{k + 1}" for k in range(count)]
 
 
 WEIGHT_MODES = ("size", "uniform", "explicit")
@@ -474,6 +484,9 @@ def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
     missing = [k for k in keys if k not in cfg.explicit_weights]
     if missing:
         raise ValidationError(f"explicit_weights missing groups: {missing}")
+    for key in cfg.explicit_weights:
+        if key not in pop.groups:
+            raise ValidationError(f"explicit weight for nonexistent group {key}")
     return [cfg.explicit_weights[k] for k in keys]
 
 
@@ -519,37 +532,45 @@ def _write_report(report, path: str | None) -> None:
 # Commands
 
 
-def run_transform(cfg: RunConfig) -> int:
-    cfg.validate()
-    if cfg.output is None:
+def run_transform(cfg: RunConfig, audit: bool = False) -> int:
+    """Fair scores under the configured theta, and their report.
+
+    The report is built before any file is written, so a run that fails
+    leaves no output. ``audit`` writes the report only, not the fair-score CSV.
+    """
+    if cfg.output is None and not audit:
         raise ValidationError("transform requires an output path")
     header, records, pop = load_csv(cfg)
     _emit_warnings(pop, cfg)
     fair = transform_population(pop, cfg)
-    if pop.dimension == 1:
-        names = ["fair_score"]
-    else:
-        names = [f"fair_score_{k + 1}" for k in range(pop.dimension)]
-    _write_with_columns(cfg.output, header, records, names, fair.values)
-
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
+    if not audit:
+        names = ["fair_score"] if pop.dimension == 1 else _numbered("fair_score_", pop.dimension)
+        _write_with_columns(cfg.output, header, records, names, fair.values)
     _write_report(report, cfg.report)
     return 0
 
 
-def run_audit(cfg: RunConfig) -> int:
-    """Metrics only: compute fair scores under the configured theta, emit the report."""
-    cfg.validate()
-    pop = load_csv(cfg)[2]
-    _emit_warnings(pop, cfg)
-    fair = transform_population(pop, cfg)
-    report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
-    _write_report(report, cfg.report)
-    return 0
+# The sweep table's metric columns, read from ``FairnessReport.to_dict``.
+SWEEP_COLUMNS = (
+    "individual_fairness_error",
+    "group_fairness_w2",
+    "group_fairness_ks",
+    "utility_loss_mean_abs",
+    "utility_loss_w2",
+)
+
+
+def _sweep_row(theta: float, report: FairnessReport) -> list[str]:
+    """The sweep CSV row of one theta; an undefined metric is written as ""."""
+    metrics = report.to_dict()
+    values = [metrics[name] for name in SWEEP_COLUMNS]
+    if metrics["selection"] is not None:
+        values.append(metrics["selection"]["ratio"])
+    return [_fmt(theta)] + ["" if v is None else _fmt(v) for v in values]
 
 
 def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
-    cfg.validate()
     if not thetas:
         raise ValidationError("sweep requires a non-empty theta list")
     for theta in thetas:
@@ -565,91 +586,55 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
     bary = compute_barycenter_1d(pop, cfg)
     targets = barycenter_targets(pop, bary)
     rule = cfg.selection_rule()
-    header = [
-        "theta",
-        "individual_fairness_error",
-        "group_fairness_w2",
-        "group_fairness_ks",
-        "utility_loss_mean_abs",
-        "utility_loss_w2",
-    ]
-    if rule is not None:
-        header.append("selection_ratio")
-    out_rows = []
+    rows = []
     for theta in thetas:
         fair = apply_theta(pop, bary, targets, ThetaPolicy(default_theta=theta))
-        report = build_report(pop, fair, m=cfg.grid_size, rule=rule)
-        row = [
-            _fmt(theta),
-            _fmt(report.individual_fairness_error),
-            _fmt(report.group_fairness_w2) if report.group_fairness_w2 is not None else "",
-            _fmt(report.group_fairness_ks) if report.group_fairness_ks is not None else "",
-            _fmt(report.utility_loss_mean_abs),
-            _fmt(report.utility_loss_w2),
-        ]
-        if rule is not None:
-            row.append(_fmt(report.selection.ratio))
-        out_rows.append(row)
-    _write_csv(cfg.output, header, out_rows)
+        rows.append(_sweep_row(theta, build_report(pop, fair, m=cfg.grid_size, rule=rule)))
+    header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
+    _write_csv(cfg.output, header, rows)
     return 0
 
 
 def run_barycenter(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.output is None:
         raise ValidationError("barycenter requires an output path")
     pop = load_csv(cfg)[2]
     _emit_warnings(pop, cfg)
     if pop.dimension == 1:
-        bary = compute_barycenter_1d(pop, cfg)
-        rows = [
-            [_fmt(p), _fmt(q)]
-            for p, q in zip(bary.grid.ranks, bary.grid.quantiles)
-        ]
-        _write_csv(cfg.output, ["rank", "quantile"], rows)
+        grid = compute_barycenter_1d(pop, cfg).grid
+        header, columns = ["rank", "quantile"], [grid.ranks, grid.quantiles]
     else:
         bary = _barycenter_nd(pop, cfg)
-        header = [f"support_{k + 1}" for k in range(bary.dimension)] + ["mass"]
-        rows = [
-            [_fmt(c) for c in point] + [_fmt(mass)]
-            for point, mass in zip(bary.support, bary.masses)
-        ]
-        _write_csv(cfg.output, header, rows)
+        header = _numbered("support_", bary.dimension) + ["mass"]
+        columns = [bary.support, bary.masses]
+    rows = [list(map(_fmt, row)) for row in np.column_stack(columns).tolist()]
+    _write_csv(cfg.output, header, rows)
     return 0
 
 
 def run_synth(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.synth is None:
         raise ValidationError("config has no 'synth' section")
     if cfg.output is None:
         raise ValidationError("synth requires an output path")
-    records = generate_synthetic(*cfg.synth)
-    dim = len(records[0].score_vector())
-    attr_count = len(records[0].group_values)
-    group_cols = (
-        cfg.group_columns
-        if len(cfg.group_columns) == attr_count
-        else [f"group_{k + 1}" for k in range(attr_count)]
-    )
-    score_cols = (
-        cfg.score_columns
-        if len(cfg.score_columns) == dim
-        else (["score"] if dim == 1 else [f"score_{k + 1}" for k in range(dim)])
-    )
-    header = ["id"] + group_cols + score_cols
-    rows = [
-        [rec.id, *rec.group_values, *(_fmt(v) for v in rec.score_vector())]
-        for rec in records
-    ]
-    _write_csv(cfg.output, header, rows)
+    ids, group_values, scores = generate_synthetic(*cfg.synth)
+    dim = 1 if scores.ndim == 1 else scores.shape[1]
+    attr_count = len(group_values[0])
+    group_cols = cfg.group_columns
+    if len(group_cols) != attr_count:
+        group_cols = _numbered("group_", attr_count)
+    score_cols = cfg.score_columns
+    if len(score_cols) != dim:
+        score_cols = ["score"] if dim == 1 else _numbered("score_", dim)
+    rows = [[rec_id, *values] for rec_id, values in zip(ids, group_values)]
+    _write_with_columns(cfg.output, ["id"] + group_cols, rows, score_cols, scores)
     return 0
 
 
 def run_verify(cfg: RunConfig) -> int:
     """Re-check the configured instance against the brute-force oracles."""
-    cfg.validate()
     pop = load_csv(cfg)[2]
+    keys = pop.group_keys()
     failures = 0
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -659,7 +644,7 @@ def run_verify(cfg: RunConfig) -> int:
             failures += 1
 
     if pop.dimension == 1:
-        for key in pop.group_keys():
+        for key in keys:
             if len(pop.groups[key]) > BRUTEFORCE_MAX_N:
                 raise OracleGuardError(
                     f"verify refuses groups larger than {BRUTEFORCE_MAX_N} "
@@ -669,23 +654,18 @@ def run_verify(cfg: RunConfig) -> int:
             raise OracleGuardError(
                 f"verify refuses grid sizes larger than {COORDINATE_MAX_M}"
             )
-        keys = pop.group_keys()
         dists = {k: empirical_from_samples(pop.group_scores(k)) for k in keys}
-
-        for i, a in enumerate(keys):
-            for b in keys[i + 1 :]:
-                if len(pop.groups[a]) != len(pop.groups[b]):
-                    continue
-                n = len(pop.groups[a])
-                if n < 2:
-                    continue
-                fast = w2_distance_squared(dists[a], dists[b], n)
-                brute = ot_cost_bruteforce(pop.group_scores(a), pop.group_scores(b))
-                check(
-                    f"w2({a},{b}) vs permutation brute force",
-                    abs(fast - brute) <= 1e-9,
-                    f"grid {fast:.12g} vs exact {brute:.12g}",
-                )
+        for a, b in combinations(keys, 2):
+            n = len(pop.groups[a])
+            if n != len(pop.groups[b]) or n < 2:
+                continue
+            fast = w2_distance(dists[a], dists[b], n) ** 2
+            brute = ot_cost_bruteforce(pop.group_scores(a), pop.group_scores(b))
+            check(
+                f"w2({a},{b}) vs permutation brute force",
+                abs(fast - brute) <= 1e-9,
+                f"grid {fast:.12g} vs exact {brute:.12g}",
+            )
 
         bary = compute_barycenter_1d(pop, cfg)
         reference = barycenter_coordinate_oracle(
@@ -702,35 +682,32 @@ def run_verify(cfg: RunConfig) -> int:
         )
     else:
         measures = group_measures(pop)
-        for key in pop.group_keys():
+        for key in keys:
             if len(measures[key]) > LP_MAX_SUPPORT:
                 raise OracleGuardError(
                     f"verify refuses supports larger than {LP_MAX_SUPPORT} (group {key})"
                 )
-        keys = pop.group_keys()
-        for i, a in enumerate(keys):
-            for b in keys[i + 1 :]:
-                plan = sinkhorn_plan(
-                    measures[a], measures[b], epsilon=cfg.epsilon, tol=cfg.tol,
-                    max_iter=cfg.max_iter,
-                )
-                if not plan.converged:  # its marginals are off, so it is no coupling
-                    check(
-                        f"sinkhorn({a},{b}) converged",
-                        False,
-                        f"marginal error {plan.marginal_error:.3e} after "
-                        f"{plan.iterations_run} iterations",
-                    )
-                    continue
-                cost = plan.cost(squared_cost_matrix(measures[a].support, measures[b].support))
-                lp_cost, _ = lp_transport_exact(measures[a], measures[b])
-                slack = cfg.epsilon * np.log(len(measures[a]) * len(measures[b]) + 1.0)
-                ok = lp_cost - 1e-9 <= cost <= lp_cost + slack + 1e-9
+        for a, b in combinations(keys, 2):
+            plan = sinkhorn_plan(
+                measures[a], measures[b], epsilon=cfg.epsilon, tol=cfg.tol, max_iter=cfg.max_iter
+            )
+            if not plan.converged:  # its marginals are off, so it is no coupling
                 check(
-                    f"sinkhorn({a},{b}) vs exact LP",
-                    ok,
-                    f"entropic {cost:.12g} in [{lp_cost:.12g}, {lp_cost + slack:.12g}]",
+                    f"sinkhorn({a},{b}) converged",
+                    False,
+                    f"marginal error {plan.marginal_error:.3e} after "
+                    f"{plan.iterations_run} iterations",
                 )
+                continue
+            cost = plan.cost(squared_cost_matrix(measures[a].support, measures[b].support))
+            lp_cost, _ = lp_transport_exact(measures[a], measures[b])
+            slack = cfg.epsilon * np.log(len(measures[a]) * len(measures[b]) + 1.0)
+            ok = lp_cost - 1e-9 <= cost <= lp_cost + slack + 1e-9
+            check(
+                f"sinkhorn({a},{b}) vs exact LP",
+                ok,
+                f"entropic {cost:.12g} in [{lp_cost:.12g}, {lp_cost + slack:.12g}]",
+            )
 
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
@@ -772,20 +749,18 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
-        if args.command == "transform":
-            return run_transform(cfg)
-        if args.command == "audit":
-            return run_audit(cfg)
         if args.command == "sweep":
             thetas = [_cast("--thetas", float, t) for t in args.thetas.split(",") if t.strip()]
+        cfg.validate()
+        if args.command in ("transform", "audit"):
+            return run_transform(cfg, audit=args.command == "audit")
+        if args.command == "sweep":
             return run_sweep(cfg, thetas)
         if args.command == "barycenter":
             return run_barycenter(cfg)
         if args.command == "synth":
             return run_synth(cfg)
-        if args.command == "verify":
-            return run_verify(cfg)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return run_verify(cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,7 +83,7 @@ def barycenter_targets(pop: ScoredPopulation, bary: Barycenter1D) -> np.ndarray:
 
     The targets do not depend on theta, so a sweep computes them once.
     """
-    raw = pop.scores_array()
+    raw = pop.scores
     targets = np.empty_like(raw)
     for idx in pop.groups.values():
         targets[idx] = bary.grid.evaluate(midranks(raw[idx]))
@@ -100,7 +100,7 @@ def apply_theta(
     groups with theta 0 are not read.
     """
     check_policy_against(policy, pop)
-    raw = pop.scores_array()
+    raw = pop.scores
     fair = np.empty_like(raw)
     for key, idx in pop.groups.items():
         s = raw[idx]

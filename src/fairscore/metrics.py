@@ -38,12 +38,17 @@ class SelectionRule:
             raise ValidationError("specify exactly one of threshold or top_k")
         if self.threshold is not None and np.isnan(self.threshold):
             raise ValidationError("selection threshold must be a number, got nan")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValidationError(f"selection top_k must be at least 1, got {self.top_k}")
 
 
 @dataclass(frozen=True)
 class SelectionOutcome:
+    """Per-group selection rates and min rate / max rate; the ratio is None
+    when no group has a selected member, as 0/0 is undefined."""
+
     rates: dict[GroupKey, float]
-    ratio: float
+    ratio: float | None
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,8 @@ class FairnessReport:
     """Metric bundle for one theta setting.
 
     Group-level and rank-based fields are ``None`` when undefined (single
-    group, or multi-dimensional scores for the 1-D-only metrics).
+    group, or multi-dimensional scores for the 1-D-only metrics), and so is
+    the selection ratio when no one is selected.
     """
 
     individual_fairness_error: float | None
@@ -124,7 +130,7 @@ def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
         raise ValidationError("individual_fairness_error is defined for 1-D scores")
     if len(fair) != len(pop):
         raise ValidationError("fair scores are not aligned with the population")
-    raw = pop.scores_array()
+    raw = pop.scores
     fv = fair.values
 
     cross_pairs = _distinct_pairs(raw)
@@ -137,20 +143,8 @@ def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
     return cross_inv / cross_pairs
 
 
-def _ecdf(sorted_values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_values, points, side="right") / sorted_values.size
-
-
 def _distinct(sorted_values: np.ndarray) -> np.ndarray:
     return sorted_values[np.append(True, sorted_values[1:] != sorted_values[:-1])]
-
-
-def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a = np.sort(a)
-    b = np.sort(b)
-    points = np.concatenate([a, b])
-    return float(np.max(np.abs(_ecdf(a, points) - _ecdf(b, points))))
 
 
 def group_fairness_error(
@@ -171,7 +165,7 @@ def group_fairness_error(
     dists = [empirical_from_samples(fv[idx]) for idx in pop.groups.values()]
     points = np.concatenate([_distinct(dist.values) for dist in dists])
     quantiles = [discretize_quantiles(dist, m).quantiles for dist in dists]
-    cdfs = [_ecdf(dist.values, points) for dist in dists]
+    cdfs = [np.searchsorted(dist.values, points, side="right") / len(dist) for dist in dists]
     w2 = 0.0
     ks = 0.0
     for a, b in combinations(range(len(cdfs)), 2):
@@ -184,7 +178,7 @@ def utility_loss(pop: ScoredPopulation, fair: FairScores) -> tuple[float, float]
     """Mean absolute displacement and realized transport cost of the applied map."""
     if len(fair) != len(pop):
         raise ValidationError("fair scores are not aligned with the population")
-    raw = pop.scores_array()
+    raw = pop.scores
     disp = fair.values - raw
     if disp.ndim == 1:
         norms = np.abs(disp)
@@ -201,7 +195,7 @@ def selection_rates(
         raise ValidationError("selection_rates is defined for 1-D scores")
     n = len(pop)
     fv = fair.values
-    raw = pop.scores_array()
+    raw = pop.scores
     selected = np.zeros(n, dtype=bool)
     if rule.threshold is not None:
         selected = fv >= rule.threshold
@@ -216,7 +210,7 @@ def selection_rates(
     for key, idx in pop.groups.items():
         rates[key] = float(np.count_nonzero(selected[idx]) / idx.size)
     max_rate = max(rates.values())
-    ratio = 1.0 if max_rate == 0.0 else min(rates.values()) / max_rate
+    ratio = None if max_rate == 0.0 else min(rates.values()) / max_rate
     return SelectionOutcome(rates=rates, ratio=ratio)
 
 

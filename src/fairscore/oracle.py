@@ -122,7 +122,7 @@ def individual_fairness_error_naive(pop: ScoredPopulation, fair: FairScores) -> 
         raise ValidationError("fair scores are not aligned with the population")
     if len(pop) > PAIRWISE_MAX_N:
         raise OracleGuardError(f"pairwise oracle refuses n > {PAIRWISE_MAX_N}")
-    raw = pop.scores_array()
+    raw = pop.scores
     fv = fair.values
     group_of = np.empty(len(pop), dtype=int)
     for gi, idx in enumerate(pop.groups.values()):

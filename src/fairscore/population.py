@@ -9,9 +9,9 @@ A population is held as columns, not as one object per individual:
   read-only ``np.intp`` array of its row indices (ascending).
 
 ``build_population(ids, group_values, scores)`` is the one constructor. The
-CLI calls it with the parsed CSV columns; ``population_from_records`` adapts a
-list of ``ScoreRecord`` objects (tests, ``synth`` output) to it. ``records``
-is a lazy per-row view for code that wants ``ScoreRecord`` objects back.
+CLI calls it with the parsed CSV columns, and ``generate_synthetic`` returns
+its arguments. ``population_from_records`` adapts a list of ``ScoreRecord``
+objects to it, and ``records`` is a lazy per-row view that gives them back.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class ScoredPopulation:
 
     def group_keys(self) -> list[GroupKey]:
         return list(self.groups)
-
-    def scores_array(self) -> np.ndarray:
-        """All scores as a read-only array: shape (n,) in 1-D, (n, d) otherwise."""
-        return self.scores
 
     def group_scores(self, key: GroupKey) -> np.ndarray:
         return self.scores[self.groups[key]]

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .population import GroupKey, ScoreRecord
+from .population import GroupKey
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,15 @@ def _group_rng(seed: int, key: GroupKey) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *words])))
 
 
-def generate_synthetic(specs: Sequence[GroupSpec], seed: int) -> list[ScoreRecord]:
-    """Generate records ordered by (group key, draw index); deterministic in (specs, seed)."""
+def generate_synthetic(
+    specs: Sequence[GroupSpec], seed: int
+) -> tuple[list[str], list[tuple[str, ...]], np.ndarray]:
+    """(ids, group values, scores), the arguments of ``build_population``.
+
+    Rows are ordered by (group key, draw index), and the id of draw ``i`` of
+    group ``key`` is ``f"{key}-{i}"``. Scores have shape (n,) for one score
+    dimension and (n, d) for d. Deterministic in (specs, seed).
+    """
     if not specs:
         raise ValidationError("need at least one group spec")
     if seed < 0:
@@ -95,33 +102,13 @@ def generate_synthetic(specs: Sequence[GroupSpec], seed: int) -> list[ScoreRecor
         if len(spec.dims) != dim:
             raise ValidationError("all groups must share one score dimension")
 
-    records: list[ScoreRecord] = []
+    ids: list[str] = []
+    group_values: list[tuple[str, ...]] = []
+    blocks = []
     for spec in sorted(specs, key=lambda s: s.key):
         rng = _group_rng(seed, spec.key)
-        columns = [dist.draw(rng, spec.size) for dist in spec.dims]
-        for i in range(spec.size):
-            score = (
-                float(columns[0][i])
-                if dim == 1
-                else tuple(float(col[i]) for col in columns)
-            )
-            records.append(
-                ScoreRecord(
-                    id=f"{spec.key}-{i}",
-                    group_values=spec.key.values,
-                    score=score,
-                )
-            )
-    return records
-
-
-def two_gaussian_specs(size: int = 1000) -> list[GroupSpec]:
-    """Canonical desk-scale scenario: two shifted Gaussian groups of equal size."""
-    return [
-        GroupSpec(key=GroupKey(("A",)), size=size, dims=(Gaussian(0.4, 0.1),)),
-        GroupSpec(key=GroupKey(("B",)), size=size, dims=(Gaussian(0.6, 0.1),)),
-    ]
-
-
-def two_gaussian_records(size: int = 1000, seed: int = 7) -> list[ScoreRecord]:
-    return generate_synthetic(two_gaussian_specs(size), seed)
+        blocks.append(np.column_stack([dist.draw(rng, spec.size) for dist in spec.dims]))
+        ids += [f"{spec.key}-{i}" for i in range(spec.size)]
+        group_values += [spec.key.values] * spec.size
+    scores = np.concatenate(blocks)
+    return ids, group_values, scores[:, 0] if dim == 1 else scores

@@ -47,12 +47,6 @@ def w2_from_quantiles(qa: np.ndarray, qb: np.ndarray) -> float:
     return float(np.sqrt(np.mean((qa - qb) ** 2)))
 
 
-def w2_distance_squared(a: EmpiricalDistribution, b: EmpiricalDistribution, m: int) -> float:
-    qa = discretize_quantiles(a, m).quantiles
-    qb = discretize_quantiles(b, m).quantiles
-    return float(np.mean((qa - qb) ** 2))
-
-
 def _normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size != count:

@@ -321,7 +321,7 @@ def _normalization_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def group_measures(pop: ScoredPopulation) -> dict:
     """Uniform empirical measure of each group's score cloud."""
-    scores = pop.scores_array()
+    scores = pop.scores
     out = {}
     for key, idx in pop.groups.items():
         pts = scores[idx]
@@ -344,7 +344,7 @@ def compute_barycenter_nd(
     returned support and projections are de-normalized back. The projections
     follow ``pop.group_keys()``.
     """
-    scores = pop.scores_array()
+    scores = pop.scores
     if scores.ndim == 1:
         scores = scores[:, None]
     lo, scale = _normalization_bounds(scores)
@@ -379,7 +379,7 @@ def barycenter_targets_nd(pop: ScoredPopulation, bary: BregmanBarycenter) -> np.
     sizes = [len(pop.groups[k]) for k in pop.group_keys()]
     if [len(p) for p in bary.projections] != sizes:
         raise ValidationError("barycenter projections do not match the population's groups")
-    targets = np.empty_like(pop.scores_array())
+    targets = np.empty_like(pop.scores)
     for idx, projection in zip(pop.groups.values(), bary.projections):
         targets[idx] = projection
     return targets
@@ -408,7 +408,7 @@ def interpolate_scores_nd(
         raise DimensionError("barycenter dimension does not match the population")
     check_policy_against(policy, pop)
 
-    scores = pop.scores_array()
+    scores = pop.scores
     lo, scale = _normalization_bounds(np.vstack([scores, bary.support]))
     norm_bary = DiscreteMeasure(support=(bary.support - lo) / scale, masses=bary.masses)
 

@@ -2,14 +2,26 @@ import numpy as np
 import pytest
 
 from fairscore import (
+    Gaussian,
     GroupKey,
+    GroupSpec,
     ScoreRecord,
     ThetaPolicy,
     barycenter_1d,
+    build_population,
     empirical_from_samples,
+    generate_synthetic,
     population_from_records,
 )
-from fairscore.synth import two_gaussian_records
+
+
+def two_gaussian_columns(size=1000, seed=7):
+    """(ids, group values, scores) of two shifted Gaussian groups of equal size."""
+    specs = [
+        GroupSpec(key=GroupKey(("A",)), size=size, dims=(Gaussian(0.4, 0.1),)),
+        GroupSpec(key=GroupKey(("B",)), size=size, dims=(Gaussian(0.6, 0.1),)),
+    ]
+    return generate_synthetic(specs, seed)
 
 
 @pytest.fixture
@@ -35,7 +47,7 @@ def ab_barycenter(ab_population):
 
 @pytest.fixture(scope="session")
 def two_gaussian_population():
-    return population_from_records(two_gaussian_records(size=1000, seed=7), attribute_count=1)
+    return build_population(*two_gaussian_columns(size=1000, seed=7))
 
 
 def random_population(rng, n, n_groups, dimension=1):

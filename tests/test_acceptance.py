@@ -13,6 +13,7 @@ from fairscore import (
     SelectionRule,
     ThetaPolicy,
     barycenter_1d,
+    build_population,
     empirical_from_samples,
     interpolate_scores,
     interpolate_scores_nd,
@@ -23,11 +24,10 @@ from fairscore import (
     w2_distance,
 )
 from fairscore.cli import main
-from fairscore.metrics import _ks_statistic
 from fairscore.oracle import barycenter_coordinate_oracle, lp_transport_exact, ot_cost_bruteforce
-from fairscore.synth import two_gaussian_records
-from fairscore.transport1d import w2_distance_squared
 from fairscore.transportnd import compute_barycenter_nd, squared_cost_matrix
+
+from conftest import two_gaussian_columns
 
 
 def report(number, name, ok, detail=""):
@@ -43,6 +43,16 @@ def size_weights(pop):
     return [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
 
 
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    points = np.concatenate([a, b])
+
+    def ecdf(values):
+        return np.searchsorted(np.sort(values), points, side="right") / values.size
+
+    return float(np.max(np.abs(ecdf(a) - ecdf(b))))
+
+
 def fit_transform(pop, theta, m):
     bary = barycenter_1d(group_dists(pop), size_weights(pop), m, keys=pop.group_keys())
     return interpolate_scores(pop, bary, ThetaPolicy(theta))
@@ -50,14 +60,14 @@ def fit_transform(pop, theta, m):
 
 @pytest.fixture(scope="module")
 def fixture_pop():
-    return population_from_records(two_gaussian_records(size=1000, seed=7), attribute_count=1)
+    return build_population(*two_gaussian_columns(size=1000, seed=7))
 
 
 def test_criterion_1_endpoint_identity(fixture_pop):
     start = time.perf_counter()
     fair = fit_transform(fixture_pop, 0.0, 1000)
     elapsed = time.perf_counter() - start
-    bitwise = np.array_equal(fair.values, fixture_pop.scores_array())
+    bitwise = np.array_equal(fair.values, fixture_pop.scores)
     report(1, "endpoint identity", bitwise and elapsed < 1.0, f"{elapsed:.3f}s")
 
 
@@ -65,7 +75,7 @@ def test_criterion_2_parity_endpoint(fixture_pop):
     fair = fit_transform(fixture_pop, 1.0, 1000)
     keys = fixture_pop.group_keys()
     samples = {k: fair.values[np.asarray(fixture_pop.groups[k])] for k in keys}
-    ks = _ks_statistic(samples[keys[0]], samples[keys[1]])
+    ks = ks_statistic(samples[keys[0]], samples[keys[1]])
     w2 = w2_distance(
         empirical_from_samples(samples[keys[0]]),
         empirical_from_samples(samples[keys[1]]),
@@ -99,7 +109,7 @@ def test_criterion_3_monotonicity():
             {k: float(rng.uniform(0, 1)) for k in pop.group_keys()},
         )
         fair = interpolate_scores(pop, bary, policy)
-        raw = pop.scores_array()
+        raw = pop.scores
         for idx in pop.groups.values():
             idx = np.asarray(idx)
             order = np.lexsort((fair.values[idx], raw[idx]))
@@ -158,7 +168,7 @@ def test_criterion_5_transport_oracles():
         x = rng.uniform(-2, 2, size=n)
         y = rng.uniform(-2, 2, size=n)
         dx, dy = empirical_from_samples(x), empirical_from_samples(y)
-        worst_w2 = max(worst_w2, abs(w2_distance_squared(dx, dy, n) - ot_cost_bruteforce(x, y)))
+        worst_w2 = max(worst_w2, abs(w2_distance(dx, dy, n) ** 2 - ot_cost_bruteforce(x, y)))
 
         k = int(rng.integers(2, 4))
         dists = [
@@ -229,7 +239,7 @@ def test_criterion_6_sinkhorn_correctness():
         keys = pop.group_keys()
         img_a = fair.values[np.asarray(pop.groups[keys[0]])]
         img_b = fair.values[np.asarray(pop.groups[keys[1]])]
-        scores = pop.scores_array()
+        scores = pop.scores
         span = scores.max(axis=0) - scores.min(axis=0)
         # epsilon is defined on [0, 1]-normalized scores; scale the bound back
         gap = max(
@@ -241,12 +251,13 @@ def test_criterion_6_sinkhorn_correctness():
     report(6, "sinkhorn correctness", ok, detail)
 
 
-def write_fixture_csv(path, records):
+def write_fixture_csv(path, columns):
+    ids, group_values, scores = columns
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "group", "score"])
-        for rec in records:
-            writer.writerow([rec.id, rec.group_values[0], format(rec.score, ".17g")])
+        for rec_id, values, score in zip(ids, group_values, scores.tolist()):
+            writer.writerow([rec_id, values[0], format(score, ".17g")])
 
 
 def fixture_config(tmp_path, **extra):
@@ -267,7 +278,7 @@ def fixture_config(tmp_path, **extra):
 
 
 def test_criterion_7_tradeoff_monotonicity(tmp_path):
-    write_fixture_csv(tmp_path / "pop.csv", two_gaussian_records(size=1000, seed=7))
+    write_fixture_csv(tmp_path / "pop.csv", two_gaussian_columns(size=1000, seed=7))
     cfg = fixture_config(tmp_path, output=str(tmp_path / "sweep.csv"))
     thetas = ",".join(f"{t:.1f}" for t in np.linspace(0, 1, 11))
     assert main(["sweep", "--config", cfg, "--thetas", thetas]) == 0
@@ -286,7 +297,7 @@ def test_criterion_7_tradeoff_monotonicity(tmp_path):
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):
-    write_fixture_csv(tmp_path / "pop.csv", two_gaussian_records(size=200, seed=7))
+    write_fixture_csv(tmp_path / "pop.csv", two_gaussian_columns(size=200, seed=7))
     cfg = fixture_config(tmp_path, theta=0.6)
     assert main(["transform", "--config", cfg]) == 0
     csv1 = (tmp_path / "out.csv").read_bytes()

@@ -431,10 +431,13 @@ NAN_WEIGHTS = [{"group": ["A"], "weight": float("nan")}, {"group": ["B"], "weigh
         ({}, ["--tol", "inf"], "tol must be finite"),
         ({"seed": -1}, [], "seed"),
         ({}, ["--seed", "-3"], "seed"),
+        ({"selection_top_k": 0}, [], "top_k must be at least 1"),
+        ({}, ["--top-k", "-1"], "top_k must be at least 1"),
     ],
     ids=[
         "nan-threshold", "nan-threshold-flag", "nan-weight", "infinite-tol",
         "infinite-epsilon", "infinite-tol-flag", "negative-seed", "negative-seed-flag",
+        "zero-top-k", "negative-top-k-flag",
     ],
 )
 def test_bad_setting_exits_2_before_the_input_is_read(
@@ -450,6 +453,35 @@ def test_bad_setting_exits_2_before_the_input_is_read(
     assert main(["transform", "--config", base_config(tmp_path, **extra), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("command", ["transform", "audit"])
+def test_top_k_above_the_row_count_leaves_no_output(tmp_path, capsys, command):
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main([command, "--config", base_config(tmp_path), "--top-k", "9"]) == 2
+    assert capsys.readouterr().err == "error: top_k 9 out of range [1, 4]\n"
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_explicit_weight_for_an_absent_group_exits_2(tmp_path, capsys):
+    weights = [{"group": [g], "weight": w} for g, w in (("A", 0.5), ("B", 0.5), ("Z", 7))]
+    cfg = base_config(tmp_path, weight_mode="explicit", explicit_weights=weights)
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: explicit weight for nonexistent group Z\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_no_selected_group_has_no_ratio(tmp_path):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, selection_threshold=1e300)
+    assert main(["audit", "--config", cfg]) == 0
+    selection = json.loads((tmp_path / "report.json").read_text())["selection"]
+    assert selection == {"rates": {"A": 0.0, "B": 0.0}, "ratio": None}
+    assert main(["sweep", "--config", cfg, "--thetas", "0,1"]) == 0
+    rows = read_rows(tmp_path / "out.csv")
+    assert rows[0][-1] == "selection_ratio"
+    assert [(r[0], r[2], r[-1]) for r in rows[1:]] == [("0", "2", ""), ("1", "0", "")]
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])

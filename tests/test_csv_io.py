@@ -1,9 +1,11 @@
 """CSV ingest and egress: golden outputs and the error of the first bad row.
 
-The golden files under ``tests/golden/`` hold the expected output bytes for
+The golden files under ``tests/golden/`` hold the expected output bytes of
+every command, one set per case of ``GOLDEN_CASES``. Most cases read
 ``GOLDEN_INPUT``, which gathers the cases a column-at-a-time loader or writer
 can get wrong; its quotes and CRLF line endings send it down the
-``csv.reader`` path. The error tests pin the exact ``error:`` line, including
+``csv.reader`` path. The n-D cases read ``GOLDEN_INPUT_ND``, and ``synth``
+reads no input. The error tests pin the exact ``error:`` line, including
 which of two bad rows is reported. Their LF inputs take the line path first
 and its fallback to ``csv.reader`` when a check fails. The property test
 compares the line path's output with what ``csv.reader`` and ``csv.writer``
@@ -50,8 +52,43 @@ GOLDEN_INPUT = "\r\n".join(
 ) + "\r\n"
 
 
-def golden_config(tmp_path, **extra):
-    (tmp_path / "in.csv").write_bytes(GOLDEN_INPUT.encode("utf-8"))
+# a quote-free 2-D table over two of the same groups, for the n-D commands
+GOLDEN_INPUT_ND = "\n".join(
+    [
+        "id,sex,region,s1,s2",
+        "a1,F,Zoë,0,0",
+        "a2,F,Zoë,1,0.5",
+        "a3,F,Zoë,0.25,1",
+        "b1,M,Zoë,0.5,0.25",
+        "b2,M,Zoë,1,1",
+        "b3,M,Zoë,0.75,0.5",
+    ]
+) + "\n"
+ND = {"text": GOLDEN_INPUT_ND, "score_columns": ["s1", "s2"]}
+
+# two-value keys and 1-D scores; one-value keys (one holding a comma) and 2-D scores
+SYNTH_1D = {
+    "seed": 3,
+    "groups": [
+        {"key": ["M", "東京"], "size": 3, "dims": [{"type": "beta", "a": 2, "b": 5}]},
+        {"key": ["F", "Zoë"], "size": 4, "dims": [{"type": "gaussian", "mean": 0.4, "sd": 0.1}]},
+    ],
+}
+SYNTH_2D = {
+    "seed": 5,
+    "groups": [
+        {
+            "key": [name],
+            "size": 3,
+            "dims": [{"type": "gaussian", "mean": 0, "sd": 1}, {"type": "uniform", "lo": 0, "hi": 2}],
+        }
+        for name in ("x,y", "B")
+    ],
+}
+
+
+def golden_config(tmp_path, text=GOLDEN_INPUT, **extra):
+    (tmp_path / "in.csv").write_bytes(text.encode("utf-8"))
     cfg = {
         "input": str(tmp_path / "in.csv"),
         "score_columns": ["score"],
@@ -68,20 +105,40 @@ def golden_config(tmp_path, **extra):
     return str(path)
 
 
-def test_transform_matches_golden_bytes(tmp_path, capsys):
-    assert main(["transform", "--config", golden_config(tmp_path), "--theta", "0.5"]) == 0
+# (case, argv, golden_config arguments); the golden files of a case are named after it
+GOLDEN_CASES = [
+    ("transform", ["transform", "--theta", "0.5"], {}),
+    ("audit", ["audit", "--theta", "0.5", "--threshold", "1"], {}),
+    ("sweep", ["sweep", "--thetas", "0,0.5,1", "--top-k", "4"], {}),
+    ("barycenter", ["barycenter"], {}),
+    ("barycenter_nd", ["barycenter"], ND),
+    ("synth", ["synth"], {"synth": SYNTH_1D}),
+    ("synth_2d", ["synth"], {"synth": SYNTH_2D}),
+    ("verify", ["verify"], {}),
+    ("verify_nd", ["verify"], ND),
+]
+
+
+def _bytes(path):
+    return path.read_bytes() if path.exists() else None
+
+
+def golden_outputs(tmp_path, capsys, case, argv, extra):
+    """Every output of one run, keyed by the name of its golden file; None if absent or empty."""
+    assert main([argv[0], "--config", golden_config(tmp_path, **extra), *argv[1:]]) == 0
     captured = capsys.readouterr()
-    for produced, golden in [("out.csv", "transform.csv"), ("report.json", "transform_report.json")]:
-        assert (tmp_path / produced).read_bytes() == (GOLDEN / golden).read_bytes()
-    assert captured.err == (GOLDEN / "transform_stderr.txt").read_text(encoding="utf-8")
-    assert captured.out == ""
+    return {
+        f"{case}.csv": _bytes(tmp_path / "out.csv"),
+        f"{case}_report.json": _bytes(tmp_path / "report.json"),
+        f"{case}_stdout.txt": captured.out.encode("utf-8") or None,
+        f"{case}_stderr.txt": captured.err.encode("utf-8") or None,
+    }
 
 
-def test_sweep_matches_golden_bytes(tmp_path, capsys):
-    argv = ["sweep", "--config", golden_config(tmp_path), "--thetas", "0,0.5,1", "--top-k", "4"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert (tmp_path / "out.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+@pytest.mark.parametrize("case, argv, extra", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_command_matches_golden_bytes(tmp_path, capsys, case, argv, extra):
+    produced = golden_outputs(tmp_path, capsys, case, argv, extra)
+    assert produced == {name: _bytes(GOLDEN / name) for name in produced}
 
 
 AB_HEADER = "id,sex,score"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairscore import (
     DimensionError,
@@ -8,6 +10,7 @@ from fairscore import (
     ThetaPolicy,
     ValidationError,
     barycenter_1d,
+    build_population,
     empirical_from_samples,
     interpolate_scores,
     population_from_records,
@@ -43,7 +46,7 @@ def test_policy_rejects_bad_theta():
 
 def test_theta_zero_is_bitwise_identity(ab_population, ab_barycenter):
     fair = interpolate_scores(ab_population, ab_barycenter, ThetaPolicy(0.0))
-    raw = ab_population.scores_array()
+    raw = ab_population.scores
     assert np.array_equal(fair.values, raw)
 
 
@@ -80,7 +83,7 @@ def test_within_group_monotonicity_random():
         bary = barycenter_1d(group_dists(pop), size_weights(pop), 50, keys=pop.group_keys())
         policy = random_theta_policy(rng, pop)
         fair = interpolate_scores(pop, bary, policy)
-        raw = pop.scores_array()
+        raw = pop.scores
         for idx in pop.groups.values():
             idx = np.asarray(idx)
             order = np.argsort(raw[idx], kind="stable")
@@ -195,5 +198,57 @@ def test_theta_zero_keeps_negative_zero():
     pop = population_from_records(records, 1)
     bary = barycenter_1d(group_dists(pop), size_weights(pop), 2, keys=pop.group_keys())
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.0))
-    assert fair.values.tobytes() == pop.scores_array().tobytes()
+    assert fair.values.tobytes() == pop.scores.tobytes()
     assert np.signbit(fair.values[0])
+
+
+# scores from a small set (ties, -0.0) or anywhere in [-1e3, 1e3]
+_SCORES = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, -2.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def tied_populations(draw):
+    """(population, per-group thetas, grid size) with 1 to 4 groups of 1 to 12 rows."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    group_values = [(f"g{g}",) for g, size in enumerate(sizes) for _ in range(size)]
+    scores = draw(st.lists(_SCORES, min_size=len(group_values), max_size=len(group_values)))
+    pop = build_population([f"r{i}" for i in range(len(scores))], group_values, scores)
+    thetas = draw(st.lists(st.floats(0, 1), min_size=len(sizes), max_size=len(sizes)))
+    return pop, thetas, draw(st.integers(2, 40))
+
+
+def _blend(pop, thetas, m):
+    """The transform and sweep path: shared targets, then one theta blend."""
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), m, keys=pop.group_keys())
+    targets = barycenter_targets(pop, bary)
+    policy = ThetaPolicy(0.0, dict(zip(pop.group_keys(), thetas)))
+    return targets, apply_theta(pop, bary, targets, policy).values
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_populations())
+def test_blend_invariants_on_tied_populations(case):
+    """θ=0 is identity; each group moves (1-θ) of the way in W2; ties and order are kept; reruns agree.
+
+    A group's W2 is the exact W2 between its fair scores and its targets T(s):
+    both are sorted by raw score, so it is the RMS of their sorted difference.
+    """
+    pop, thetas, m = case
+    assert _blend(pop, [0.0] * len(thetas), m)[1].tobytes() == pop.scores.tobytes()
+    targets, fair = _blend(pop, thetas, m)
+
+    raw = pop.scores
+    scale = max(np.abs(raw).max(), np.abs(targets).max())
+    for idx, theta in zip(pop.groups.values(), thetas):
+        target = np.sort(targets[idx])
+        w2_raw = np.sqrt(np.mean((np.sort(raw[idx]) - target) ** 2))
+        w2_fair = np.sqrt(np.mean((np.sort(fair[idx]) - target) ** 2))
+        assert abs(w2_fair - (1 - theta) * w2_raw) <= 1e-9 * scale
+
+        order = np.lexsort((fair[idx], raw[idx]))
+        r, f = raw[idx][order], fair[idx][order]
+        assert np.all(f[1:][r[1:] == r[:-1]] == f[:-1][r[1:] == r[:-1]])
+        assert np.all(f[1:] >= f[:-1])
+
+    again = _blend(pop, thetas, m)
+    assert [a.tobytes() for a in again] == [targets.tobytes(), fair.tobytes()]

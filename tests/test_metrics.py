@@ -96,7 +96,7 @@ def test_group_fairness_hand_values():
 def test_group_fairness_single_group_rejected():
     records = [ScoreRecord(str(i), ("A",), float(i)) for i in range(4)]
     pop = population_from_records(records, 1)
-    fair = FairScores(pop.scores_array(), ThetaPolicy(0.0), None)
+    fair = FairScores(pop.scores, ThetaPolicy(0.0), None)
     with pytest.raises(ValidationError):
         group_fairness_error(pop, fair, 4)
 
@@ -145,6 +145,11 @@ def test_selection_rates_threshold():
     assert all(rate == 1.0 for rate in out.rates.values())
     assert out.ratio == 1.0
 
+    # no one selected: the ratio 0/0 is undefined, not parity
+    out = selection_rates(pop, raw_fair, SelectionRule(threshold=1e300))
+    assert all(rate == 0.0 for rate in out.rates.values())
+    assert out.ratio is None
+
 
 def test_selection_rates_top_k_deterministic_ties():
     records = [
@@ -172,6 +177,12 @@ def test_selection_rule_needs_exactly_one_mode():
 def test_selection_rule_rejects_nan_threshold():
     with pytest.raises(ValidationError, match="nan"):
         SelectionRule(threshold=float("nan"))
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_selection_rule_rejects_top_k_below_one(k):
+    with pytest.raises(ValidationError, match=f"top_k must be at least 1, got {k}"):
+        SelectionRule(top_k=k)
 
 
 def test_ife_nondecreasing_over_sweep(two_gaussian_population):
@@ -255,7 +266,7 @@ def brute_count_inversions(raw, fair):
 
 def three_pass_top_k(pop, fv, k):
     """Indices selected by the stable three-pass sort: (fair, raw, id) descending."""
-    raw = pop.scores_array()
+    raw = pop.scores
     order = sorted(range(len(pop)), key=lambda i: pop.records[i].id, reverse=True)
     order.sort(key=lambda i: raw[i], reverse=True)
     order.sort(key=lambda i: fv[i], reverse=True)

@@ -96,19 +96,19 @@ def test_partition_completeness_and_determinism(names):
 
 def test_scores_array_shapes():
     pop1 = population_from_records([rec(0, "A", 1.0), rec(1, "B", 2.0)], 1)
-    assert pop1.scores_array().shape == (2,)
+    assert pop1.scores.shape == (2,)
     pop2 = population_from_records([rec(0, "A", (1.0, 2.0)), rec(1, "B", (3.0, 4.0))], 1)
-    assert pop2.scores_array().shape == (2, 2)
+    assert pop2.scores.shape == (2, 2)
     np.testing.assert_array_equal(pop2.group_scores(GroupKey(("B",))), [[3.0, 4.0]])
 
 
 def test_scores_array_is_built_once_and_read_only():
     pop = population_from_records([rec(0, "A", 1.0), rec(1, "B", 2.0)], 1)
-    scores = pop.scores_array()
-    assert pop.scores_array() is scores
+    scores = pop.scores
+    assert pop.scores is scores
     with pytest.raises(ValueError):
         scores[0] = 5.0
-    assert pop.scores_array()[0] == 1.0
+    assert pop.scores[0] == 1.0
 
 
 def test_group_scores_index_the_cached_array():
@@ -116,7 +116,7 @@ def test_group_scores_index_the_cached_array():
     for score in (lambda i: float(i) / 3, lambda i: (float(i), -float(i))):
         pop = population_from_records([rec(i, name, score(i)) for i, name in enumerate(names)], 1)
         for key, idx in pop.groups.items():
-            np.testing.assert_array_equal(pop.group_scores(key), pop.scores_array()[list(idx)])
+            np.testing.assert_array_equal(pop.group_scores(key), pop.scores[list(idx)])
 
 
 def test_columnar_build_partitions_with_read_only_index_arrays():

@@ -1,61 +1,63 @@
-import numpy as np
 import pytest
 
 from fairscore import Beta, Gaussian, GroupKey, GroupSpec, Uniform, ValidationError, generate_synthetic
-from fairscore.synth import two_gaussian_records
+
+from conftest import two_gaussian_columns
 
 
 def spec(name, size, *dims):
     return GroupSpec(key=GroupKey((name,)), size=size, dims=dims)
 
 
+def same_columns(a, b):
+    return a[:2] == b[:2] and a[2].tobytes() == b[2].tobytes()
+
+
 def test_determinism():
     specs = [spec("A", 50, Gaussian(0.4, 0.1)), spec("B", 80, Uniform(0, 1))]
-    assert generate_synthetic(specs, seed=3) == generate_synthetic(specs, seed=3)
+    assert same_columns(generate_synthetic(specs, seed=3), generate_synthetic(specs, seed=3))
 
 
 def test_group_order_does_not_perturb_draws():
     a = spec("A", 50, Gaussian(0.4, 0.1))
     b = spec("B", 50, Gaussian(0.6, 0.1))
-    assert generate_synthetic([a, b], seed=5) == generate_synthetic([b, a], seed=5)
+    assert same_columns(generate_synthetic([a, b], seed=5), generate_synthetic([b, a], seed=5))
 
 
 def test_seed_changes_draws():
     specs = [spec("A", 20, Gaussian(0.5, 0.1))]
-    assert generate_synthetic(specs, 1) != generate_synthetic(specs, 2)
+    assert not same_columns(generate_synthetic(specs, 1), generate_synthetic(specs, 2))
 
 
 def test_counts_and_ordering():
-    records = generate_synthetic(
+    ids, group_values, scores = generate_synthetic(
         [spec("B", 200, Uniform(0, 1)), spec("A", 100, Uniform(0, 1))], seed=0
     )
-    assert len(records) == 300
-    assert [r.group_values for r in records[:100]] == [("A",)] * 100
-    assert [r.group_values for r in records[100:]] == [("B",)] * 200
-    assert records[0].id == "A-0"
-    assert records[-1].id == "B-199"
+    assert len(ids) == len(group_values) == scores.shape[0] == 300
+    assert group_values[:100] == [("A",)] * 100
+    assert group_values[100:] == [("B",)] * 200
+    assert ids[0] == "A-0"
+    assert ids[-1] == "B-199"
 
 
 def test_gaussian_moments():
-    records = generate_synthetic([spec("A", 10000, Gaussian(0.5, 0.1))], seed=9)
-    scores = np.array([r.score for r in records])
+    scores = generate_synthetic([spec("A", 10000, Gaussian(0.5, 0.1))], seed=9)[2]
+    assert scores.shape == (10000,)
     assert abs(scores.mean() - 0.5) < 0.005  # 3 sigma / sqrt(n) bound
     assert abs(scores.std() - 0.1) < 0.01
 
 
 def test_beta_and_uniform_moments():
-    records = generate_synthetic(
+    scores = generate_synthetic(
         [spec("A", 20000, Beta(2, 2)), spec("B", 20000, Uniform(0, 2))], seed=11
-    )
-    a = np.array([r.score for r in records[:20000]])
-    b = np.array([r.score for r in records[20000:]])
-    assert abs(a.mean() - 0.5) < 0.01
-    assert abs(b.mean() - 1.0) < 0.02
+    )[2]
+    assert abs(scores[:20000].mean() - 0.5) < 0.01
+    assert abs(scores[20000:].mean() - 1.0) < 0.02
 
 
 def test_multidimensional_scores():
-    records = generate_synthetic([spec("A", 10, Gaussian(0, 1), Uniform(0, 1))], seed=2)
-    assert all(len(r.score) == 2 for r in records)
+    scores = generate_synthetic([spec("A", 10, Gaussian(0, 1), Uniform(0, 1))], seed=2)[2]
+    assert scores.shape == (10, 2)
 
 
 def test_invalid_parameters_rejected():
@@ -74,9 +76,7 @@ def test_invalid_parameters_rejected():
 
 
 def test_two_gaussian_fixture_shape():
-    records = two_gaussian_records(size=1000, seed=7)
-    assert len(records) == 2000
-    a = np.array([r.score for r in records[:1000]])
-    b = np.array([r.score for r in records[1000:]])
-    assert abs(a.mean() - 0.4) < 0.01
-    assert abs(b.mean() - 0.6) < 0.01
+    scores = two_gaussian_columns(size=1000, seed=7)[2]
+    assert scores.shape == (2000,)
+    assert abs(scores[:1000].mean() - 0.4) < 0.01
+    assert abs(scores[1000:].mean() - 0.6) < 0.01

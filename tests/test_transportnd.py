@@ -359,7 +359,7 @@ def test_nd_theta_zero_identity():
     pop = make_nd_population(rng.uniform(size=(8, 2)), rng.uniform(size=(8, 2)))
     bary = compute_barycenter_nd(pop, epsilon=0.01, tol=1e-8)
     fair = interpolate_scores_nd(pop, bary, ThetaPolicy(0.0))
-    np.testing.assert_array_equal(fair.values, pop.scores_array())
+    np.testing.assert_array_equal(fair.values, pop.scores)
 
 
 def test_nd_single_point_forced_projection():
@@ -400,7 +400,7 @@ def test_mirrored_clouds_agree_at_theta_one():
     img_a, img_b = fair.values[idx_a], fair.values[idx_b]
     # compare the image clouds dimension-wise as sorted samples;
     # epsilon is relative to [0, 1]-normalized scores, so scale by the range
-    scores = pop.scores_array()
+    scores = pop.scores
     span = scores.max(axis=0) - scores.min(axis=0)
     for d in range(2):
         gap = np.abs(np.sort(img_a[:, d]) - np.sort(img_b[:, d])).max()
@@ -458,7 +458,7 @@ def test_fused_maps_match_sinkhorn_maps(epsilon, tol):
     two_solve = interpolate_scores_nd(
         pop, bary, ThetaPolicy(1.0), epsilon=epsilon, tol=tol, max_iter=100000
     )
-    scores = pop.scores_array()
+    scores = pop.scores
     score_range = scores.max(axis=0) - scores.min(axis=0)
     assert np.all(np.abs(fused.values - two_solve.values) <= 100 * tol * score_range)
     assert np.abs(fused.values - scores).max() > 1000 * tol  # the maps do move the points
@@ -466,7 +466,7 @@ def test_fused_maps_match_sinkhorn_maps(epsilon, tol):
 
 def test_fused_theta_zero_is_bitwise_identity():
     pop = gaussian_nd_population(np.random.default_rng(6))
-    scores = pop.scores_array()
+    scores = pop.scores
     fair = transform_population(pop, RunConfig(theta=0.0))
     assert fair.values.tobytes() == scores.tobytes()
 
