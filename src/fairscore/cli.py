@@ -61,12 +61,14 @@ from .interpolation import (
     barycenter_targets,
     interpolate_scores,
 )
-from .metrics import FairnessReport, SelectionRule, build_report
+from .metrics import FairnessReport, SelectionRule, build_report, individual_fairness_error
 from .oracle import (
     BRUTEFORCE_MAX_N,
     COORDINATE_MAX_M,
     LP_MAX_SUPPORT,
+    PAIRWISE_MAX_N,
     barycenter_coordinate_oracle,
+    individual_fairness_error_naive,
     lp_transport_exact,
     ot_cost_bruteforce,
 )
@@ -571,6 +573,8 @@ def _sweep_row(theta: float, report: FairnessReport) -> list[str]:
 
 
 def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
+    """One metrics row per theta: the default theta is swept, while each
+    ``theta_overrides`` entry keeps its group at its own theta."""
     if not thetas:
         raise ValidationError("sweep requires a non-empty theta list")
     for theta in thetas:
@@ -586,9 +590,10 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
     bary = compute_barycenter_1d(pop, cfg)
     targets = barycenter_targets(pop, bary)
     rule = cfg.selection_rule()
+    policy = cfg.theta_policy()
     rows = []
     for theta in thetas:
-        fair = apply_theta(pop, bary, targets, ThetaPolicy(default_theta=theta))
+        fair = apply_theta(pop, bary, targets, replace(policy, default_theta=theta))
         rows.append(_sweep_row(theta, build_report(pop, fair, m=cfg.grid_size, rule=rule)))
     header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
     _write_csv(cfg.output, header, rows)
@@ -654,6 +659,8 @@ def run_verify(cfg: RunConfig) -> int:
             raise OracleGuardError(
                 f"verify refuses grid sizes larger than {COORDINATE_MAX_M}"
             )
+        if len(pop) > PAIRWISE_MAX_N:
+            raise OracleGuardError(f"verify refuses more than {PAIRWISE_MAX_N} rows")
         dists = {k: empirical_from_samples(pop.group_scores(k)) for k in keys}
         for a, b in combinations(keys, 2):
             n = len(pop.groups[a])
@@ -679,6 +686,15 @@ def run_verify(cfg: RunConfig) -> int:
             "barycenter vs coordinate search",
             gap <= 1e-4,
             f"max coordinate gap {gap:.3e}",
+        )
+
+        fair = interpolate_scores(pop, bary, cfg.theta_policy())
+        counted = individual_fairness_error(pop, fair)
+        enumerated = individual_fairness_error_naive(pop, fair)
+        check(
+            "individual fairness error vs pairwise enumeration",
+            abs(counted - enumerated) <= 1e-12,
+            f"counted {counted:.12g} vs enumerated {enumerated:.12g}",
         )
     else:
         measures = group_measures(pop)

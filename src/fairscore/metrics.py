@@ -6,10 +6,20 @@ fraction of cross-group pairs with distinct raw scores whose strict raw-score
 order is reversed by the transform. Raw-score ties across groups are excluded
 from the pair universe and fair-score ties never count as inversions.
 
-The 1-D metrics are vectorized numpy. Inversions are counted by a bottom-up
-merge count (segmented ``searchsorted`` plus one int sort per level), in
-O(n log^2 n) for the whole population and once per group; the top-k
-selection order is one ``np.lexsort``.
+The 1-D metrics are vectorized numpy and sort the population once per call:
+
+* ``individual_fairness_error`` takes one ``np.lexsort`` by (raw, fair). The
+  population's inversions are counted on the fair scores in that order, and
+  each group's on the same order stably partitioned by group code; the raw
+  ties that leave pairs out are run lengths of the same two sequences.
+* A nondecreasing sequence has no inversions, so the counter returns 0
+  without merging. That holds for every group of an ``apply_theta`` output
+  (within-group monotonicity) and for the whole population at theta 0.
+* Otherwise a bottom-up merge over ordinal fair ranks counts, per level, how
+  far each right-half element moves left when the halves are merged: one int
+  sort per level, O(n log^2 n) at worst.
+* Top-k selection finds the cut with one ``np.partition``; only the rows
+  tied with the cut are ordered, by (raw, id).
 """
 
 from __future__ import annotations
@@ -89,57 +99,78 @@ def _count_inversions(raw: np.ndarray, fair: np.ndarray) -> int:
     """Pairs with raw_i < raw_j and fair_i > fair_j, raw ties excluded.
 
     After a lexsort by (raw, fair), raw ties are in fair order and add
-    nothing, so the count is the number of inversions of the dense fair
-    ranks. A bottom-up merge counts them: at width w, every element of a
-    right half is counted against the strictly greater elements of its left
-    half, then each pair of halves is merged by one int sort of the keys
-    ``block * (n + 1) + rank``. log2(n) sorts give O(n log^2 n).
+    nothing, so the count is the number of inversions of the fair scores in
+    that order.
     """
-    n = raw.size
-    _, rank = np.unique(fair[np.lexsort((fair, raw))], return_inverse=True)
+    return _inversions(fair[np.lexsort((fair, raw))])
+
+
+def _inversions(seq: np.ndarray) -> int:
+    """Pairs i < j with seq[i] > seq[j]; 0 without merging when seq is sorted.
+
+    The merge runs on ordinal ranks (equal values ranked by position, so a tie
+    never counts). At width w, the halves of each block of 2w are sorted, and
+    one int sort of ``block + rank`` merges them; ``where[r]`` is the merged
+    position of rank r. A right-half element passes exactly the left-half
+    elements greater than it, so its old position minus its new one is its
+    inversion count against its left half.
+    """
+    n = seq.size
+    if not np.any(seq[1:] < seq[:-1]):
+        return 0
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(seq, kind="stable")] = np.arange(n)
     pos = np.arange(n, dtype=np.int64)
-    stride = n + 1
+    where = np.empty(n, dtype=np.int64)
     inversions = 0
     w = 1
     while w < n:
-        block = pos // (2 * w)
-        keys = block * stride + rank
+        block = pos // (2 * w) * n
         right = pos % (2 * w) >= w
-        # left-half keys are sorted across all blocks, and a block that has a
-        # right half has a full left half ending at (block + 1) * w
-        left_keys = keys[~right]
-        not_greater = np.searchsorted(left_keys, keys[right], side="right")
-        inversions += int(np.sum((block[right] + 1) * w - not_greater))
-        rank = np.sort(keys) - block * stride
+        merged = np.sort(block + rank, kind="stable") - block
+        where[merged] = pos
+        inversions += int(pos[right].sum() - where[rank[right]].sum())
+        rank = merged
         w *= 2
     return inversions
 
 
-def _distinct_pairs(raw: np.ndarray) -> int:
-    """Unordered pairs with distinct raw values."""
-    n = raw.size
-    total = n * (n - 1) // 2
-    _, counts = np.unique(raw, return_counts=True)
-    ties = int(np.sum(counts * (counts - 1) // 2))
-    return total - ties
+def _tied_pairs(new_run: np.ndarray) -> int:
+    """Pairs inside the runs of a sequence; ``new_run[i]`` is whether element
+    i + 1 starts a run."""
+    counts = np.diff(np.flatnonzero(np.concatenate(([True], new_run, [True]))))
+    return int(np.sum(counts * (counts - 1) // 2))
 
 
 def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
-    """Cross-group strict-inversion rate, computed by inversion counting."""
+    """Cross-group strict-inversion rate, computed by inversion counting.
+
+    Cross-group counts are population counts minus within-group counts. Both
+    come from one lexsort by (raw, fair): each group's rows, taken from it by
+    a stable partition on the group code, are still in (raw, fair) order.
+    """
     if pop.dimension != 1:
         raise ValidationError("individual_fairness_error is defined for 1-D scores")
     if len(fair) != len(pop):
         raise ValidationError("fair scores are not aligned with the population")
-    raw = pop.scores
-    fv = fair.values
+    n = len(pop)
+    order = np.lexsort((fair.values, pop.scores))
+    raw = pop.scores[order]
+    fv = fair.values[order]
+    codes = pop.group_codes[order]
+    by_group = np.argsort(codes, kind="stable")
+    raw_g = raw[by_group]
+    codes_g = codes[by_group]
+    sizes = np.array([idx.size for idx in pop.groups.values()], dtype=np.int64)
 
-    cross_pairs = _distinct_pairs(raw)
-    cross_inv = _count_inversions(raw, fv)
-    for idx in pop.groups.values():
-        cross_pairs -= _distinct_pairs(raw[idx])
-        cross_inv -= _count_inversions(raw[idx], fv[idx])
+    cross_pairs = n * (n - 1) // 2 - int(np.sum(sizes * (sizes - 1) // 2))
+    cross_pairs -= _tied_pairs(raw[1:] != raw[:-1])
+    cross_pairs += _tied_pairs((raw_g[1:] != raw_g[:-1]) | (codes_g[1:] != codes_g[:-1]))
     if cross_pairs == 0:
         return 0.0
+    cross_inv = _inversions(fv)
+    for seq in np.split(fv[by_group], np.cumsum(sizes)[:-1]):
+        cross_inv -= _inversions(seq)
     return cross_inv / cross_pairs
 
 
@@ -196,15 +227,23 @@ def selection_rates(
     n = len(pop)
     fv = fair.values
     raw = pop.scores
-    selected = np.zeros(n, dtype=bool)
     if rule.threshold is not None:
         selected = fv >= rule.threshold
     else:
         k = rule.top_k
         if not 1 <= k <= n:
             raise ValidationError(f"top_k {k} out of range [1, {n}]")
-        # descending by (fair, raw, id); ids are unique, so this order is total
-        selected[np.lexsort((pop.id_array, raw, fv))[::-1][:k]] = True
+        # the k largest by (fair, raw, id); ids are unique, so the order is
+        # total. Rows above the cut are in, and only the rows tied with it are
+        # ordered, by raw and then by a numpy unicode array of their ids
+        cut = np.partition(fv, n - k)[n - k]
+        selected = fv > cut
+        tied = np.flatnonzero(fv == cut)
+        need = k - np.count_nonzero(selected)
+        if need < tied.size:
+            tied_ids = np.array([pop.ids[i] for i in tied.tolist()])
+            tied = tied[np.lexsort((tied_ids, raw[tied]))[tied.size - need :]]
+        selected[tied] = True
 
     rates = {}
     for key, idx in pop.groups.items():

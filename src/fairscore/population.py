@@ -6,7 +6,9 @@ A population is held as columns, not as one object per individual:
 * ``scores``: a read-only float array, shape (n,) for 1-D scores and (n, d)
   for d-dimensional ones;
 * ``groups``: each ``GroupKey``, in lexicographic order, mapped to the
-  read-only ``np.intp`` array of its row indices (ascending).
+  read-only ``np.intp`` array of its row indices (ascending);
+* ``group_codes``: the read-only ``np.intp`` array of each row's group, as
+  its position in ``groups``.
 
 ``build_population(ids, group_values, scores)`` is the one constructor. The
 CLI calls it with the parsed CSV columns, and ``generate_synthetic`` returns
@@ -75,6 +77,7 @@ class ScoredPopulation:
     ids: tuple[str, ...]
     scores: np.ndarray
     groups: dict[GroupKey, np.ndarray]
+    group_codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -90,11 +93,6 @@ class ScoredPopulation:
         return self.scores[self.groups[key]]
 
     @cached_property
-    def id_array(self) -> np.ndarray:
-        """The ids as one numpy unicode array, built on first use."""
-        return np.array(self.ids)
-
-    @cached_property
     def records(self) -> Sequence[ScoreRecord]:
         """Per-row ``ScoreRecord`` view; each record is built when it is read."""
         return _RecordView(self)
@@ -104,9 +102,6 @@ class _RecordView(Sequence):
     def __init__(self, pop: ScoredPopulation):
         self._pop = pop
         self._keys = pop.group_keys()
-        self._code = np.empty(len(pop), dtype=np.intp)
-        for code, idx in enumerate(pop.groups.values()):
-            self._code[idx] = code
 
     def __len__(self) -> int:
         return len(self._pop)
@@ -115,7 +110,7 @@ class _RecordView(Sequence):
         score = self._pop.scores[i]
         return ScoreRecord(
             id=self._pop.ids[i],
-            group_values=self._keys[self._code[i]].values,
+            group_values=self._keys[self._pop.group_codes[i]].values,
             score=float(score) if score.ndim == 0 else tuple(score.tolist()),
         )
 
@@ -163,13 +158,14 @@ def build_population(
     distinct = sorted(set(group_values))
     code_of = {values: code for code, values in enumerate(distinct)}
     codes = np.fromiter(map(code_of.__getitem__, group_values), dtype=np.intp, count=n)
+    codes.flags.writeable = False
     order = np.argsort(codes, kind="stable")
     bounds = np.cumsum(np.bincount(codes, minlength=len(distinct)))[:-1]
     groups = {}
     for values, idx in zip(distinct, np.split(order, bounds)):
         idx.flags.writeable = False
         groups[GroupKey(values)] = idx
-    return ScoredPopulation(ids=tuple(ids), scores=scores, groups=groups)
+    return ScoredPopulation(ids=tuple(ids), scores=scores, groups=groups, group_codes=codes)
 
 
 def population_from_records(

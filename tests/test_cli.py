@@ -164,6 +164,30 @@ def test_sweep_rows_match_audit_at_each_theta(tmp_path):
         assert [float(v) for v in row[1:]] == expected
 
 
+def test_sweep_keeps_theta_overrides_fixed(tmp_path):
+    text = "id,sex,score\n" + "".join(
+        f"r{i},{'AB'[i % 2]},{(i * 7) % 11 / 4}\n" for i in range(40)
+    )
+    write(tmp_path / "in.csv", text)
+    cfg = base_config(tmp_path, theta_overrides=[{"group": ["A"], "theta": 0}])
+    assert main(["sweep", "--config", cfg, "--thetas", "0,0.5,1"]) == 0
+    rows = read_rows(tmp_path / "out.csv")
+    for row in rows[1:]:
+        assert main(["audit", "--config", cfg, "--theta", row[0]]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["theta"]["overrides"] == {"A": 0}
+        expected = [report[name] for name in fairscore.cli.SWEEP_COLUMNS]
+        assert [float(v) for v in row[1:]] == expected
+
+
+def test_sweep_override_for_an_absent_group_exits_2(tmp_path, capsys):
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, theta_overrides=[{"group": ["Z"], "theta": 0.5}])
+    assert main(["sweep", "--config", cfg, "--thetas", "0,1"]) == 2
+    assert "theta override for nonexistent group Z" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_rejects_bad_theta(tmp_path, capsys):
     write(tmp_path / "in.csv", AB_CSV)
     cfg = base_config(tmp_path)
@@ -224,11 +248,33 @@ def test_verify_negative_control(tmp_path, capsys, monkeypatch):
     assert "FAIL barycenter vs coordinate search" in capsys.readouterr().out
 
 
+def test_verify_negative_control_on_the_inversion_count(tmp_path, capsys, monkeypatch):
+    import fairscore.cli
+
+    oracle = fairscore.cli.individual_fairness_error_naive
+    monkeypatch.setattr(
+        fairscore.cli, "individual_fairness_error_naive", lambda *a: oracle(*a) + 0.1
+    )
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["verify", "--config", base_config(tmp_path, theta=1.0)]) == 1
+    out = capsys.readouterr().out
+    assert "PASS barycenter vs coordinate search" in out
+    assert "FAIL individual fairness error vs pairwise enumeration: counted 0 vs enumerated 0.1\n" in out
+
+
 def test_verify_guard_refusal(tmp_path):
     lines = ["id,sex,score"] + [f"r{i},A,{i}" for i in range(12)] + ["b,B,5"]
     write(tmp_path / "in.csv", "\n".join(lines) + "\n")
     cfg = base_config(tmp_path)
     assert main(["verify", "--config", cfg]) == 2
+
+
+def test_verify_refuses_more_rows_than_the_pairwise_oracle(tmp_path, capsys):
+    # groups of 8 pass the per-group guard; 2001 rows are over the pairwise one
+    lines = ["id,sex,score"] + [f"r{i},g{i // 8},{i % 8}" for i in range(2001)]
+    write(tmp_path / "in.csv", "\n".join(lines) + "\n")
+    assert main(["verify", "--config", base_config(tmp_path)]) == 2
+    assert "verify refuses more than 2000 rows" in capsys.readouterr().err
 
 
 def test_verify_nd_instance(tmp_path, capsys):

@@ -22,7 +22,7 @@ from fairscore import (
     utility_loss,
     w2_distance,
 )
-from fairscore.interpolation import FairScores
+from fairscore.interpolation import FairScores, apply_theta, barycenter_targets
 from fairscore.metrics import _count_inversions
 from fairscore.oracle import individual_fairness_error_naive
 
@@ -361,6 +361,66 @@ def test_top_k_matches_three_pass_sort_with_ties_at_the_cut():
         rates = selection_rates(pop, fair, SelectionRule(top_k=k)).rates
         assert {i for i in range(n) if rates[GroupKey((ids[i],))] == 1.0} == chosen
     assert checked > 50
+
+
+@st.composite
+def tied_population(draw):
+    """1 to 4 groups (singletons allowed) with raw ties and signed zeros."""
+    n = draw(st.integers(1, 24))
+    codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    values = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 2.0])
+    raw = draw(st.lists(values, min_size=n, max_size=n))
+    return build_population([f"r{i}" for i in range(n)], [(f"g{g}",) for g in codes], raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_population(), st.sampled_from([2, 3, 16]))
+def test_ife_equals_pairwise_oracle_on_blended_scores(pop, m):
+    """Each group of an apply_theta output is monotone, so the counter takes
+    its sorted-sequence exit for every group, and at theta 0 for the whole
+    population too."""
+    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
+    weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
+    bary = barycenter_1d(dists, weights, m, keys=pop.group_keys())
+    targets = barycenter_targets(pop, bary)
+    for theta in (0.0, 0.3, 1.0):
+        fair = apply_theta(pop, bary, targets, ThetaPolicy(theta))
+        got = individual_fairness_error(pop, fair)
+        assert got == individual_fairness_error_naive(pop, fair)
+        if theta == 0.0:
+            assert got == 0.0
+
+
+def lexsort_top_k(pop, fv, k):
+    """The rows one lexsort by (fair, raw, id) puts first, descending: the
+    order that partition top-k replaced."""
+    return set(np.lexsort((np.array(pop.ids), pop.scores, fv))[::-1][:k].tolist())
+
+
+@pytest.mark.parametrize(
+    "ids, raw, fair, k, expected",
+    [
+        # the cut falls in the fair-tie block at 1.0, where raw decides
+        (["a", "b", "c", "d"], [0.1, 0.3, 0.2, 5.0], [1.0, 1.0, 1.0, 2.0], 2, {3, 1}),
+        # fair and raw tie at the cut, so the larger id wins
+        (["b", "c", "a", "d"], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 2.0], 2, {3, 1}),
+        # -0.0 and 0.0 are one value in fair and in raw, so ids decide
+        (["x1", "x3", "x2", "x4"], [0.0, -0.0, 0.0, 3.0], [-0.0, 0.0, -0.0, 1.0], 3, {3, 1, 2}),
+        # k = n selects everyone
+        (["p", "q", "r"], [1.0, 1.0, 0.0], [0.5, 0.5, 0.5], 3, {0, 1, 2}),
+    ],
+    ids=["raw-decides", "id-decides", "signed-zero", "k-is-n"],
+)
+def test_top_k_equals_one_lexsort(ids, raw, fair, k, expected):
+    # one group per record, so the rates spell out exactly who is selected
+    pop = build_population(ids, [(i,) for i in ids], raw)
+    fv = np.array(fair)
+    fs = FairScores(fv, ThetaPolicy(0.0), None)
+    assert lexsort_top_k(pop, fv, k) == expected
+    for cut in range(1, len(ids) + 1):
+        rates = selection_rates(pop, fs, SelectionRule(top_k=cut)).rates
+        chosen = {i for i, rec_id in enumerate(ids) if rates[GroupKey((rec_id,))] == 1.0}
+        assert chosen == lexsort_top_k(pop, fv, cut)
 
 
 def pairwise_ks(a, b):

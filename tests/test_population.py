@@ -168,10 +168,13 @@ def test_records_view_round_trips_the_records():
     assert pop2.records[1] == rec(1, "B", (3.0, 4.0))
 
 
-def test_id_array_is_cached():
-    pop = population_from_records([rec("b", "A"), rec("a", "B")], 1)
-    assert pop.id_array is pop.id_array
-    assert pop.id_array.tolist() == ["b", "a"]
+def test_group_codes_index_the_partition():
+    pop = population_from_records([rec("b", "B"), rec("a", "A"), rec("c", "B")], 1)
+    assert pop.group_codes.tolist() == [1, 0, 1]
+    for code, idx in enumerate(pop.groups.values()):
+        assert np.flatnonzero(pop.group_codes == code).tolist() == idx.tolist()
+    with pytest.raises(ValueError):
+        pop.group_codes[0] = 0
 
 
 def test_group_indices_ascend_at_scale():
