@@ -64,6 +64,7 @@ from .interpolation import (
 from .metrics import FairnessReport, SelectionRule, build_report, individual_fairness_error
 from .oracle import (
     BRUTEFORCE_MAX_N,
+    BRUTEFORCE_MAX_PAIRS,
     COORDINATE_MAX_M,
     LP_MAX_SUPPORT,
     PAIRWISE_MAX_N,
@@ -661,11 +662,19 @@ def run_verify(cfg: RunConfig) -> int:
             )
         if len(pop) > PAIRWISE_MAX_N:
             raise OracleGuardError(f"verify refuses more than {PAIRWISE_MAX_N} rows")
+        pairs = [
+            (a, b)
+            for a, b in combinations(keys, 2)
+            if len(pop.groups[a]) == len(pop.groups[b]) >= 2
+        ]
+        if len(pairs) > BRUTEFORCE_MAX_PAIRS:
+            raise OracleGuardError(
+                f"verify refuses more than {BRUTEFORCE_MAX_PAIRS} pairs of equal-size groups "
+                f"(the input has {len(pairs)})"
+            )
         dists = {k: empirical_from_samples(pop.group_scores(k)) for k in keys}
-        for a, b in combinations(keys, 2):
+        for a, b in pairs:
             n = len(pop.groups[a])
-            if n != len(pop.groups[b]) or n < 2:
-                continue
             fast = w2_distance(dists[a], dists[b], n) ** 2
             brute = ot_cost_bruteforce(pop.group_scores(a), pop.group_scores(b))
             check(

@@ -1,12 +1,17 @@
 """Multi-dimensional score support via entropic-regularized optimal transport.
 
-Both solvers share one log-domain kernel, ``_sweep``: the cost is scaled once
-to ``K = -C/epsilon`` and each sweep takes one ``exp`` per measure. The row
-pass forms ``E = exp(K + lv - rowmax)`` and its row sums ``s``; the column
-log-sum-exp is then ``log((a/s) @ E) - lv``, one matrix-vector product.
-Columns whose sum falls below ``UNDERFLOW_FLOOR`` (a support point far from
-every atom at small epsilon) are recomputed with a max-shifted log-sum-exp.
-This stays stable for epsilon down to 1e-3 on scores scaled to [0, 1].
+Both solvers share one log-domain kernel, ``_AbsorbedKernel``: the cost is
+scaled once to ``K = -C/epsilon``, and each measure keeps an absorbed kernel
+``E_ref = exp(K + lv_ref - peak)``, built by one n x m ``exp`` from a reference
+scaling ``lv_ref`` (``peak`` is its row maximum). A sweep at the current
+scaling ``lv`` uses ``E_ref * t`` with ``t = exp(lv - lv_ref)``, an m-vector,
+so it is two matrix-vector products: the row sums ``s = E_ref @ t`` and the
+column sums ``(a/s) @ E_ref``. ``E_ref`` is rebuilt from ``lv`` only when some
+``|lv_j - lv_ref_j|`` exceeds ``ABSORB_THRESHOLD`` (Schmitzer,
+arXiv:1610.06519, section 3.2). Columns whose sum falls below
+``UNDERFLOW_FLOOR`` (a support point far from every atom at small epsilon)
+are recomputed with a max-shifted log-sum-exp. This stays stable for epsilon
+down to 1e-3 on scores scaled to [0, 1].
 
 Barycenters use iterative Bregman projections on a fixed support and stop when
 the barycenter masses move by at most ``tol`` (L1) between sweeps. Each
@@ -49,8 +54,11 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10000
 DEFAULT_SUPPORT_LIMIT = 2000
 
-# a column sum of E below this is recomputed in the log domain
+# E_ref is rebuilt when a scaling drifts from lv_ref by more than ABSORB_THRESHOLD;
+# a column sum of E_ref below UNDERFLOW_FLOOR is recomputed in the log domain.
+# The two are chosen together: see _AbsorbedKernel.
 UNDERFLOW_FLOOR = 1e-280
+ABSORB_THRESHOLD = 30.0
 
 
 @dataclass(frozen=True)
@@ -145,25 +153,69 @@ def _row_pass(neg_cost: np.ndarray, lv: np.ndarray, work: np.ndarray) -> np.ndar
     return peak
 
 
-def _sweep(
-    neg_cost: np.ndarray, lv: np.ndarray, a: np.ndarray, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One entropic sweep with one ``exp``: row log-sums, then column log-sums.
+class _AbsorbedKernel:
+    """``exp(K + lv)`` of one measure, stored as ``E_ref * t`` up to row factors.
 
-    Returns ``row`` with ``row_i = log sum_j exp(K_ij + lv_j)`` and ``col`` with
-    ``col_j = log sum_i exp(K_ij + log a_i - row_i)``, the column pass after the
-    row scaling ``u = a / exp(row)``. Zero-mass atoms keep a finite ``row``.
+    ``work`` holds ``E_ref = exp(K + lv_ref - peak)``, whose rows each have an
+    entry 1. A scaling ``lv`` within ``ABSORB_THRESHOLD`` of ``lv_ref`` in
+    every entry is applied as ``t = exp(lv - lv_ref)``, so ``t`` lies in
+    [e^-30, e^30]; a larger drift rebuilds ``E_ref`` from ``lv`` first. An
+    ``E_ref`` entry that underflowed to 0 or to a subnormal is off by less
+    than 5e-324. Scaled by ``t`` or by ``a_i / s_i`` (at most e^30, since the
+    row sum ``s_i >= e^-30``), the error stays below 6e-311 a term. So testing
+    the unscaled column sum against ``UNDERFLOW_FLOOR`` (1e-280) keeps the
+    underflow error of every column it accepts below n * 6e-31 relative,
+    under 1e-14 for any feasible n; a row sum, at least e^-30, loses far less.
     """
-    peak = _row_pass(neg_cost, lv, work)
-    sums = work.sum(axis=1)
-    row = np.log(sums) + peak
-    col_sums = (a / sums) @ work
-    with np.errstate(divide="ignore", invalid="ignore"):
-        col = np.log(col_sums) - lv
-    low = col_sums < UNDERFLOW_FLOOR
-    if low.any():  # every E entry of these columns may have underflowed
-        col[low] = _logsumexp(neg_cost[:, low] + (_log_masses(a) - row)[:, None], axis=0)
-    return row, col
+
+    def __init__(self, neg_cost: np.ndarray):
+        self.neg_cost = neg_cost
+        self.work = np.empty_like(neg_cost)
+        self.lv_ref: np.ndarray | None = None
+        self.peak: np.ndarray | None = None
+
+    def _scaling(self, lv: np.ndarray) -> np.ndarray:
+        """``t = exp(lv - lv_ref)``, rebuilding ``E_ref`` from ``lv`` if it drifted.
+
+        A zero-mass atom has ``lv = lv_ref = -inf``; its ``t`` is 1.
+        """
+        if self.lv_ref is not None:
+            delta = np.subtract(lv, self.lv_ref, out=np.zeros_like(lv), where=lv != self.lv_ref)
+            if np.abs(delta).max() <= ABSORB_THRESHOLD:
+                return np.exp(delta)
+        self.peak = _row_pass(self.neg_cost, lv, self.work)
+        self.lv_ref = lv
+        return np.ones_like(lv)
+
+    def sweep(self, lv: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One entropic sweep: row log-sums, then column log-sums.
+
+        Returns ``row`` with ``row_i = log sum_j exp(K_ij + lv_j)`` and ``col``
+        with ``col_j = log sum_i exp(K_ij + log a_i - row_i)``, the column pass
+        after the row scaling ``u = a / exp(row)``. Zero-mass atoms keep a
+        finite ``row``.
+        """
+        t = self._scaling(lv)
+        sums = self.work @ t
+        row = np.log(sums) + self.peak
+        col_sums = (a / sums) @ self.work
+        with np.errstate(divide="ignore", invalid="ignore"):
+            col = np.log(col_sums * t) - lv
+        low = col_sums < UNDERFLOW_FLOOR
+        if low.any():  # every E_ref entry of these columns may have underflowed
+            col[low] = _logsumexp(
+                self.neg_cost[:, low] + (_log_masses(a) - row)[:, None], axis=0
+            )
+        return row, col
+
+    def projections(self, lv: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """Barycentric projection of each row point under ``diag(u) exp(K + lv)``.
+
+        Row ``i`` of the coupling is proportional to ``E_ref_i * t``, so the
+        projection is ``E_ref_i @ (t * support) / (E_ref_i @ t)``.
+        """
+        t = self._scaling(lv)
+        return (self.work @ (t[:, None] * support)) / (self.work @ t)[:, None]
 
 
 def sinkhorn_plan(
@@ -189,14 +241,14 @@ def sinkhorn_plan(
     loga = _log_masses(a)
     logb = _log_masses(b)
     neg_cost = -squared_cost_matrix(mu.support, nu.support) / epsilon
-    work = np.empty_like(neg_cost)
+    kernel = _AbsorbedKernel(neg_cost)
 
     # f and g are the duals scaled by 1/epsilon; the sweep from g gives
     # f = -row and the next g = -col
-    row, col = _sweep(neg_cost, logb, a, work)
+    row, col = kernel.sweep(logb, a)
     for it in range(1, max_iter + 1):
         f, g = -row, -col
-        row, col = _sweep(neg_cost, logb + g, a, work)
+        row, col = kernel.sweep(logb + g, a)
         # the column marginal is exactly b here; the row marginal is a * exp(f + row)
         if it < max_iter and np.abs(a * np.exp(f + row) - a).sum() > tol:
             continue
@@ -261,15 +313,17 @@ def barycenter_fixed_support(
         if meas.dimension != d:
             raise DimensionError("all measures must share the support's dimension")
 
-    neg_costs = [-squared_cost_matrix(meas.support, support) / epsilon for meas in measures]
+    kernels = [
+        _AbsorbedKernel(-squared_cost_matrix(meas.support, support) / epsilon)
+        for meas in measures
+    ]
     masses = [meas.masses for meas in measures]
-    works = [np.empty_like(nc) for nc in neg_costs]
 
     lvs = [np.zeros(support.shape[0]) for _ in measures]
     prev_b = np.full(support.shape[0], 1.0 / support.shape[0])
     for it in range(1, max_iter + 1):
         # col is log(K^T u) with u = a / (K v), the projection onto the row marginal a
-        cols = [_sweep(*args)[1] for args in zip(neg_costs, lvs, masses, works)]
+        cols = [kern.sweep(lv, a)[1] for kern, lv, a in zip(kernels, lvs, masses)]
         log_b = sum(wk * col for wk, col in zip(w, cols))
         lvs = [log_b - col for col in cols]
         b = np.exp(log_b)
@@ -284,16 +338,12 @@ def barycenter_fixed_support(
             marginal_error=change,
         )
 
-    # coupling k is diag(u) K diag(v) with u recomputed from the last v, so row i
-    # is a_i * E_i / sum(E_i) and the projection of point i is E_i @ support / sum(E_i)
-    projections = []
-    for nc, lv, work in zip(neg_costs, lvs, works):
-        _row_pass(nc, lv, work)
-        projections.append((work @ support) / work.sum(axis=1, keepdims=True))
+    # coupling k is diag(u) K diag(v) with u recomputed from the last v
+    projections = tuple(kern.projections(lv, support) for kern, lv in zip(kernels, lvs))
     return BregmanBarycenter(
         support=support,
         masses=b / b.sum(),
-        projections=tuple(projections),
+        projections=projections,
         iterations=it,
         mass_change=change,
     )

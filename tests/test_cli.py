@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -275,6 +276,31 @@ def test_verify_refuses_more_rows_than_the_pairwise_oracle(tmp_path, capsys):
     write(tmp_path / "in.csv", "\n".join(lines) + "\n")
     assert main(["verify", "--config", base_config(tmp_path)]) == 2
     assert "verify refuses more than 2000 rows" in capsys.readouterr().err
+
+
+def groups_of_equal_size(groups, size):
+    return ["id,sex,score"] + [
+        f"r{g}_{i},g{g},{(g * 7 + i * 3) % 11}" for g in range(groups) for i in range(size)
+    ]
+
+
+def test_verify_refuses_too_many_brute_force_pairs(tmp_path, capsys):
+    # 12 groups of 8 rows pass every per-group and row guard, but 66 pairs
+    # of 8! permutations would take about half a minute
+    write(tmp_path / "in.csv", "\n".join(groups_of_equal_size(12, 8)) + "\n")
+    start = time.perf_counter()
+    assert main(["verify", "--config", base_config(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refuses more than 10 pairs of equal-size groups (the input has 66)" in captured.err
+
+
+def test_verify_runs_every_pair_below_the_pair_guard(tmp_path, capsys):
+    write(tmp_path / "in.csv", "\n".join(groups_of_equal_size(4, 4)) + "\n")
+    assert main(["verify", "--config", base_config(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS w2(") == 6 and "FAIL" not in out
 
 
 def test_verify_nd_instance(tmp_path, capsys):

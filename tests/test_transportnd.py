@@ -105,12 +105,48 @@ def random_masses(rng, n, kind):
     return masses
 
 
+SINKHORN_SETTINGS = [
+    (0.5, 1e-10, 1000), (0.05, 1e-8, 1000), (0.01, 1e-6, 10000), (0.005, 1e-9, 40)
+]
+
+
 @pytest.mark.parametrize("kind", ["uniform", "nonuniform", "zero"])
-@pytest.mark.parametrize(
-    "epsilon, tol, max_iter",
-    [(0.5, 1e-10, 1000), (0.05, 1e-8, 1000), (0.01, 1e-6, 10000), (0.005, 1e-9, 40)],
-)
+@pytest.mark.parametrize("epsilon, tol, max_iter", SINKHORN_SETTINGS)
 def test_sinkhorn_matches_reference_loop(kind, epsilon, tol, max_iter):
+    check_sinkhorn_against_reference(kind, epsilon, tol, max_iter)
+
+
+def counted_row_passes(monkeypatch):
+    """Patch ``_row_pass`` (the only n x m ``exp``) to count its calls."""
+    calls = []
+    row_pass = fairscore.transportnd._row_pass
+
+    def counting_row_pass(*args):
+        calls.append(args[0].shape)
+        return row_pass(*args)
+
+    monkeypatch.setattr(fairscore.transportnd, "_row_pass", counting_row_pass)
+    return calls
+
+
+def force_absorption(monkeypatch):
+    """Rebuild each absorbed kernel whenever a scaling drifts by more than 1."""
+    monkeypatch.setattr(fairscore.transportnd, "ABSORB_THRESHOLD", 1.0)
+    return counted_row_passes(monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "nonuniform", "zero"])
+@pytest.mark.parametrize("epsilon, tol, max_iter", SINKHORN_SETTINGS)
+def test_sinkhorn_matches_reference_loop_under_forced_absorption(
+    monkeypatch, kind, epsilon, tol, max_iter
+):
+    row_passes = force_absorption(monkeypatch)
+    check_sinkhorn_against_reference(kind, epsilon, tol, max_iter)
+    if epsilon < 0.5:  # at 0.5 the scaled duals move by less than 1
+        assert len(row_passes) > 4, "no kernel was rebuilt after its first sweep"
+
+
+def check_sinkhorn_against_reference(kind, epsilon, tol, max_iter):
     rng = np.random.default_rng(41)
     for _ in range(4):
         n, m = rng.integers(2, 30), rng.integers(2, 30)
@@ -264,8 +300,36 @@ def random_barycenter_case(rng):
     return measures, weights / weights.sum(), support
 
 
-@pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 1e-2, 0.1, 1.0])
+BREGMAN_EPSILONS = [5e-4, 1e-3, 1e-2, 0.1, 1.0]
+
+
+@pytest.mark.parametrize("epsilon", BREGMAN_EPSILONS)
 def test_barycenter_matches_reference_loop(monkeypatch, epsilon):
+    check_barycenter_against_reference(monkeypatch, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", BREGMAN_EPSILONS)
+def test_barycenter_matches_reference_loop_under_forced_absorption(monkeypatch, epsilon):
+    row_passes = force_absorption(monkeypatch)
+    kernels = check_barycenter_against_reference(monkeypatch, epsilon)
+    assert len(row_passes) > kernels, "no kernel was rebuilt after its first sweep"
+
+
+def test_absorbed_kernel_builds_one_exp_per_group(monkeypatch):
+    # the transform-2d benchmark shape: 2 groups of 196 2-D points at default
+    # epsilon, each a jittered 14 x 14 grid on the unit square under a smooth map
+    rng = np.random.default_rng(3)
+    u, v = (np.divmod(np.arange(196), 14) + rng.random((2, 196))) / 14
+    a = np.column_stack([0.2 + 0.5 * u, 0.3 + 0.4 * v + 0.1 * u])
+    b = np.column_stack([0.35 + 0.45 * u**1.5, 0.25 + 0.5 * v**0.8])
+    row_passes = counted_row_passes(monkeypatch)
+    bary = compute_barycenter_nd(make_nd_population(a, b))
+    assert bary.iterations >= 50
+    assert len(row_passes) <= 2 * 2
+
+
+def check_barycenter_against_reference(monkeypatch, epsilon):
+    """Compare 24 random cases with the reference loop; return the measures solved."""
     fallback_calls = []
     logsumexp_fn = fairscore.transportnd._logsumexp
 
@@ -276,8 +340,10 @@ def test_barycenter_matches_reference_loop(monkeypatch, epsilon):
     monkeypatch.setattr(fairscore.transportnd, "_logsumexp", counting_logsumexp)
     rng = np.random.default_rng(int(epsilon * 1e4) + 5)
     verdicts = set()
+    kernels = 0
     for _ in range(24):
         measures, weights, support = random_barycenter_case(rng)
+        kernels += len(measures)
         args = (measures, weights, support, epsilon, 1e-9, 300)
         try:
             ref_masses, ref_iters, _ = reference_barycenter(*args)
@@ -295,6 +361,7 @@ def test_barycenter_matches_reference_loop(monkeypatch, epsilon):
     assert verdicts == ({"converged", "raised"} if epsilon <= 1e-2 else {"converged"})
     if epsilon <= 1e-3:
         assert fallback_calls, "no case reached the underflow fallback"
+    return kernels
 
 
 def test_barycenter_projections_follow_final_couplings():
