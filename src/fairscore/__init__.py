@@ -4,7 +4,6 @@ theta-interpolated optimal transport."""
 from .empirical import (
     EmpiricalDistribution,
     QuantileGrid,
-    cdf_rank,
     discretize_quantiles,
     empirical_from_samples,
     quantile,
@@ -35,21 +34,19 @@ from .population import (
     validate_population,
 )
 from .synth import Beta, Gaussian, GroupSpec, Uniform, generate_synthetic
-from .transport1d import Barycenter1D, barycenter_1d, ot_map_1d, w2_distance
+from .transport1d import barycenter_1d, w2_distance
 from .transportnd import (
     BregmanBarycenter,
     DiscreteMeasure,
     TransportPlan,
     barycenter_fixed_support,
     compute_barycenter_nd,
-    interpolate_scores_nd,
     sinkhorn_plan,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Barycenter1D",
     "Beta",
     "BregmanBarycenter",
     "ConvergenceError",
@@ -75,7 +72,6 @@ __all__ = [
     "barycenter_fixed_support",
     "build_population",
     "build_report",
-    "cdf_rank",
     "compute_barycenter_nd",
     "discretize_quantiles",
     "empirical_from_samples",
@@ -83,8 +79,6 @@ __all__ = [
     "group_fairness_error",
     "individual_fairness_error",
     "interpolate_scores",
-    "interpolate_scores_nd",
-    "ot_map_1d",
     "population_from_records",
     "quantile",
     "resolve_theta",

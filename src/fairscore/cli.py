@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .empirical import DEFAULT_GRID_SIZE, empirical_from_samples
+from .empirical import DEFAULT_GRID_SIZE, QuantileGrid, empirical_from_samples
 from .errors import FairscoreError, OracleGuardError, ValidationError
 from .interpolation import (
     FairScores,
@@ -75,8 +75,11 @@ from .oracle import (
 )
 from .population import GroupKey, ScoredPopulation, build_population, validate_population
 from .synth import Beta, Gaussian, GroupSpec, Uniform, generate_synthetic
-from .transport1d import Barycenter1D, barycenter_1d, w2_distance
+from .transport1d import barycenter_1d, w2_distance
 from .transportnd import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     BregmanBarycenter,
     barycenter_targets_nd,
     compute_barycenter_nd,
@@ -213,9 +216,13 @@ class RunConfig:
     theta: float = _key(1.0, _FLOAT, "--theta", "default theta in [0, 1]", type=float)
     grid_size: int = _key(DEFAULT_GRID_SIZE, _INT, "--grid-size", "quantile grid size m", type=int)
     weight_mode: str = _key("size", _STR, "--weight-mode", choices=WEIGHT_MODES)
-    epsilon: float = _key(0.01, _FLOAT, "--epsilon", "entropic regularization (n-D)", type=float)
-    tol: float = _key(1e-6, _FLOAT, "--tol", "solver tolerance (n-D)", type=float)
-    max_iter: int = _key(10000, _INT, "--max-iter", "solver iteration cap (n-D)", type=int)
+    epsilon: float = _key(
+        DEFAULT_EPSILON, _FLOAT, "--epsilon", "entropic regularization (n-D)", type=float
+    )
+    tol: float = _key(DEFAULT_TOL, _FLOAT, "--tol", "solver tolerance (n-D)", type=float)
+    max_iter: int = _key(
+        DEFAULT_MAX_ITER, _INT, "--max-iter", "solver iteration cap (n-D)", type=int
+    )
     min_group_size: int = _key(100, _INT, "--min-group-size", type=int)
     seed: int = _key(0, _INT, "--seed", "seed for support subsampling", type=int)
     selection_threshold: float | None = _key(
@@ -493,10 +500,9 @@ def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
     return [cfg.explicit_weights[k] for k in keys]
 
 
-def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> Barycenter1D:
-    keys = pop.group_keys()
-    dists = [empirical_from_samples(pop.group_scores(k)) for k in keys]
-    return barycenter_1d(dists, barycenter_weights(pop, cfg), cfg.grid_size, keys=keys)
+def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> QuantileGrid:
+    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
+    return barycenter_1d(dists, barycenter_weights(pop, cfg), cfg.grid_size)
 
 
 def _barycenter_nd(pop: ScoredPopulation, cfg: RunConfig) -> BregmanBarycenter:
@@ -520,7 +526,7 @@ def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
     if pop.dimension == 1:
         return interpolate_scores(pop, compute_barycenter_1d(pop, cfg), policy)
     bary = _barycenter_nd(pop, cfg)
-    return apply_theta(pop, bary, barycenter_targets_nd(pop, bary), policy)
+    return apply_theta(pop, barycenter_targets_nd(pop, bary), policy)
 
 
 def _write_report(report, path: str | None) -> None:
@@ -594,7 +600,7 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
     policy = cfg.theta_policy()
     rows = []
     for theta in thetas:
-        fair = apply_theta(pop, bary, targets, replace(policy, default_theta=theta))
+        fair = apply_theta(pop, targets, replace(policy, default_theta=theta))
         rows.append(_sweep_row(theta, build_report(pop, fair, m=cfg.grid_size, rule=rule)))
     header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
     _write_csv(cfg.output, header, rows)
@@ -607,7 +613,7 @@ def run_barycenter(cfg: RunConfig) -> int:
     pop = load_csv(cfg)[2]
     _emit_warnings(pop, cfg)
     if pop.dimension == 1:
-        grid = compute_barycenter_1d(pop, cfg).grid
+        grid = compute_barycenter_1d(pop, cfg)
         header, columns = ["rank", "quantile"], [grid.ranks, grid.quantiles]
     else:
         bary = _barycenter_nd(pop, cfg)
@@ -690,7 +696,7 @@ def run_verify(cfg: RunConfig) -> int:
             cfg.grid_size,
             grid_resolution=1e-4,
         )
-        gap = float(np.max(np.abs(bary.grid.quantiles - reference.quantiles)))
+        gap = float(np.max(np.abs(bary.quantiles - reference.quantiles)))
         check(
             "barycenter vs coordinate search",
             gap <= 1e-4,
@@ -706,7 +712,7 @@ def run_verify(cfg: RunConfig) -> int:
             f"counted {counted:.12g} vs enumerated {enumerated:.12g}",
         )
     else:
-        measures = group_measures(pop)
+        measures = group_measures(pop, pop.scores)
         for key in keys:
             if len(measures[key]) > LP_MAX_SUPPORT:
                 raise OracleGuardError(

@@ -18,37 +18,24 @@ import numpy as np
 
 from .errors import ValidationError
 
-WEIGHT_SUM_TOL = 1e-12
-
 DEFAULT_GRID_SIZE = 1000
 
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted weighted samples; weights strictly positive and summing to 1."""
+    """Sorted samples, each of weight 1/n."""
 
     values: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValidationError("values must be a non-empty 1-D array")
-        if values.shape != weights.shape:
-            raise ValidationError("values and weights must have the same length")
         if not np.all(np.isfinite(values)):
             raise ValidationError("values must be finite")
         if np.any(np.diff(values) < 0):
             raise ValidationError("values must be sorted nondecreasing")
-        if not np.all(np.isfinite(weights)):
-            raise ValidationError("weights must be finite")
-        if np.any(weights <= 0):
-            raise ValidationError("weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError("weights must sum to 1")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return self.values.size
@@ -56,8 +43,8 @@ class EmpiricalDistribution:
     @property
     def positions(self) -> np.ndarray:
         """Plotting positions: cumulative weight before each sample plus half its own."""
-        cum = np.cumsum(self.weights)
-        return cum - self.weights / 2.0
+        n = self.values.size
+        return np.cumsum(np.full(n, 1.0 / n)) - (1.0 / n) / 2.0
 
 
 @dataclass(frozen=True)
@@ -96,15 +83,13 @@ def grid_ranks(m: int) -> np.ndarray:
 
 
 def empirical_from_samples(samples: Sequence[float]) -> EmpiricalDistribution:
-    """Sort samples and attach uniform weights. Ties are kept (multiset preserved)."""
+    """Sort samples. Ties are kept (multiset preserved)."""
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("samples must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("samples must be finite")
-    values = np.sort(arr)
-    n = values.size
-    return EmpiricalDistribution(values=values, weights=np.full(n, 1.0 / n))
+    return EmpiricalDistribution(values=np.sort(arr))
 
 
 def quantile(dist: EmpiricalDistribution, p: float) -> float:
@@ -112,29 +97,6 @@ def quantile(dist: EmpiricalDistribution, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"quantile rank {p} outside [0, 1]")
     return float(np.interp(p, dist.positions, dist.values))
-
-
-def quantile_many(dist: EmpiricalDistribution, ps: np.ndarray) -> np.ndarray:
-    ps = np.asarray(ps, dtype=float)
-    if np.any(ps < 0) or np.any(ps > 1):
-        raise ValidationError("quantile ranks must lie in [0, 1]")
-    return np.interp(ps, dist.positions, dist.values)
-
-
-def cdf_rank(dist: EmpiricalDistribution, x: float) -> float:
-    """Midrank of an in-sample value: (weight below + weight up to) / 2.
-
-    With uniform weights this is the classical (r_bar - 0.5)/n with r_bar the
-    average 1-based rank of all samples tied with x.
-    """
-    left = int(np.searchsorted(dist.values, x, side="left"))
-    right = int(np.searchsorted(dist.values, x, side="right"))
-    if left == right:
-        raise ValidationError(f"value {x} is not a sample of the distribution")
-    # midpoint of the tie block's plotting positions, so a unique value lands
-    # exactly on its own position and quantile() round-trips bitwise
-    positions = dist.positions
-    return float((positions[left] + positions[right - 1]) / 2.0)
 
 
 def midranks(samples: np.ndarray) -> np.ndarray:
@@ -150,4 +112,4 @@ def midranks(samples: np.ndarray) -> np.ndarray:
 def discretize_quantiles(dist: EmpiricalDistribution, m: int) -> QuantileGrid:
     """Evaluate the quantile function on the shared m-point grid."""
     ranks = grid_ranks(m)
-    return QuantileGrid(ranks=ranks, quantiles=quantile_many(dist, ranks))
+    return QuantileGrid(ranks=ranks, quantiles=np.interp(ranks, dist.positions, dist.values))

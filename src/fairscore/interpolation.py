@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .empirical import midranks
+from .empirical import QuantileGrid, midranks
 from .errors import DimensionError, ValidationError
 from .population import GroupKey, ScoredPopulation
-from .transport1d import Barycenter1D
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class FairScores:
 
     values: np.ndarray
     theta_used: ThetaPolicy
-    barycenter_ref: object
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -78,7 +76,7 @@ def check_policy_against(policy: ThetaPolicy, pop: ScoredPopulation) -> None:
             raise ValidationError(f"theta override for nonexistent group {key}")
 
 
-def barycenter_targets(pop: ScoredPopulation, bary: Barycenter1D) -> np.ndarray:
+def barycenter_targets(pop: ScoredPopulation, bary: QuantileGrid) -> np.ndarray:
     """T(s) for every record: the barycenter quantile at its in-group midrank.
 
     The targets do not depend on theta, so a sweep computes them once.
@@ -86,18 +84,17 @@ def barycenter_targets(pop: ScoredPopulation, bary: Barycenter1D) -> np.ndarray:
     raw = pop.scores
     targets = np.empty_like(raw)
     for idx in pop.groups.values():
-        targets[idx] = bary.grid.evaluate(midranks(raw[idx]))
+        targets[idx] = bary.evaluate(midranks(raw[idx]))
     return targets
 
 
-def apply_theta(
-    pop: ScoredPopulation, bary: object, targets: np.ndarray, policy: ThetaPolicy
-) -> FairScores:
+def apply_theta(pop: ScoredPopulation, targets: np.ndarray, policy: ThetaPolicy) -> FairScores:
     """fair = (1 - theta_g) * s + theta_g * T(s); a group with theta 0 keeps s bitwise.
 
     The one blend of the 1-D and the n-D path: ``targets`` holds T(s) per record
-    (shape (n,) or (n, d)) and ``bary`` is the barycenter they map to. Rows of
-    groups with theta 0 are not read.
+    (shape (n,) or (n, d)), from ``barycenter_targets`` or
+    ``transportnd.barycenter_targets_nd``. Rows of groups with theta 0 are not
+    read.
     """
     check_policy_against(policy, pop)
     raw = pop.scores
@@ -107,16 +104,16 @@ def apply_theta(
         theta = resolve_theta(policy, key)
         # without this branch a raw -0.0 would come out as 0.0
         fair[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * targets[idx]
-    return FairScores(values=fair, theta_used=policy, barycenter_ref=bary)
+    return FairScores(values=fair, theta_used=policy)
 
 
 def interpolate_scores(
-    pop: ScoredPopulation, bary: Barycenter1D, policy: ThetaPolicy
+    pop: ScoredPopulation, bary: QuantileGrid, policy: ThetaPolicy
 ) -> FairScores:
     """Apply the theta-interpolated transport toward the barycenter (1-D only)."""
     if pop.dimension != 1:
         raise DimensionError(
-            "interpolate_scores handles 1-D scores only; "
-            "use interpolate_scores_nd for multi-dimensional populations"
+            "interpolate_scores handles 1-D scores only; for multi-dimensional "
+            "populations use compute_barycenter_nd, barycenter_targets_nd and apply_theta"
         )
-    return apply_theta(pop, bary, barycenter_targets(pop, bary), policy)
+    return apply_theta(pop, barycenter_targets(pop, bary), policy)

@@ -30,10 +30,6 @@ def ot_cost_bruteforce(x: Sequence, y: Sequence) -> float:
     """Exact W2^2 between equal-size uniform samples by permutation enumeration."""
     xa = np.atleast_2d(np.asarray(x, dtype=float).T).T
     ya = np.atleast_2d(np.asarray(y, dtype=float).T).T
-    if xa.ndim == 1:
-        xa = xa[:, None]
-    if ya.ndim == 1:
-        ya = ya[:, None]
     n = xa.shape[0]
     if ya.shape[0] != n:
         raise ValidationError("sample sets must have equal size")

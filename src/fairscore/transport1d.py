@@ -1,5 +1,4 @@
-"""Exact 1-D Wasserstein-2 machinery: grid distances, closed-form barycenters,
-and monotone transport maps.
+"""Exact 1-D Wasserstein-2 machinery: grid distances and closed-form barycenters.
 
 All computations live on a shared m-point quantile grid, which makes the
 barycenter a plain weighted mean of quantile functions and keeps every
@@ -9,30 +8,14 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .empirical import (
-    EmpiricalDistribution,
-    QuantileGrid,
-    cdf_rank,
-    discretize_quantiles,
-    grid_ranks,
-)
+from .empirical import EmpiricalDistribution, QuantileGrid, discretize_quantiles, grid_ranks
 from .errors import ValidationError
-from .population import GroupKey
 
 WEIGHT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Barycenter1D:
-    """The W2 barycenter grid plus the weights that produced it."""
-
-    grid: QuantileGrid
-    weights_used: tuple[tuple[GroupKey, float], ...]
 
 
 def w2_distance(a: EmpiricalDistribution, b: EmpiricalDistribution, m: int) -> float:
@@ -63,10 +46,11 @@ def barycenter_1d(
     dists: Sequence[EmpiricalDistribution],
     weights: Sequence[float],
     m: int,
-    keys: Sequence[GroupKey] | None = None,
-) -> Barycenter1D:
+) -> QuantileGrid:
     """Closed-form 1-D W2 barycenter: the weighted mean of quantile grids.
 
+    The result is the barycenter's own quantile grid on the m-point grid
+    ``grid_ranks(m)``; the weights are checked and normalized, not kept.
     For each grid rank, the weighted mean is the minimizer of the weighted sum
     of squared distances to the group quantiles, so this grid is the exact
     discretized barycenter.
@@ -74,34 +58,10 @@ def barycenter_1d(
     if not dists:
         raise ValidationError("need at least one distribution")
     w = _normalize_weights(weights, len(dists))
-    if keys is None:
-        keys = [GroupKey((str(i),)) for i in range(len(dists))]
-    if len(keys) != len(dists):
-        raise ValidationError("number of keys must match number of distributions")
 
     ranks = grid_ranks(m)
     quantiles = np.zeros(m)
     for dist, wg in zip(dists, w):
         quantiles += wg * discretize_quantiles(dist, m).quantiles
-    grid = QuantileGrid(ranks=ranks, quantiles=quantiles)
-    return Barycenter1D(grid=grid, weights_used=tuple(zip(keys, (float(x) for x in w))))
+    return QuantileGrid(ranks=ranks, quantiles=quantiles)
 
-
-def ot_map_1d(
-    source: EmpiricalDistribution,
-    target: QuantileGrid,
-    s: float,
-    rank_hint: float | None = None,
-) -> float:
-    """Monotone transport map T(s) = Q_target(F_source(s)).
-
-    ``rank_hint`` supplies the source midrank directly (needed for values not
-    present in the source sample).
-    """
-    if rank_hint is not None:
-        if not 0.0 <= rank_hint <= 1.0:
-            raise ValidationError("rank_hint must lie in [0, 1]")
-        p = rank_hint
-    else:
-        p = cdf_rank(source, s)
-    return float(target.evaluate(p))

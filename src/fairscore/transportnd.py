@@ -20,8 +20,8 @@ the last ``v_k``, so its row marginal is exactly ``a_k``) gives that measure's
 barycentric projection, so ``transform`` and ``audit`` need no second solve:
 the barycenter is the only entropic solve on their n-D path.
 
-Sinkhorn is used only by ``verify`` and by ``interpolate_scores_nd``, which
-maps a population onto any given barycenter. It keeps the scaled duals ``f``
+Sinkhorn is used only by ``verify``, which compares each pair of group
+measures' entropic cost with the exact LP. It keeps the scaled duals ``f``
 and ``g`` and never forms the plan inside its loop. After the g-update the
 plan's column marginal is exactly ``b`` and its row marginal is
 ``a * exp(f - f_next)``, where ``f_next`` comes from the next sweep, which the
@@ -38,14 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
-from .interpolation import (
-    FairScores,
-    ThetaPolicy,
-    apply_theta,
-    check_policy_against,
-    resolve_theta,
-)
-from .population import ScoredPopulation
+from .population import GroupKey, ScoredPopulation
 
 MASS_SUM_TOL = 1e-9
 
@@ -369,19 +362,21 @@ def _normalization_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, scale
 
 
-def group_measures(pop: ScoredPopulation) -> dict:
-    """Uniform empirical measure of each group's score cloud."""
-    scores = pop.scores
-    out = {}
-    for key, idx in pop.groups.items():
-        pts = scores[idx]
-        out[key] = DiscreteMeasure(support=pts, masses=np.full(len(idx), 1.0 / len(idx)))
-    return out
+def group_measures(pop: ScoredPopulation, points: np.ndarray) -> dict[GroupKey, DiscreteMeasure]:
+    """Uniform empirical measure of each group's rows of ``points``, in group order.
+
+    ``points`` has one row per record: the scores themselves, or their
+    normalized coordinates.
+    """
+    return {
+        key: DiscreteMeasure(support=points[idx], masses=np.full(idx.size, 1.0 / idx.size))
+        for key, idx in pop.groups.items()
+    }
 
 
 def compute_barycenter_nd(
     pop: ScoredPopulation,
-    weights: Sequence[float] | None = None,
+    weights: Sequence[float],
     epsilon: float = DEFAULT_EPSILON,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -390,9 +385,9 @@ def compute_barycenter_nd(
 ) -> BregmanBarycenter:
     """Barycenter of the group score clouds, in original score coordinates.
 
-    Transport happens on per-dimension min-max normalized coordinates; the
-    returned support and projections are de-normalized back. The projections
-    follow ``pop.group_keys()``.
+    ``weights`` follow ``pop.group_keys()``. Transport happens on per-dimension
+    min-max normalized coordinates; the returned support and projections are
+    de-normalized back. The projections follow ``pop.group_keys()``.
     """
     scores = pop.scores
     if scores.ndim == 1:
@@ -400,15 +395,7 @@ def compute_barycenter_nd(
     lo, scale = _normalization_bounds(scores)
     norm = (scores - lo) / scale
 
-    keys = pop.group_keys()
-    if weights is None:
-        weights = [len(pop.groups[k]) / len(pop) for k in keys]
-    measures = []
-    for key in keys:
-        idx = pop.groups[key]
-        measures.append(
-            DiscreteMeasure(support=norm[idx], masses=np.full(idx.size, 1.0 / idx.size))
-        )
+    measures = list(group_measures(pop, norm).values())
     support = default_barycenter_support(norm, limit=support_limit, seed=seed)
     bary = barycenter_fixed_support(
         measures, weights, support, epsilon=epsilon, tol=tol, max_iter=max_iter
@@ -434,49 +421,3 @@ def barycenter_targets_nd(pop: ScoredPopulation, bary: BregmanBarycenter) -> np.
         targets[idx] = projection
     return targets
 
-
-def interpolate_scores_nd(
-    pop: ScoredPopulation,
-    bary: DiscreteMeasure,
-    policy: ThetaPolicy,
-    epsilon: float = DEFAULT_EPSILON,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FairScores:
-    """Theta-interpolated transport of each group toward any barycenter (d >= 2).
-
-    Each group point is mapped to its barycentric projection under the group's
-    Sinkhorn plan onto ``bary``, then blended with the raw point by
-    ``apply_theta``. Groups with theta 0 run no solve.
-    """
-    if pop.dimension < 2:
-        raise DimensionError(
-            "interpolate_scores_nd handles multi-dimensional scores only; "
-            "use interpolate_scores for 1-D populations"
-        )
-    if bary.dimension != pop.dimension:
-        raise DimensionError("barycenter dimension does not match the population")
-    check_policy_against(policy, pop)
-
-    scores = pop.scores
-    lo, scale = _normalization_bounds(np.vstack([scores, bary.support]))
-    norm_bary = DiscreteMeasure(support=(bary.support - lo) / scale, masses=bary.masses)
-
-    targets = np.empty_like(scores)  # rows of theta-0 groups are never read
-    for key, idx in pop.groups.items():
-        if resolve_theta(policy, key) == 0.0:
-            continue
-        mu = DiscreteMeasure(
-            support=(scores[idx] - lo) / scale, masses=np.full(idx.size, 1.0 / idx.size)
-        )
-        plan = sinkhorn_plan(mu, norm_bary, epsilon=epsilon, tol=tol, max_iter=max_iter)
-        if not plan.converged:
-            raise ConvergenceError(
-                f"Sinkhorn did not converge for group {key} "
-                f"(marginal error {plan.marginal_error:.3e} after {plan.iterations_run} iters)",
-                iterations=plan.iterations_run,
-                marginal_error=plan.marginal_error,
-            )
-        projected = (plan.matrix @ norm_bary.support) / plan.matrix.sum(axis=1, keepdims=True)
-        targets[idx] = projected * scale + lo
-    return apply_theta(pop, bary, targets, policy)

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from fairscore import (
+    ConvergenceError,
+    DimensionError,
+    DiscreteMeasure,
+    FairScores,
     Gaussian,
     GroupKey,
     GroupSpec,
+    ScoredPopulation,
     ScoreRecord,
     ThetaPolicy,
     barycenter_1d,
@@ -12,6 +17,14 @@ from fairscore import (
     empirical_from_samples,
     generate_synthetic,
     population_from_records,
+    sinkhorn_plan,
+)
+from fairscore.interpolation import apply_theta, check_policy_against, resolve_theta
+from fairscore.transportnd import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _normalization_bounds,
 )
 
 
@@ -42,7 +55,7 @@ def ab_barycenter(ab_population):
         empirical_from_samples(ab_population.group_scores(k))
         for k in ab_population.group_keys()
     ]
-    return barycenter_1d(dists, [0.5, 0.5], m=2, keys=ab_population.group_keys())
+    return barycenter_1d(dists, [0.5, 0.5], m=2)
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +85,52 @@ def random_theta_policy(rng, pop):
         key: float(rng.uniform(0, 1)) for key in pop.group_keys() if rng.uniform() < 0.5
     }
     return ThetaPolicy(default_theta=float(rng.uniform(0, 1)), overrides=overrides)
+
+
+# The reference for the fused n-D maps of ``transform``: one Sinkhorn solve per
+# group onto a given barycenter, then the same ``apply_theta`` blend.
+def interpolate_scores_nd(
+    pop: ScoredPopulation,
+    bary: DiscreteMeasure,
+    policy: ThetaPolicy,
+    epsilon: float = DEFAULT_EPSILON,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> FairScores:
+    """Theta-interpolated transport of each group toward any barycenter (d >= 2).
+
+    Each group point is mapped to its barycentric projection under the group's
+    Sinkhorn plan onto ``bary``, then blended with the raw point by
+    ``apply_theta``. Groups with theta 0 run no solve.
+    """
+    if pop.dimension < 2:
+        raise DimensionError(
+            "interpolate_scores_nd handles multi-dimensional scores only; "
+            "use interpolate_scores for 1-D populations"
+        )
+    if bary.dimension != pop.dimension:
+        raise DimensionError("barycenter dimension does not match the population")
+    check_policy_against(policy, pop)
+
+    scores = pop.scores
+    lo, scale = _normalization_bounds(np.vstack([scores, bary.support]))
+    norm_bary = DiscreteMeasure(support=(bary.support - lo) / scale, masses=bary.masses)
+
+    targets = np.empty_like(scores)  # rows of theta-0 groups are never read
+    for key, idx in pop.groups.items():
+        if resolve_theta(policy, key) == 0.0:
+            continue
+        mu = DiscreteMeasure(
+            support=(scores[idx] - lo) / scale, masses=np.full(idx.size, 1.0 / idx.size)
+        )
+        plan = sinkhorn_plan(mu, norm_bary, epsilon=epsilon, tol=tol, max_iter=max_iter)
+        if not plan.converged:
+            raise ConvergenceError(
+                f"Sinkhorn did not converge for group {key} "
+                f"(marginal error {plan.marginal_error:.3e} after {plan.iterations_run} iters)",
+                iterations=plan.iterations_run,
+                marginal_error=plan.marginal_error,
+            )
+        projected = (plan.matrix @ norm_bary.support) / plan.matrix.sum(axis=1, keepdims=True)
+        targets[idx] = projected * scale + lo
+    return apply_theta(pop, targets, policy)

@@ -16,7 +16,6 @@ from fairscore import (
     build_population,
     empirical_from_samples,
     interpolate_scores,
-    interpolate_scores_nd,
     population_from_records,
     selection_rates,
     sinkhorn_plan,
@@ -27,7 +26,7 @@ from fairscore.cli import main
 from fairscore.oracle import barycenter_coordinate_oracle, lp_transport_exact, ot_cost_bruteforce
 from fairscore.transportnd import compute_barycenter_nd, squared_cost_matrix
 
-from conftest import two_gaussian_columns
+from conftest import interpolate_scores_nd, two_gaussian_columns
 
 
 def report(number, name, ok, detail=""):
@@ -54,7 +53,7 @@ def ks_statistic(a, b):
 
 
 def fit_transform(pop, theta, m):
-    bary = barycenter_1d(group_dists(pop), size_weights(pop), m, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), m)
     return interpolate_scores(pop, bary, ThetaPolicy(theta))
 
 
@@ -103,7 +102,7 @@ def test_criterion_3_monotonicity():
         for g, name in enumerate(names):  # keep every group inhabited
             records.append(ScoreRecord(f"pad{g}", (name,), 0.0))
         pop = population_from_records(records, 1)
-        bary = barycenter_1d(group_dists(pop), size_weights(pop), 256, keys=pop.group_keys())
+        bary = barycenter_1d(group_dists(pop), size_weights(pop), 256)
         policy = ThetaPolicy(
             float(rng.uniform(0, 1)),
             {k: float(rng.uniform(0, 1)) for k in pop.group_keys()},
@@ -176,7 +175,7 @@ def test_criterion_5_transport_oracles():
             for _ in range(k)
         ]
         w = rng.dirichlet(np.ones(k))
-        closed = barycenter_1d(dists, w, n).grid.quantiles
+        closed = barycenter_1d(dists, w, n).quantiles
         searched = barycenter_coordinate_oracle(dists, w, n, grid_resolution=1e-4).quantiles
         worst_bary = max(worst_bary, float(np.abs(closed - searched).max()))
     elapsed = time.perf_counter() - start
@@ -316,7 +315,7 @@ def test_criterion_9_hand_fixture():
         ScoreRecord("b2", ("B",), 4.0),
     ]
     pop = population_from_records(records, 1)
-    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], 2, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], 2)
     at_one = interpolate_scores(pop, bary, ThetaPolicy(1.0)).values
     at_half = interpolate_scores(pop, bary, ThetaPolicy(0.5)).values
     ok = np.array_equal(at_one, [1.0, 3.0, 1.0, 3.0]) and np.array_equal(

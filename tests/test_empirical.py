@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from fairscore import (
     EmpiricalDistribution,
     ValidationError,
-    cdf_rank,
     discretize_quantiles,
     empirical_from_samples,
     quantile,
@@ -16,16 +15,33 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 sample_lists = st.lists(finite_floats, min_size=1, max_size=50)
 
 
+# The scalar reference for ``midranks``: one in-sample value at a time.
+def cdf_rank(dist: EmpiricalDistribution, x: float) -> float:
+    """Midrank of an in-sample value: (weight below + weight up to) / 2.
+
+    With uniform weights this is the classical (r_bar - 0.5)/n with r_bar the
+    average 1-based rank of all samples tied with x.
+    """
+    left = int(np.searchsorted(dist.values, x, side="left"))
+    right = int(np.searchsorted(dist.values, x, side="right"))
+    if left == right:
+        raise ValidationError(f"value {x} is not a sample of the distribution")
+    # midpoint of the tie block's plotting positions, so a unique value lands
+    # exactly on its own position and quantile() round-trips bitwise
+    positions = dist.positions
+    return float((positions[left] + positions[right - 1]) / 2.0)
+
+
 def test_from_samples_sorts_and_weights():
     dist = empirical_from_samples([3, 1, 2])
     np.testing.assert_array_equal(dist.values, [1, 2, 3])
-    np.testing.assert_allclose(dist.weights, [1 / 3] * 3)
+    np.testing.assert_allclose(dist.positions, [1 / 6, 1 / 2, 5 / 6])
 
 
 def test_from_samples_singleton():
     dist = empirical_from_samples([5])
     np.testing.assert_array_equal(dist.values, [5])
-    np.testing.assert_array_equal(dist.weights, [1.0])
+    np.testing.assert_array_equal(dist.positions, [0.5])
 
 
 def test_from_samples_keeps_ties():
@@ -39,9 +55,11 @@ def test_from_samples_rejects_empty_and_nonfinite():
         empirical_from_samples([1.0, float("inf")])
 
 
-def test_distribution_rejects_nan_weight():
+def test_distribution_rejects_nan_and_unsorted_values():
     with pytest.raises(ValidationError, match="finite"):
-        EmpiricalDistribution(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
+        EmpiricalDistribution(np.array([np.nan, 1.0]))
+    with pytest.raises(ValidationError, match="sorted"):
+        EmpiricalDistribution(np.array([1.0, 0.0]))
 
 
 def test_quantile_convention():

@@ -72,7 +72,7 @@ def test_multidimensional_population_routed(ab_barycenter):
         ScoreRecord("b", ("B",), (1.0, 0.0)),
     ]
     pop = population_from_records(records, 1)
-    with pytest.raises(DimensionError, match="interpolate_scores_nd"):
+    with pytest.raises(DimensionError, match="compute_barycenter_nd"):
         interpolate_scores(pop, ab_barycenter, ThetaPolicy(1.0))
 
 
@@ -80,7 +80,7 @@ def test_within_group_monotonicity_random():
     rng = np.random.default_rng(42)
     for _ in range(25):
         pop = random_population(rng, int(rng.integers(5, 80)), int(rng.integers(2, 5)))
-        bary = barycenter_1d(group_dists(pop), size_weights(pop), 50, keys=pop.group_keys())
+        bary = barycenter_1d(group_dists(pop), size_weights(pop), 50)
         policy = random_theta_policy(rng, pop)
         fair = interpolate_scores(pop, bary, policy)
         raw = pop.scores
@@ -99,7 +99,7 @@ def test_equal_raw_scores_get_equal_fair_scores():
         ScoreRecord("e", ("B",), 3.0),
     ]
     pop = population_from_records(records, 1)
-    bary = barycenter_1d(group_dists(pop), size_weights(pop), 10, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), 10)
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.7))
     assert fair.values[0] == fair.values[1]
 
@@ -111,16 +111,16 @@ def test_parity_endpoint_aligns_group_grids():
     records += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(rng.normal(2, 1, n))]
     pop = population_from_records(records, 1)
     m = n
-    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], m, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], m)
     fair = interpolate_scores(pop, bary, ThetaPolicy(1.0))
-    spacing = np.max(np.abs(np.diff(bary.grid.quantiles)))
+    spacing = np.max(np.abs(np.diff(bary.quantiles)))
     for key in pop.group_keys():
         idx = np.asarray(pop.groups[key])
         grid = empirical_from_samples(fair.values[idx])
         from fairscore import discretize_quantiles
 
         got = discretize_quantiles(grid, m).quantiles
-        assert np.max(np.abs(got - bary.grid.quantiles)) <= 2 * spacing
+        assert np.max(np.abs(got - bary.quantiles)) <= 2 * spacing
 
 
 def test_linear_parity_decay_exact():
@@ -130,7 +130,7 @@ def test_linear_parity_decay_exact():
     records = [ScoreRecord(f"a{i}", ("A",), float(x)) for i, x in enumerate(rng.normal(0, 1, n))]
     records += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(rng.normal(3, 2, n))]
     pop = population_from_records(records, 1)
-    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], n, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], n)
     raw_dists = group_dists(pop)
     raw_w2 = w2_distance(raw_dists[0], raw_dists[1], n)
     for theta in (0.25, 0.5, 0.75):
@@ -147,7 +147,7 @@ def test_linear_parity_decay_exact():
 def test_affine_equivariance():
     rng = np.random.default_rng(13)
     pop = random_population(rng, 60, 3)
-    bary = barycenter_1d(group_dists(pop), size_weights(pop), 64, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), 64)
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.6))
 
     a, b = 2.5, -1.0
@@ -155,9 +155,7 @@ def test_affine_equivariance():
         ScoreRecord(r.id, r.group_values, a * r.score + b) for r in pop.records
     ]
     mapped_pop = population_from_records(mapped_records, 1)
-    mapped_bary = barycenter_1d(
-        group_dists(mapped_pop), size_weights(mapped_pop), 64, keys=mapped_pop.group_keys()
-    )
+    mapped_bary = barycenter_1d(group_dists(mapped_pop), size_weights(mapped_pop), 64)
     mapped_fair = interpolate_scores(mapped_pop, mapped_bary, ThetaPolicy(0.6))
     np.testing.assert_allclose(mapped_fair.values, a * fair.values + b, atol=1e-9)
 
@@ -168,23 +166,23 @@ def test_single_group_theta_one_hits_barycenter():
     records = [ScoreRecord(f"a{i}", ("A",), float(x)) for i, x in enumerate(rng.normal(0, 1, n))]
     records += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(rng.normal(4, 1, n))]
     pop = population_from_records(records, 1)
-    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], n, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), [0.5, 0.5], n)
     gB = GroupKey(("B",))
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.2, {gB: 1.0}))
     idx = np.asarray(pop.groups[gB])
-    np.testing.assert_allclose(np.sort(fair.values[idx]), bary.grid.quantiles, atol=1e-9)
+    np.testing.assert_allclose(np.sort(fair.values[idx]), bary.quantiles, atol=1e-9)
 
 
 def test_shared_targets_reproduce_interpolate_scores_bitwise():
     rng = np.random.default_rng(53)
     for _ in range(10):
         pop = random_population(rng, int(rng.integers(5, 80)), int(rng.integers(1, 5)))
-        bary = barycenter_1d(group_dists(pop), size_weights(pop), 32, keys=pop.group_keys())
+        bary = barycenter_1d(group_dists(pop), size_weights(pop), 32)
         targets = barycenter_targets(pop, bary)
         for _ in range(4):
             policy = random_theta_policy(rng, pop)
             want = interpolate_scores(pop, bary, policy).values
-            got = apply_theta(pop, bary, targets, policy).values
+            got = apply_theta(pop, targets, policy).values
             assert want.tobytes() == got.tobytes()
 
 
@@ -196,7 +194,7 @@ def test_theta_zero_keeps_negative_zero():
         ScoreRecord("b2", ("B",), 3.0),
     ]
     pop = population_from_records(records, 1)
-    bary = barycenter_1d(group_dists(pop), size_weights(pop), 2, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), 2)
     fair = interpolate_scores(pop, bary, ThetaPolicy(0.0))
     assert fair.values.tobytes() == pop.scores.tobytes()
     assert np.signbit(fair.values[0])
@@ -219,10 +217,10 @@ def tied_populations(draw):
 
 def _blend(pop, thetas, m):
     """The transform and sweep path: shared targets, then one theta blend."""
-    bary = barycenter_1d(group_dists(pop), size_weights(pop), m, keys=pop.group_keys())
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), m)
     targets = barycenter_targets(pop, bary)
     policy = ThetaPolicy(0.0, dict(zip(pop.group_keys(), thetas)))
-    return targets, apply_theta(pop, bary, targets, policy).values
+    return targets, apply_theta(pop, targets, policy).values
 
 
 @settings(max_examples=200, deadline=None)

@@ -42,7 +42,7 @@ def far_apart_population():
 def transform(pop, theta, m):
     dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
     weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
-    bary = barycenter_1d(dists, weights, m, keys=pop.group_keys())
+    bary = barycenter_1d(dists, weights, m)
     return interpolate_scores(pop, bary, ThetaPolicy(theta))
 
 
@@ -64,7 +64,7 @@ def test_ife_hand_example():
 def test_ife_single_group_is_zero():
     records = [ScoreRecord(str(i), ("A",), float(i)) for i in range(5)]
     pop = population_from_records(records, 1)
-    fair = FairScores(np.arange(5.0)[::-1].copy(), ThetaPolicy(0.0), None)
+    fair = FairScores(np.arange(5.0)[::-1].copy(), ThetaPolicy(0.0))
     assert individual_fairness_error(pop, fair) == 0.0
 
 
@@ -74,7 +74,7 @@ def test_ife_fast_matches_naive_on_random_instances():
         pop = random_population(rng, int(rng.integers(5, 60)), int(rng.integers(2, 5)))
         # arbitrary (not even monotone) fair scores, with ties sprinkled in
         fv = np.round(rng.normal(size=len(pop)), 1)
-        fair = FairScores(fv, ThetaPolicy(0.0), None)
+        fair = FairScores(fv, ThetaPolicy(0.0))
         assert individual_fairness_error(pop, fair) == pytest.approx(
             individual_fairness_error_naive(pop, fair), abs=1e-12
         )
@@ -83,7 +83,7 @@ def test_ife_fast_matches_naive_on_random_instances():
 def test_ife_rejects_misaligned_input():
     pop = far_apart_population()
     with pytest.raises(ValidationError):
-        individual_fairness_error(pop, FairScores(np.zeros(3), ThetaPolicy(0.0), None))
+        individual_fairness_error(pop, FairScores(np.zeros(3), ThetaPolicy(0.0)))
 
 
 def test_group_fairness_hand_values():
@@ -96,7 +96,7 @@ def test_group_fairness_hand_values():
 def test_group_fairness_single_group_rejected():
     records = [ScoreRecord(str(i), ("A",), float(i)) for i in range(4)]
     pop = population_from_records(records, 1)
-    fair = FairScores(pop.scores, ThetaPolicy(0.0), None)
+    fair = FairScores(pop.scores, ThetaPolicy(0.0))
     with pytest.raises(ValidationError):
         group_fairness_error(pop, fair, 4)
 
@@ -158,7 +158,7 @@ def test_selection_rates_top_k_deterministic_ties():
         ScoreRecord("b1", ("B",), 1.0),
     ]
     pop = population_from_records(records, 1)
-    fair = FairScores(np.ones(3), ThetaPolicy(0.0), None)
+    fair = FairScores(np.ones(3), ThetaPolicy(0.0))
     out = selection_rates(pop, fair, SelectionRule(top_k=1))
     # all fair and raw scores tie; the largest id ("b1") wins
     assert out.rates[GroupKey(("B",))] == 1.0
@@ -327,7 +327,7 @@ def tied_population_and_fair(draw):
     fair = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     records = [ScoreRecord(f"r{i}", (f"g{g}",), float(r) / 2) for i, (r, g) in enumerate(zip(raw, groups))]
     pop = population_from_records(records, 1)
-    return pop, FairScores(np.array(fair, dtype=float), ThetaPolicy(0.0), None)
+    return pop, FairScores(np.array(fair, dtype=float), ThetaPolicy(0.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,7 +349,7 @@ def test_top_k_matches_three_pass_sort_with_ties_at_the_cut():
     records = [ScoreRecord(ids[i], (ids[i],), float(raw[i])) for i in range(n)]
     pop = population_from_records(records, 1)
     fv = np.round(raw * 0.5 + 0.1 * (np.arange(n) % 2), 1)
-    fair = FairScores(fv, ThetaPolicy(0.0), None)
+    fair = FairScores(fv, ThetaPolicy(0.0))
     checked = 0
     for k in range(1, n + 1):
         chosen = three_pass_top_k(pop, fv, k)
@@ -381,10 +381,10 @@ def test_ife_equals_pairwise_oracle_on_blended_scores(pop, m):
     population too."""
     dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
     weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
-    bary = barycenter_1d(dists, weights, m, keys=pop.group_keys())
+    bary = barycenter_1d(dists, weights, m)
     targets = barycenter_targets(pop, bary)
     for theta in (0.0, 0.3, 1.0):
-        fair = apply_theta(pop, bary, targets, ThetaPolicy(theta))
+        fair = apply_theta(pop, targets, ThetaPolicy(theta))
         got = individual_fairness_error(pop, fair)
         assert got == individual_fairness_error_naive(pop, fair)
         if theta == 0.0:
@@ -415,7 +415,7 @@ def test_top_k_equals_one_lexsort(ids, raw, fair, k, expected):
     # one group per record, so the rates spell out exactly who is selected
     pop = build_population(ids, [(i,) for i in ids], raw)
     fv = np.array(fair)
-    fs = FairScores(fv, ThetaPolicy(0.0), None)
+    fs = FairScores(fv, ThetaPolicy(0.0))
     assert lexsort_top_k(pop, fv, k) == expected
     for cut in range(1, len(ids) + 1):
         rates = selection_rates(pop, fs, SelectionRule(top_k=cut)).rates
@@ -456,7 +456,7 @@ def grouped_fair_scores(draw):
     fair = draw(st.lists(values, min_size=n, max_size=n))
     pop = build_population([f"r{i}" for i in range(n)], [(f"g{g}",) for g in codes], np.zeros(n))
     m = draw(st.sampled_from([2, 3, 16]))
-    return pop, FairScores(np.array(fair), ThetaPolicy(0.0), None), m
+    return pop, FairScores(np.array(fair), ThetaPolicy(0.0)), m
 
 
 @settings(max_examples=200, deadline=None)
@@ -471,5 +471,5 @@ def test_group_fairness_equals_pairwise_loop_on_tied_sweep():
     pop = random_population(rng, 5000, 8)
     for theta in (0.0, 0.3, 1.0):
         fair = transform(pop, theta, 200)
-        fair = FairScores(np.round(fair.values, 2), ThetaPolicy(theta), None)
+        fair = FairScores(np.round(fair.values, 2), ThetaPolicy(theta))
         assert group_fairness_error(pop, fair, 200) == pairwise_group_fairness(pop, fair, 200)

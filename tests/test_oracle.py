@@ -88,7 +88,7 @@ def test_pairwise_ife_guard():
     n = PAIRWISE_MAX_N + 1
     pop = population_from_records([ScoreRecord(str(i), ("AB"[i % 2],), float(i)) for i in range(n)], 1)
     with pytest.raises(OracleGuardError):
-        individual_fairness_error_naive(pop, FairScores(np.zeros(n), ThetaPolicy(0.0), None))
+        individual_fairness_error_naive(pop, FairScores(np.zeros(n), ThetaPolicy(0.0)))
 
 
 def test_coordinate_oracle_hand_case():
@@ -101,7 +101,7 @@ def test_coordinate_oracle_single_dist():
     d = empirical_from_samples([1, 5, 9])
     grid = barycenter_coordinate_oracle([d], [1.0], 6, grid_resolution=1e-4)
     np.testing.assert_allclose(
-        grid.quantiles, barycenter_1d([d], [1.0], 6).grid.quantiles, atol=1e-4
+        grid.quantiles, barycenter_1d([d], [1.0], 6).quantiles, atol=1e-4
     )
 
 
@@ -115,7 +115,7 @@ def test_coordinate_oracle_matches_closed_form_random():
         ]
         w = rng.dirichlet(np.ones(k))
         m = int(rng.integers(2, 12))
-        closed = barycenter_1d(dists, w, m).grid.quantiles
+        closed = barycenter_1d(dists, w, m).quantiles
         searched = barycenter_coordinate_oracle(dists, w, m, grid_resolution=1e-4).quantiles
         assert np.abs(closed - searched).max() <= 1e-4
 

@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 
 from fairscore import (
-    GroupKey,
     ValidationError,
     barycenter_1d,
+    build_population,
     discretize_quantiles,
     empirical_from_samples,
-    ot_map_1d,
     w2_distance,
 )
+from fairscore.interpolation import barycenter_targets
 from fairscore.oracle import ot_cost_bruteforce
 
 
 def dist(*samples):
     return empirical_from_samples(list(samples))
+
+
+def ot_map(source, grid):
+    """T(s) = Q_grid(midrank of s) for every sample s of one group, in sample order."""
+    samples = np.asarray(source, dtype=float)
+    pop = build_population([f"r{i}" for i in range(samples.size)], [("A",)] * samples.size, samples)
+    return barycenter_targets(pop, grid)
 
 
 def test_w2_identity():
@@ -58,19 +65,19 @@ def test_w2_matches_permutation_bruteforce():
 
 def test_barycenter_two_groups():
     bary = barycenter_1d([dist(0, 2), dist(2, 4)], [0.5, 0.5], 2)
-    np.testing.assert_allclose(bary.grid.quantiles, [1, 3])
+    np.testing.assert_allclose(bary.quantiles, [1, 3])
 
 
 def test_barycenter_single_dist_is_identity():
     d = dist(1, 5, 9)
     bary = barycenter_1d([d], [1.0], 6)
-    np.testing.assert_allclose(bary.grid.quantiles, discretize_quantiles(d, 6).quantiles)
+    np.testing.assert_allclose(bary.quantiles, discretize_quantiles(d, 6).quantiles)
 
 
 def test_barycenter_degenerate_weight():
     d1, d2 = dist(0, 2), dist(10, 12)
     bary = barycenter_1d([d1, d2], [1.0 - 1e-12, 1e-12], 4)
-    np.testing.assert_allclose(bary.grid.quantiles, discretize_quantiles(d1, 4).quantiles, atol=1e-9)
+    np.testing.assert_allclose(bary.quantiles, discretize_quantiles(d1, 4).quantiles, atol=1e-9)
 
 
 def test_barycenter_validation():
@@ -85,10 +92,10 @@ def test_barycenter_validation():
             barycenter_1d([dist(0, 1), dist(1, 2)], weights, 4)
 
 
-def test_barycenter_records_weights():
-    keys = [GroupKey(("A",)), GroupKey(("B",))]
-    bary = barycenter_1d([dist(0, 2), dist(2, 4)], [0.25, 0.75], 2, keys=keys)
-    assert bary.weights_used == ((keys[0], 0.25), (keys[1], 0.75))
+def test_barycenter_unequal_weights():
+    # the weights enter the mean of quantile grids; they are not kept
+    bary = barycenter_1d([dist(0, 2), dist(2, 4)], [0.25, 0.75], 2)
+    np.testing.assert_allclose(bary.quantiles, [1.5, 3.5])
 
 
 def test_barycenter_minimizes_weighted_cost():
@@ -105,45 +112,35 @@ def test_barycenter_minimizes_weighted_cost():
             for wg, d in zip(w, dists)
         )
 
-    base = total_cost(bary.grid.quantiles)
+    base = total_cost(bary.quantiles)
     for _ in range(30):
-        perturbed = bary.grid.quantiles + rng.normal(scale=0.05, size=m)
+        perturbed = bary.quantiles + rng.normal(scale=0.05, size=m)
         assert total_cost(perturbed) >= base - 1e-12
 
 
 def test_ot_map_basic():
-    source = dist(0, 2)
     bary = barycenter_1d([dist(0, 2), dist(2, 4)], [0.5, 0.5], 2)
-    assert ot_map_1d(source, bary.grid, 0.0) == 1.0
-    assert ot_map_1d(source, bary.grid, 2.0) == 3.0
+    np.testing.assert_array_equal(ot_map([0.0, 2.0], bary), [1.0, 3.0])
 
 
 def test_ot_map_identity_transport():
-    source = dist(1, 3, 7, 9)
-    grid = discretize_quantiles(source, 4)
-    for s in [1, 3, 7, 9]:
-        assert ot_map_1d(source, grid, float(s)) == s
+    source = [1.0, 3.0, 7.0, 9.0]
+    grid = discretize_quantiles(dist(*source), 4)
+    np.testing.assert_array_equal(ot_map(source, grid), source)
 
 
 def test_ot_map_singleton_source():
+    # a lone sample has midrank 1/2 and lands on the barycenter's median
     bary = barycenter_1d([dist(0, 2), dist(2, 4)], [0.5, 0.5], 2)
-    assert ot_map_1d(dist(7), bary.grid, 7.0) == 2.0
-
-
-def test_ot_map_out_of_sample_needs_hint():
-    source = dist(0, 2)
-    grid = discretize_quantiles(source, 2)
-    with pytest.raises(ValidationError):
-        ot_map_1d(source, grid, 1.0)
-    assert ot_map_1d(source, grid, 1.0, rank_hint=0.5) == 1.0
+    np.testing.assert_array_equal(ot_map([7.0], bary), [2.0])
 
 
 def test_ot_map_monotone():
     rng = np.random.default_rng(9)
-    source = empirical_from_samples(rng.normal(size=40))
+    source = rng.normal(size=40)
     grid = discretize_quantiles(empirical_from_samples(rng.normal(size=25)), 50)
-    mapped = [ot_map_1d(source, grid, float(s)) for s in source.values]
-    assert all(a <= b for a, b in zip(mapped, mapped[1:]))
+    mapped = ot_map(source, grid)[np.argsort(source)]
+    assert np.all(np.diff(mapped) >= 0)
 
 
 def test_monotone_pairing_is_optimal():

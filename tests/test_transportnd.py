@@ -12,12 +12,11 @@ from fairscore import (
     ThetaPolicy,
     ValidationError,
     barycenter_fixed_support,
-    interpolate_scores_nd,
     population_from_records,
     sinkhorn_plan,
 )
 import fairscore.transportnd
-from fairscore.cli import RunConfig, transform_population
+from fairscore.cli import RunConfig, barycenter_weights, transform_population
 from fairscore.oracle import lp_transport_exact
 from fairscore.transportnd import (
     _logsumexp,
@@ -25,6 +24,8 @@ from fairscore.transportnd import (
     default_barycenter_support,
     squared_cost_matrix,
 )
+
+from conftest import interpolate_scores_nd
 
 
 def uniform_measure(points):
@@ -323,7 +324,7 @@ def test_absorbed_kernel_builds_one_exp_per_group(monkeypatch):
     a = np.column_stack([0.2 + 0.5 * u, 0.3 + 0.4 * v + 0.1 * u])
     b = np.column_stack([0.35 + 0.45 * u**1.5, 0.25 + 0.5 * v**0.8])
     row_passes = counted_row_passes(monkeypatch)
-    bary = compute_barycenter_nd(make_nd_population(a, b))
+    bary = compute_barycenter_nd(make_nd_population(a, b), [0.5, 0.5])
     assert bary.iterations >= 50
     assert len(row_passes) <= 2 * 2
 
@@ -424,7 +425,7 @@ def make_nd_population(a_points, b_points):
 def test_nd_theta_zero_identity():
     rng = np.random.default_rng(9)
     pop = make_nd_population(rng.uniform(size=(8, 2)), rng.uniform(size=(8, 2)))
-    bary = compute_barycenter_nd(pop, epsilon=0.01, tol=1e-8)
+    bary = compute_barycenter_nd(pop, [0.5, 0.5], epsilon=0.01, tol=1e-8)
     fair = interpolate_scores_nd(pop, bary, ThetaPolicy(0.0))
     np.testing.assert_array_equal(fair.values, pop.scores)
 
@@ -484,7 +485,7 @@ def test_nd_path_consistent_with_1d_path():
     records_1d += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(b)]
     pop1 = population_from_records(records_1d, 1)
     dists = [empirical_from_samples(pop1.group_scores(k)) for k in pop1.group_keys()]
-    bary1 = barycenter_1d(dists, [0.5, 0.5], 16, keys=pop1.group_keys())
+    bary1 = barycenter_1d(dists, [0.5, 0.5], 16)
     fair1 = interpolate_scores(pop1, bary1, ThetaPolicy(1.0))
 
     # force the same data through the n-D machinery on a padded second dim,
@@ -521,7 +522,9 @@ def test_fused_maps_match_sinkhorn_maps(epsilon, tol):
     pop = gaussian_nd_population(np.random.default_rng(5))
     cfg = RunConfig(epsilon=epsilon, tol=tol, max_iter=100000)
     fused = transform_population(pop, cfg)
-    bary = fused.barycenter_ref
+    bary = compute_barycenter_nd(
+        pop, barycenter_weights(pop, cfg), epsilon=epsilon, tol=tol, max_iter=100000
+    )
     two_solve = interpolate_scores_nd(
         pop, bary, ThetaPolicy(1.0), epsilon=epsilon, tol=tol, max_iter=100000
     )
