@@ -7,7 +7,9 @@ Each command loads, solves and emits once: ``main`` validates the config,
 ``load_csv`` reads the input, and no file is written before everything the
 command writes has been computed. ``audit`` is ``transform`` without the
 fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth`` writes the
-columns of ``generate_synthetic``.
+columns of ``generate_synthetic``. A command imports only what it runs:
+``run_verify`` imports ``oracle``, and only a ``synth`` config section or the
+``synth`` command imports ``synth`` (and with it ``hashlib``).
 
 A JSON config file sets the ``RunConfig`` fields, and flags override it. Each
 field declares its JSON parser and its flag, if any (see ``_key``), so
@@ -27,10 +29,12 @@ per-row object is made. The input is read one of two ways:
   fails a check of the line path. It keeps the parsed rows and reports the
   first bad row.
 
-``transform`` writes each fair score as ``format(v, ".17g")``. On the line
-path it writes each input line, a comma and its fair scores. ``csv.writer``
-would write the same bytes: it quotes a field only when it holds a comma, a
-quote or a line break, and neither these fields nor the numbers do. On the
+``transform`` writes each fair score as ``format(v, ".17g")``, the same
+bytes as ``"%.17g" % v``. On the line path it writes each input line, a
+comma and its fair scores, with one ``%`` over the interleaved lines and
+values of each block of ``EGRESS_BLOCK_ROWS`` rows. ``csv.writer`` would
+write the same bytes: it quotes a field only when it holds a comma, a quote
+or a line break, and neither these fields nor the numbers do. On the
 ``csv.reader`` path it appends the fair scores to the rows and writes them
 with ``csv.writer.writerows``.
 """
@@ -46,9 +50,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import combinations, repeat
+from itertools import chain, combinations, islice
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,19 +67,7 @@ from .interpolation import (
     interpolate_scores,
 )
 from .metrics import FairnessReport, SelectionRule, build_report, individual_fairness_error
-from .oracle import (
-    BRUTEFORCE_MAX_N,
-    BRUTEFORCE_MAX_PAIRS,
-    COORDINATE_MAX_M,
-    LP_MAX_SUPPORT,
-    PAIRWISE_MAX_N,
-    barycenter_coordinate_oracle,
-    individual_fairness_error_naive,
-    lp_transport_exact,
-    ot_cost_bruteforce,
-)
 from .population import GroupKey, ScoredPopulation, build_population, validate_population
-from .synth import Beta, Gaussian, GroupSpec, Uniform, generate_synthetic
 from .transport1d import barycenter_1d, w2_distance
 from .transportnd import (
     DEFAULT_EPSILON,
@@ -89,6 +82,9 @@ from .transportnd import (
     validate_solver_params,
 )
 
+if TYPE_CHECKING:
+    from .synth import GroupSpec
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -99,12 +95,6 @@ def _numbered(prefix: str, count: int) -> list[str]:
 
 
 WEIGHT_MODES = ("size", "uniform", "explicit")
-
-_DISTRIBUTIONS = {
-    "gaussian": (Gaussian, ("mean", "sd")),
-    "beta": (Beta, ("a", "b")),
-    "uniform": (Uniform, ("lo", "hi")),
-}
 
 
 def _cast(name: str, cast, value):
@@ -165,6 +155,13 @@ def _group_entries(section: str, value, value_field: str) -> dict[GroupKey, floa
 
 
 def _parse_synth(key: str, raw) -> tuple[list[GroupSpec], int]:
+    from .synth import Beta, Gaussian, GroupSpec, Uniform
+
+    distributions = {
+        "gaussian": (Gaussian, ("mean", "sd")),
+        "beta": (Beta, ("a", "b")),
+        "uniform": (Uniform, ("lo", "hi")),
+    }
     _object(key, raw)
     specs = []
     for g in _list("synth groups", raw.get("groups", [])):
@@ -172,9 +169,9 @@ def _parse_synth(key: str, raw) -> tuple[list[GroupSpec], int]:
         dims = []
         for d in _list("synth group dims", g["dims"]):
             kind = _object("synth dimension", d, ("type",))["type"]
-            if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
+            if not isinstance(kind, str) or kind not in distributions:
                 raise ValidationError(f"unknown synthetic distribution type {kind!r}")
-            cls, params = _DISTRIBUTIONS[kind]
+            cls, params = distributions[kind]
             _object(f"{kind} dimension", d, params)
             dims.append(cls(*(_cast(f"{kind} {p}", float, d[p]) for p in params)))
         specs.append(
@@ -348,24 +345,42 @@ def _load_lines(text: str, cfg: RunConfig):
     The text is split at ``\\n`` only: ``splitlines`` also breaks at
     ``\\x0b``, ``\\x85`` and others, which ``csv.reader`` keeps in a field.
     With fewer than 2 header fields an empty line would pass the field count.
-    NUL is left to ``csv.reader``, which rejects it before Python 3.11. None sends the input to the ``csv.reader`` path, which names its error.
+    NUL is left to ``csv.reader``, which rejects it before Python 3.11. None
+    sends the input to the ``csv.reader`` path, which names its error.
     """
     if '"' in text or "\r" in text or "\0" in text:
+        return None
+    end = text.find("\n")
+    header = text[: len(text) if end < 0 else end].split(",")
+    width = len(header)
+    if width < 2 or not _fields_per_line(text, width):
         return None
     lines = text.split("\n")
     del text
     if lines[-1] == "":
         lines.pop()  # the final newline ends the last record
-    header = lines[0].split(",") if lines else []
-    width = len(header)
-    if width < 2 or len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
         return None
     col_index = _column_index(header, cfg)
     flat = ",".join(lines).split(",")
     columns = _parse_columns(lambda j: flat[width + j :: width], len(lines) - 1, cfg, col_index)
     return None if columns is None else (header, lines[1:], columns)
+
+
+_NOT_A_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+
+
+def _fields_per_line(text: str, width: int) -> bool:
+    """Whether every line of ``text`` holds ``width - 1`` commas, by one scan in C.
+
+    The scan keeps the ``,`` and ``\\n`` bytes of the UTF-8 text, in which no
+    multi-byte character holds either. They must be ``width - 1`` commas and a
+    line end, repeated; a last line without its ``\\n`` is ended here.
+    """
+    seps = text.encode().translate(None, _NOT_A_SEPARATOR)
+    if not text.endswith("\n"):
+        seps += b"\n"
+    return seps == (b"," * (width - 1) + b"\n") * (len(seps) // width)
 
 
 def _load_rows(cfg: RunConfig):
@@ -458,16 +473,24 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# Rows per ``%`` call of the line-path writer: one call formats a whole
+# block, and the block bounds the temporary tuple, format and output strings.
+EGRESS_BLOCK_ROWS = 1 << 16
+
+
 def _write_with_columns(
     path: str, header: list[str], records: list, names: list[str], values: np.ndarray
 ) -> None:
     """Write the input records with the columns ``names`` of ``values`` appended."""
-    columns = values.reshape(len(records), -1).T.tolist()
+    n, k = len(records), len(names)
+    columns = values.reshape(n, k).T.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if isinstance(records[0], str):  # data lines from _load_lines
             fh.write(",".join(header + names) + "\n")
-            fh.write("\n".join(map(("{}" + ",{:.17g}" * len(names)).format, records, *columns)))
-            fh.write("\n")
+            line = "%s" + ",%.17g" * k + "\n"
+            rows = zip(records, *columns)
+            while block := tuple(chain.from_iterable(islice(rows, EGRESS_BLOCK_ROWS))):
+                fh.write(line * (len(block) // (k + 1)) % block)
             return
         for row, *row_values in zip(records, *columns):
             row.extend(map(_fmt, row_values))
@@ -629,6 +652,8 @@ def run_synth(cfg: RunConfig) -> int:
         raise ValidationError("config has no 'synth' section")
     if cfg.output is None:
         raise ValidationError("synth requires an output path")
+    from .synth import generate_synthetic
+
     ids, group_values, scores = generate_synthetic(*cfg.synth)
     dim = 1 if scores.ndim == 1 else scores.shape[1]
     attr_count = len(group_values[0])
@@ -645,6 +670,18 @@ def run_synth(cfg: RunConfig) -> int:
 
 def run_verify(cfg: RunConfig) -> int:
     """Re-check the configured instance against the brute-force oracles."""
+    from .oracle import (
+        BRUTEFORCE_MAX_N,
+        BRUTEFORCE_MAX_PAIRS,
+        COORDINATE_MAX_M,
+        LP_MAX_SUPPORT,
+        PAIRWISE_MAX_N,
+        barycenter_coordinate_oracle,
+        individual_fairness_error_naive,
+        lp_transport_exact,
+        ot_cost_bruteforce,
+    )
+
     pop = load_csv(cfg)[2]
     keys = pop.group_keys()
     failures = 0

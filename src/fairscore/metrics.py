@@ -6,12 +6,16 @@ fraction of cross-group pairs with distinct raw scores whose strict raw-score
 order is reversed by the transform. Raw-score ties across groups are excluded
 from the pair universe and fair-score ties never count as inversions.
 
-The 1-D metrics are vectorized numpy and sort the population once per call:
+The 1-D metrics are vectorized numpy and sort the population at most once
+per call:
 
-* ``individual_fairness_error`` takes one ``np.lexsort`` by (raw, fair). The
-  population's inversions are counted on the fair scores in that order, and
-  each group's on the same order stably partitioned by group code; the raw
-  ties that leave pairs out are run lengths of the same two sequences.
+* ``individual_fairness_error`` puts the rows in (raw, fair) order. Without
+  raw ties that is the raw order alone, which ``ScoredPopulation`` sorts once
+  and caches, so a sweep does not sort again per theta; with ties it is one
+  ``np.lexsort``. The population's inversions are counted on the fair scores
+  in that order, and each group's on the same order stably partitioned by
+  group code; the raw ties that leave pairs out are run lengths of the same
+  two sequences.
 * A nondecreasing sequence has no inversions, so the counter returns 0
   without merging. That holds for every group of an ``apply_theta`` output
   (within-group monotonicity) and for the whole population at theta 0.
@@ -125,11 +129,13 @@ def _inversions(seq: np.ndarray) -> int:
     inversions = 0
     w = 1
     while w < n:
-        block = pos // (2 * w) * n
-        right = pos % (2 * w) >= w
+        # w is a power of two: a block of 2w starts at pos with its low bits
+        # cleared, and the right half is where bit w is set
+        block = (pos & ~(2 * w - 1)) * n
+        right = np.flatnonzero(pos & w)
         merged = np.sort(block + rank, kind="stable") - block
         where[merged] = pos
-        inversions += int(pos[right].sum() - where[rank[right]].sum())
+        inversions += int(right.sum() - where[rank[right]].sum())
         rank = merged
         w *= 2
     return inversions
@@ -146,15 +152,18 @@ def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
     """Cross-group strict-inversion rate, computed by inversion counting.
 
     Cross-group counts are population counts minus within-group counts. Both
-    come from one lexsort by (raw, fair): each group's rows, taken from it by
-    a stable partition on the group code, are still in (raw, fair) order.
+    come from one (raw, fair) order: each group's rows, taken from it by a
+    stable partition on the group code, are still in (raw, fair) order.
+    Without raw ties that order is the population's cached raw order.
     """
     if pop.dimension != 1:
         raise ValidationError("individual_fairness_error is defined for 1-D scores")
     if len(fair) != len(pop):
         raise ValidationError("fair scores are not aligned with the population")
     n = len(pop)
-    order = np.lexsort((fair.values, pop.scores))
+    order = pop.distinct_score_order
+    if order is None:
+        order = np.lexsort((fair.values, pop.scores))
     raw = pop.scores[order]
     fv = fair.values[order]
     codes = pop.group_codes[order]

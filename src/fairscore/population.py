@@ -93,6 +93,20 @@ class ScoredPopulation:
         return self.scores[self.groups[key]]
 
     @cached_property
+    def distinct_score_order(self) -> np.ndarray | None:
+        """The rows by ascending 1-D score, or None if two scores are equal.
+
+        Without ties this is the (raw, fair) order for every fair score
+        vector, so the metrics of a sweep sort the raw scores once.
+        """
+        order = np.argsort(self.scores)
+        ordered = self.scores[order]
+        if np.any(ordered[1:] == ordered[:-1]):
+            return None
+        order.flags.writeable = False
+        return order
+
+    @cached_property
     def records(self) -> Sequence[ScoreRecord]:
         """Per-row ``ScoreRecord`` view; each record is built when it is read."""
         return _RecordView(self)

@@ -235,26 +235,26 @@ def test_verify_passes_on_tiny_fixture(tmp_path, capsys):
 
 
 def test_verify_negative_control(tmp_path, capsys, monkeypatch):
-    import fairscore.cli
+    import fairscore.oracle
 
-    oracle = fairscore.cli.barycenter_coordinate_oracle
+    oracle = fairscore.oracle.barycenter_coordinate_oracle
 
     def shifted_oracle(*args, **kwargs):
         grid = oracle(*args, **kwargs)
         return QuantileGrid(ranks=grid.ranks, quantiles=grid.quantiles + 0.1)
 
-    monkeypatch.setattr(fairscore.cli, "barycenter_coordinate_oracle", shifted_oracle)
+    monkeypatch.setattr(fairscore.oracle, "barycenter_coordinate_oracle", shifted_oracle)
     write(tmp_path / "in.csv", AB_CSV)
     assert main(["verify", "--config", base_config(tmp_path)]) == 1
     assert "FAIL barycenter vs coordinate search" in capsys.readouterr().out
 
 
 def test_verify_negative_control_on_the_inversion_count(tmp_path, capsys, monkeypatch):
-    import fairscore.cli
+    import fairscore.oracle
 
-    oracle = fairscore.cli.individual_fairness_error_naive
+    oracle = fairscore.oracle.individual_fairness_error_naive
     monkeypatch.setattr(
-        fairscore.cli, "individual_fairness_error_naive", lambda *a: oracle(*a) + 0.1
+        fairscore.oracle, "individual_fairness_error_naive", lambda *a: oracle(*a) + 0.1
     )
     write(tmp_path / "in.csv", AB_CSV)
     assert main(["verify", "--config", base_config(tmp_path, theta=1.0)]) == 1
@@ -456,6 +456,23 @@ def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(fairscore.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, fairscore.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):
+    """Only ``verify`` loads ``oracle``, and only a synth section or command
+    loads ``synth``, which imports ``hashlib``."""
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(fairscore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, fairscore.cli\n"
+        "absent = ['fairscore.synth', 'fairscore.oracle', 'hashlib']\n"
+        "assert not set(absent) & set(sys.modules), 'loaded on import'\n"
+        f"assert fairscore.cli.main(['transform', '--config', {cfg!r}]) == 0\n"
+        "assert not set(absent) & set(sys.modules), 'loaded by transform'\n"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -7,9 +7,10 @@ can get wrong; its quotes and CRLF line endings send it down the
 ``csv.reader`` path. The n-D cases read ``GOLDEN_INPUT_ND``, and ``synth``
 reads no input. The error tests pin the exact ``error:`` line, including
 which of two bad rows is reported. Their LF inputs take the line path first
-and its fallback to ``csv.reader`` when a check fails. The property test
+and its fallback to ``csv.reader`` when a check fails. A property test
 compares the line path's output with what ``csv.reader`` and ``csv.writer``
-make of the same input.
+make of the same input; two more pin the line path's field-count scan and
+its one-call egress to the per-line code they replaced.
 """
 
 import csv
@@ -20,6 +21,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -398,3 +400,80 @@ def test_quotes_and_carriage_returns_take_the_csv_path(tmp_path, capsys, text):
     produced = (tmp_path / "out.csv").read_bytes()
     assert produced == reference_output(text, produced, 1)
     assert b'"' not in produced and b"\r" not in produced
+
+
+def _commas_per_line_by_count(text: str, width: int) -> bool:
+    """The per-line field count that ``_fields_per_line`` replaced: one
+    ``str.count`` per line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return {line.count(",") for line in lines} == {width - 1}
+
+
+@st.composite
+def texts_and_widths(draw):
+    """A header width and a text whose lines mostly hold that many fields."""
+    width = draw(st.integers(2, 4))
+    field = st.text(alphabet=_FIELD_CHARS, max_size=3)
+    good = st.lists(field, min_size=width, max_size=width).map(",".join)
+    bad = st.text(alphabet=",\n" + _FIELD_CHARS, max_size=10)
+    lines = draw(st.lists(st.one_of(good, good, bad), min_size=1, max_size=6))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts_and_widths())
+def test_field_count_scan_equals_per_line_count(case):
+    """The byte scan accepts exactly the texts the per-line count accepts,
+    non-ASCII, empty lines and a missing final newline included."""
+    text, width = case
+    assert fairscore.cli._fields_per_line(text, width) == _commas_per_line_by_count(text, width)
+
+
+def _powers_of_ten_and_neighbours():
+    power = st.integers(-307, 307).map(lambda e: 10.0**e)
+    step = st.sampled_from([-np.inf, None, np.inf])
+    return st.tuples(power, step).map(lambda p: p[0] if p[1] is None else np.nextafter(*p))
+
+
+_EGRESS_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.floats(5e-324, 2.2250738585072009e-308),  # subnormals
+    st.floats(1e-300, 1e-5),
+    st.floats(1e16, 1e308),
+    st.integers(-(2**60), 2**60).map(float),
+    _powers_of_ten_and_neighbours(),
+    st.floats(allow_nan=False, allow_infinity=False),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def lines_and_values(draw):
+    """1 to 12 pass-through lines (non-ASCII, ``%`` and braces included) and
+    1 to 3 float columns."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    text = st.text(alphabet=_FIELD_CHARS + ",%{}", max_size=8)
+    lines = draw(st.lists(text, min_size=n, max_size=n))
+    row = st.lists(_EGRESS_VALUES, min_size=k, max_size=k)
+    return lines, np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines_and_values(), st.sampled_from([1, 2, 5, fairscore.cli.EGRESS_BLOCK_ROWS]))
+def test_line_path_egress_equals_per_row_format(case, block_rows):
+    """One ``%`` per block over the interleaved lines and values writes the
+    bytes that ``str.format`` with ``{:.17g}``, row by row, wrote."""
+    lines, values = case
+    k = values.shape[1]
+    names = [f"fair_{j}" for j in range(k)]
+    expected = ",".join(["id"] + names) + "\n"
+    expected += "\n".join(map(("{}" + ",{:.17g}" * k).format, lines, *values.T.tolist())) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        with mock.patch.object(fairscore.cli, "EGRESS_BLOCK_ROWS", block_rows):
+            fairscore.cli._write_with_columns(
+                str(path), ["id"], lines, names, values if k > 1 else values[:, 0]
+            )
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -32,6 +32,16 @@ def cdf_rank(dist: EmpiricalDistribution, x: float) -> float:
     return float((positions[left] + positions[right - 1]) / 2.0)
 
 
+# The reference for the one-sort ``midranks``: a sort and two searchsorted passes.
+def midranks_searchsorted(samples: np.ndarray) -> np.ndarray:
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    order = np.sort(samples)
+    left = np.searchsorted(order, samples, side="left")
+    right = np.searchsorted(order, samples, side="right")
+    return (left + right) / (2.0 * n)
+
+
 def test_from_samples_sorts_and_weights():
     dist = empirical_from_samples([3, 1, 2])
     np.testing.assert_array_equal(dist.values, [1, 2, 3])
@@ -133,3 +143,16 @@ def test_midranks_match_cdf_rank():
     dist = empirical_from_samples(samples)
     expected = [cdf_rank(dist, x) for x in samples]
     np.testing.assert_allclose(midranks(samples), expected)
+
+
+tie_prone_samples = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, -1.5, 1.5, 3.0]), finite_floats), min_size=1, max_size=60
+)
+
+
+@given(tie_prone_samples)
+def test_midranks_bitwise_equal_two_searchsorted_passes(samples):
+    """Ties, signed zeros (one tie run), singleton runs and n = 1."""
+    got = midranks(np.array(samples))
+    expected = midranks_searchsorted(np.array(samples))
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

@@ -80,6 +80,28 @@ def test_ife_fast_matches_naive_on_random_instances():
         )
 
 
+@pytest.mark.parametrize("raw_ties", ["none", "rounded", "signed-zeros"])
+def test_ife_matches_naive_on_either_raw_order(raw_ties):
+    """Tie-free raw scores take the population's cached raw order, tied ones
+    (a -0.0 beside a 0.0 included) the lexsort by (raw, fair)."""
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        raw = rng.permutation(n) / 4.0 - 2.0
+        if raw_ties == "rounded":
+            raw = np.floor(raw)
+        elif raw_ties == "signed-zeros":
+            raw[:2] = [-0.0, 0.0]
+        codes = rng.integers(0, int(rng.integers(2, 5)), n)
+        pop = build_population([f"r{i}" for i in range(n)], [(f"g{c}",) for c in codes], raw)
+        assert (pop.distinct_score_order is None) == (raw_ties != "none")
+        for fv in (np.round(rng.normal(size=n), 1), rng.normal(size=n)):
+            fair = FairScores(fv, ThetaPolicy(0.0))
+            assert individual_fairness_error(pop, fair) == pytest.approx(
+                individual_fairness_error_naive(pop, fair), abs=1e-12
+            )
+
+
 def test_ife_rejects_misaligned_input():
     pop = far_apart_population()
     with pytest.raises(ValidationError):

@@ -188,3 +188,24 @@ def test_group_indices_ascend_at_scale():
         assert np.all(np.diff(idx) > 0)
         assert (names[idx] == key.values[0]).all()
     assert sum(idx.size for idx in pop.groups.values()) == n
+
+
+@pytest.mark.parametrize(
+    "scores, order",
+    [
+        ([0.5, -1.0, 2.0, 0.0], [1, 3, 0, 2]),
+        ([7.0], [0]),
+        ([0.5, -1.0, 0.5], None),
+        ([-0.0, 1.0, 0.0], None),  # -0.0 == 0.0 is a tie
+    ],
+)
+def test_distinct_score_order_is_cached_and_read_only(scores, order):
+    pop = build_population([str(i) for i in range(len(scores))], [("A",)] * len(scores), scores)
+    got = pop.distinct_score_order
+    assert got is pop.distinct_score_order
+    if order is None:
+        assert got is None
+    else:
+        assert got.tolist() == order
+        with pytest.raises(ValueError):
+            got[0] = 0
