@@ -8,8 +8,15 @@ Each command loads, solves and emits once: ``main`` validates the config,
 command writes has been computed. ``audit`` is ``transform`` without the
 fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth`` writes the
 columns of ``generate_synthetic``. A command imports only what it runs:
-``run_verify`` imports ``oracle``, and only a ``synth`` config section or the
-``synth`` command imports ``synth`` (and with it ``hashlib``).
+``run_verify`` imports ``oracle``, only a ``synth`` config section or the
+``synth`` command imports ``synth`` (and with it ``hashlib``), and only n-D
+scores and ``verify`` import the entropic solver ``transportnd``. The 1-D
+commands load ``empirical``, ``population``, ``interpolation``,
+``transport1d``, ``metrics`` and ``solver_settings``, whose defaults and check
+of epsilon, tol and max_iter ``RunConfig`` uses. Run as ``python -m
+fairscore.cli`` or as the installed ``fairscore`` command (both enter at
+``_run``), the CLI freezes the collector once ``main`` returns, so the
+interpreter's exit runs no collection over the objects left alive.
 
 A JSON config file sets the ``RunConfig`` fields, and flags override it. Each
 field declares its JSON parser and its flag, if any (see ``_key``), so
@@ -68,22 +75,17 @@ from .interpolation import (
 )
 from .metrics import FairnessReport, SelectionRule, build_report, individual_fairness_error
 from .population import GroupKey, ScoredPopulation, build_population, validate_population
-from .transport1d import barycenter_1d, w2_distance
-from .transportnd import (
+from .solver_settings import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    BregmanBarycenter,
-    barycenter_targets_nd,
-    compute_barycenter_nd,
-    group_measures,
-    sinkhorn_plan,
-    squared_cost_matrix,
     validate_solver_params,
 )
+from .transport1d import barycenter_1d, w2_distance
 
 if TYPE_CHECKING:
     from .synth import GroupSpec
+    from .transportnd import BregmanBarycenter
 
 
 def _fmt(x: float) -> str:
@@ -310,7 +312,9 @@ def load_csv(cfg: RunConfig) -> tuple[list[str], list, ScoredPopulation]:
     the population. Each needed column is parsed with one ``map`` and the
     whole table is checked with vectorized tests. Only when a test fails are
     the rows scanned one by one, so that the error names the first bad row.
-    The cyclic garbage collector is paused meanwhile.
+    The cyclic garbage collector is paused meanwhile, and the columns, with
+    their one group tuple per row, are dropped before it resumes, so its
+    next pass does not walk them.
     """
     if cfg.input is None:
         raise ValidationError("no input file configured")
@@ -320,6 +324,7 @@ def load_csv(cfg: RunConfig) -> tuple[list[str], list, ScoredPopulation]:
         loaded = _load_lines(_read_text(cfg.input), cfg)
         header, records, columns = loaded or _load_rows(cfg)
         pop = build_population(*columns)
+        del loaded, columns
     return header, records, pop
 
 
@@ -529,6 +534,8 @@ def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> QuantileGrid
 
 
 def _barycenter_nd(pop: ScoredPopulation, cfg: RunConfig) -> BregmanBarycenter:
+    from .transportnd import compute_barycenter_nd
+
     return compute_barycenter_nd(
         pop,
         weights=barycenter_weights(pop, cfg),
@@ -548,6 +555,8 @@ def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
     policy = cfg.theta_policy()
     if pop.dimension == 1:
         return interpolate_scores(pop, compute_barycenter_1d(pop, cfg), policy)
+    from .transportnd import barycenter_targets_nd
+
     bary = _barycenter_nd(pop, cfg)
     return apply_theta(pop, barycenter_targets_nd(pop, bary), policy)
 
@@ -681,6 +690,7 @@ def run_verify(cfg: RunConfig) -> int:
         lp_transport_exact,
         ot_cost_bruteforce,
     )
+    from .transportnd import group_measures, sinkhorn_plan, squared_cost_matrix
 
     pop = load_csv(cfg)[2]
     keys = pop.group_keys()
@@ -837,5 +847,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _run() -> None:
+    """The ``fairscore`` command and ``python -m fairscore.cli``: ``main`` on
+    the process arguments, then exit with its code."""
+    code = main()
+    # Every output file is closed by now, so the collections at interpreter
+    # exit would only walk numpy's import-time objects: freeze them instead.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

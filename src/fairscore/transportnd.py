@@ -39,12 +39,15 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ValidationError
 from .population import GroupKey, ScoredPopulation
+from .solver_settings import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    validate_solver_params,
+)
 
 MASS_SUM_TOL = 1e-9
 
-DEFAULT_EPSILON = 0.01
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 10000
 DEFAULT_SUPPORT_LIMIT = 2000
 
 # E_ref is rebuilt when a scaling drifts from lv_ref by more than ABSORB_THRESHOLD;
@@ -104,20 +107,6 @@ def squared_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.atleast_2d(y)
     diff = x[:, None, :] - y[None, :, :]
     return np.sum(diff**2, axis=2)
-
-
-def validate_solver_params(epsilon: float, tol: float, max_iter: int) -> None:
-    """Reject entropic solver settings under which no iteration can converge.
-
-    ``epsilon`` and ``tol`` must be positive and finite, ``max_iter`` at least 1.
-    """
-    for name, value in (("epsilon", epsilon), ("tol", tol)):
-        if not value > 0:
-            raise ValidationError(f"{name} must be positive, got {value}")
-        if value == np.inf:  # an infinite tol stops after one sweep and calls it converged
-            raise ValidationError(f"{name} must be finite, got {value}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _log_masses(masses: np.ndarray) -> np.ndarray:

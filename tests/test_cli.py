@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -460,20 +461,71 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):
-    """Only ``verify`` loads ``oracle``, and only a synth section or command
-    loads ``synth``, which imports ``hashlib``."""
+    """Only ``verify`` loads ``oracle``, only a synth section or command
+    loads ``synth``, which imports ``hashlib``, and only n-D work and
+    ``verify`` load the entropic solver ``transportnd``."""
     write(tmp_path / "in.csv", AB_CSV)
     cfg = base_config(tmp_path)
     src = os.path.dirname(os.path.dirname(fairscore.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, fairscore.cli\n"
-        "absent = ['fairscore.synth', 'fairscore.oracle', 'hashlib']\n"
+        "absent = ['fairscore.synth', 'fairscore.oracle', 'hashlib', 'fairscore.transportnd']\n"
         "assert not set(absent) & set(sys.modules), 'loaded on import'\n"
         f"assert fairscore.cli.main(['transform', '--config', {cfg!r}]) == 0\n"
         "assert not set(absent) & set(sys.modules), 'loaded by transform'\n"
+        f"assert fairscore.cli.main(['sweep', '--thetas', '0,1', '--config', {cfg!r}]) == 0\n"
+        "assert not set(absent) & set(sys.modules), 'loaded by sweep'\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0], ids=["transform", "bad-config"])
+def test_module_entry_point_matches_in_process_main(tmp_path, capsys, theta):
+    """``python -m fairscore.cli`` exits as ``main`` returns, with the same
+    output, though it freezes the collector before it exits."""
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, theta=theta, report=None)
+    argv = ["transform", "--config", cfg]
+    code = main(argv)
+    expected = capsys.readouterr()
+    written = (tmp_path / "out.csv").read_bytes() if code == 0 else None
+    (tmp_path / "out.csv").unlink(missing_ok=True)
+    src = os.path.dirname(os.path.dirname(fairscore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-m", "fairscore.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert code == (0 if theta <= 1 else 2)
+    assert (child.returncode, child.stdout, child.stderr) == (code, expected.out, expected.err)
+    if code == 0:
+        assert (tmp_path / "out.csv").read_bytes() == written
+    else:
+        assert not (tmp_path / "out.csv").exists()
+
+
+def test_console_script_enters_where_the_module_does(tmp_path, capsys, monkeypatch):
+    """The installed ``fairscore`` command and ``python -m fairscore.cli`` run
+    the same ``_run``: it exits with ``main``'s code and freezes the collector."""
+    from fairscore.cli import _run
+
+    pyproject = (Path(fairscore.__file__).parents[2] / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\nfairscore = "fairscore.cli:_run"\n' in pyproject
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, report=None)
+    monkeypatch.setattr(sys, "argv", ["fairscore", "transform", "--config", cfg])
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            _run()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    written = (tmp_path / "out.csv").read_bytes()
+    assert main(["transform", "--config", cfg]) == 0
+    assert capsys.readouterr() == captured
+    assert (tmp_path / "out.csv").read_bytes() == written
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):

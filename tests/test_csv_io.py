@@ -275,6 +275,38 @@ def test_load_csv_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabl
         (gc.enable if caller_state else gc.disable)()
 
 
+def test_load_csv_leaves_no_row_tuple_to_the_collector(tmp_path):
+    """The columns are dropped while the collector is paused, so no collection
+    that runs inside ``load_csv`` with the caller's collector on walks a
+    per-row group tuple. One generation-0 pass may still run over a few
+    objects: CPython keeps up to 2000 freed small tuples on a free list
+    without lowering the collector's allocation count."""
+    n = 5000
+    lines = ["id,sex,score", *(f"r{i},{'AB'[i % 2]},{i / 7}" for i in range(n))]
+    (tmp_path / "in.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = RunConfig(input=str(tmp_path / "in.csv"), group_columns=["sex"], id_column="id")
+    row_keys = (("A",), ("B",))
+    walked = []
+
+    def record(phase, info):
+        if phase == "start":
+            for generation in range(info["generation"] + 1):
+                objects = gc.get_objects(generation)
+                walked.append(sum(type(o) is tuple and o in row_keys for o in objects))
+
+    caller_state = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        pop = load_csv(cfg)[2]
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if caller_state else gc.disable)()
+    assert len(pop) == n
+    assert max(walked, default=0) < 10
+
+
 def _no_csv_reader(*args, **kwargs):
     raise AssertionError("csv.reader was called on the line path")
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fairscore.metrics
+import fairscore.population
 from fairscore import (
     GroupKey,
     ScoreRecord,
@@ -23,7 +25,13 @@ from fairscore import (
     w2_distance,
 )
 from fairscore.interpolation import FairScores, apply_theta, barycenter_targets
-from fairscore.metrics import _count_inversions
+from fairscore.metrics import (
+    CHAIN_MAX_GROUPS,
+    _chain_count,
+    _count_inversions,
+    _group_runs,
+    _merge_count,
+)
 from fairscore.oracle import individual_fairness_error_naive
 
 from conftest import random_population, random_theta_policy
@@ -82,8 +90,8 @@ def test_ife_fast_matches_naive_on_random_instances():
 
 @pytest.mark.parametrize("raw_ties", ["none", "rounded", "signed-zeros"])
 def test_ife_matches_naive_on_either_raw_order(raw_ties):
-    """Tie-free raw scores take the population's cached raw order, tied ones
-    (a -0.0 beside a 0.0 included) the lexsort by (raw, fair)."""
+    """Tie-free and tied raw scores (a -0.0 beside a 0.0 included) both count
+    right; a row starts its own raw-tie block only when its score is distinct."""
     rng = np.random.default_rng(29)
     for _ in range(20):
         n = int(rng.integers(2, 60))
@@ -94,7 +102,7 @@ def test_ife_matches_naive_on_either_raw_order(raw_ties):
             raw[:2] = [-0.0, 0.0]
         codes = rng.integers(0, int(rng.integers(2, 5)), n)
         pop = build_population([f"r{i}" for i in range(n)], [(f"g{c}",) for c in codes], raw)
-        assert (pop.distinct_score_order is None) == (raw_ties != "none")
+        assert (np.unique(pop.raw_order.tie_start).size == n) == (raw_ties == "none")
         for fv in (np.round(rng.normal(size=n), 1), rng.normal(size=n)):
             fair = FairScores(fv, ThetaPolicy(0.0))
             assert individual_fairness_error(pop, fair) == pytest.approx(
@@ -495,3 +503,150 @@ def test_group_fairness_equals_pairwise_loop_on_tied_sweep():
         fair = transform(pop, theta, 200)
         fair = FairScores(np.round(fair.values, 2), ThetaPolicy(theta))
         assert group_fairness_error(pop, fair, 200) == pairwise_group_fairness(pop, fair, 200)
+
+
+# ---------------------------------------------------------------------------
+# The chain count and the merge count of the individual fairness error.
+
+
+@st.composite
+def blended_population(draw):
+    """A 1-D population and an ``apply_theta`` output on it: raw ties within
+    and across groups, signed zeros, singleton groups, and per-group theta
+    overrides (0 included) beside a default theta."""
+    n = draw(st.integers(1, 30))
+    codes = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    values = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.5, 2.0])
+    raw = draw(st.lists(values, min_size=n, max_size=n))
+    pop = build_population([f"r{i}" for i in range(n)], [(f"g{g}",) for g in codes], raw)
+    m = draw(st.sampled_from([2, 3, 16]))
+    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
+    weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
+    targets = barycenter_targets(pop, barycenter_1d(dists, weights, m))
+    thetas = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+    overrides = draw(st.dictionaries(st.sampled_from(pop.group_keys()), thetas))
+    policy = ThetaPolicy(draw(thetas), overrides)
+    return pop, apply_theta(pop, targets, policy)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    counter = getattr(fairscore.metrics, name)
+
+    def counted(*args):
+        calls.append(name)
+        return counter(*args)
+
+    monkeypatch.setattr(fairscore.metrics, name, counted)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(blended_population())
+def test_chain_count_equals_pairwise_oracle(case):
+    """Every group of an apply_theta output is nondecreasing in raw order, so
+    the chain count applies, whatever the group count, and equals both the
+    merge count and the pairwise enumeration exactly."""
+    pop, fair = case
+    runs, descending = _group_runs(pop.raw_order, fair.values)
+    assert not descending.any()
+    chained = _chain_count(pop, runs)
+    assert chained == _merge_count(pop, fair.values)
+    got = individual_fairness_error(pop, fair)
+    assert got == individual_fairness_error_naive(pop, fair)
+    assert got == (chained / pop.raw_order.cross_pairs if chained else 0.0)
+
+
+def sweep_population(n_groups, rows_per_group, seed):
+    rng = np.random.default_rng(seed)
+    n = n_groups * rows_per_group
+    codes = np.repeat(np.arange(n_groups), rows_per_group)
+    raw = np.round(rng.normal(codes / n_groups, 0.3), 1)
+    pop = build_population([f"r{i}" for i in range(n)], [(f"g{c}",) for c in codes], raw)
+    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
+    weights = [len(pop.groups[k]) / n for k in pop.group_keys()]
+    return pop, barycenter_targets(pop, barycenter_1d(dists, weights, 50))
+
+
+def test_ife_counts_chains_for_few_groups(monkeypatch):
+    pop, targets = sweep_population(4, 40, 61)
+    chain_calls = count_calls(monkeypatch, "_chain_count")
+    merge_calls = count_calls(monkeypatch, "_merge_count")
+    for theta in (0.25, 1.0):
+        fair = apply_theta(pop, targets, ThetaPolicy(theta))
+        assert individual_fairness_error(pop, fair) == individual_fairness_error_naive(pop, fair)
+    assert chain_calls == ["_chain_count"] * 2 and merge_calls == []
+    # sorted in raw order at theta 0: neither count runs
+    individual_fairness_error(pop, apply_theta(pop, targets, ThetaPolicy(0.0)))
+    assert len(chain_calls) == 2 and merge_calls == []
+
+
+@pytest.mark.parametrize(
+    "n_groups, counter",
+    [(CHAIN_MAX_GROUPS, "_chain_count"), (CHAIN_MAX_GROUPS + 1, "_merge_count")],
+    ids=["at-bound", "above-bound"],
+)
+def test_ife_merges_for_many_groups(monkeypatch, n_groups, counter):
+    """Up to CHAIN_MAX_GROUPS groups take the chain count and more the merge
+    count; the two agree."""
+    pop, targets = sweep_population(n_groups, 3, 67)
+    fair = apply_theta(pop, targets, ThetaPolicy(0.6))
+    merge_calls = count_calls(monkeypatch, "_merge_count")
+    chain_calls = count_calls(monkeypatch, "_chain_count")
+    got = individual_fairness_error(pop, fair)
+    assert merge_calls + chain_calls == [counter]
+    assert got == individual_fairness_error_naive(pop, fair)
+    assert got == _merge_count(pop, fair.values) / pop.raw_order.cross_pairs
+    runs, descending = _group_runs(pop.raw_order, fair.values)
+    assert not descending.any()
+    assert got == _chain_count(pop, runs) / pop.raw_order.cross_pairs
+
+
+def test_ife_merges_for_scores_that_descend_in_a_group(monkeypatch):
+    """A FairScores from the library API need not be monotone in a group; it
+    takes the merge count, however few the groups."""
+    pop, targets = sweep_population(2, 60, 71)
+    fv = apply_theta(pop, targets, ThetaPolicy(0.5)).values.copy()
+    lo, hi = pop.groups[GroupKey(("g1",))][[0, -1]]
+    fv[lo], fv[hi] = fv[hi] + 1.0, fv[lo] - 1.0
+    fair = FairScores(fv, ThetaPolicy(0.5))
+    assert _group_runs(pop.raw_order, fv)[1].tolist() == [False, True]
+    merge_calls = count_calls(monkeypatch, "_merge_count")
+    chain_calls = count_calls(monkeypatch, "_chain_count")
+    assert individual_fairness_error(pop, fair) == individual_fairness_error_naive(pop, fair)
+    assert merge_calls == ["_merge_count"] and chain_calls == []
+
+
+def test_raw_order_is_built_once_per_population(monkeypatch):
+    builds = []
+    build = fairscore.population._raw_order
+
+    def counted(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(fairscore.population, "_raw_order", counted)
+    pop, targets = sweep_population(3, 30, 73)
+    for theta in (0.0, 0.5, 1.0):
+        fair = apply_theta(pop, targets, ThetaPolicy(theta))
+        build_report(pop, fair, m=20, rule=SelectionRule(top_k=10))
+    assert builds == [1]
+    order = pop.raw_order
+    for array in (order.merged, order.by_group, order.group_starts, order.tie_start):
+        assert not array.flags.writeable
+
+
+def test_report_lays_out_fair_scores_once_per_theta(monkeypatch):
+    """``build_report`` shares one group layout of the fair scores between
+    the individual and the group fairness error, and both read as when each
+    lays them out itself."""
+    pop, targets = sweep_population(3, 30, 79)
+    layouts = count_calls(monkeypatch, "_group_runs")
+    for theta in (0.0, 0.5, 1.0):
+        fair = apply_theta(pop, targets, ThetaPolicy(theta))
+        layouts.clear()
+        report = build_report(pop, fair, m=20)
+        assert len(layouts) == 1
+        assert report.individual_fairness_error == individual_fairness_error(pop, fair)
+        gw2, gks = group_fairness_error(pop, fair, 20)
+        assert (report.group_fairness_w2, report.group_fairness_ks) == (gw2, gks)

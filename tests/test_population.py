@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairscore import (
+    DimensionError,
     GroupKey,
     ScoreRecord,
     ValidationError,
@@ -191,21 +192,57 @@ def test_group_indices_ascend_at_scale():
 
 
 @pytest.mark.parametrize(
-    "scores, order",
+    "scores, groups, by_group, tie_start, cross_pairs",
     [
-        ([0.5, -1.0, 2.0, 0.0], [1, 3, 0, 2]),
-        ([7.0], [0]),
-        ([0.5, -1.0, 0.5], None),
-        ([-0.0, 1.0, 0.0], None),  # -0.0 == 0.0 is a tie
+        ([0.5, -1.0, 2.0, 0.0], "ABAB", [0, 2, 1, 3], [2, 3, 0, 1], 4),
+        ([7.0], "A", [0], [0], 0),
+        # -0.0 == 0.0 is a tie; of the 6 cross pairs, 3 are tied
+        ([-0.0, 1.0, 0.0, 1.0, 1.0], "AABBA", [0, 1, 4, 2, 3], [0, 2, 2, 0, 2], 3),
+        ([1.0, 1.0, 1.0], "ABA", [0, 2, 1], [0, 0, 0], 0),
     ],
 )
-def test_distinct_score_order_is_cached_and_read_only(scores, order):
-    pop = build_population([str(i) for i in range(len(scores))], [("A",)] * len(scores), scores)
-    got = pop.distinct_score_order
-    assert got is pop.distinct_score_order
-    if order is None:
-        assert got is None
-    else:
-        assert got.tolist() == order
+def test_raw_order_is_cached_and_read_only(scores, groups, by_group, tie_start, cross_pairs):
+    n = len(scores)
+    pop = build_population([str(i) for i in range(n)], [(g,) for g in groups], scores)
+    order = pop.raw_order
+    assert order is pop.raw_order
+    raw = np.array(scores)
+    assert sorted(order.merged.tolist()) == list(range(n))
+    assert np.all(np.diff(raw[order.merged]) >= 0)
+    assert order.by_group.tolist() == by_group
+    sizes = [idx.size for idx in pop.groups.values()]
+    assert order.group_starts.tolist() == np.cumsum([0] + sizes).tolist()
+    assert order.tie_start.tolist() == tie_start
+    assert order.cross_pairs == cross_pairs
+    for array in (order.merged, order.by_group, order.group_starts, order.tie_start):
         with pytest.raises(ValueError):
-            got[0] = 0
+            array[0] = 0
+
+
+def test_raw_order_counts_cross_pairs_like_enumeration():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        raw = rng.integers(-3, 4, n) / 2.0
+        raw[raw == 0.0] *= rng.choice([-1.0, 1.0], int(np.sum(raw == 0.0)))
+        codes = rng.integers(0, int(rng.integers(1, 6)), n)
+        pop = build_population([f"r{i}" for i in range(n)], [(f"g{c}",) for c in codes], raw)
+        order = pop.raw_order
+        pairs = sum(
+            1
+            for i in range(n)
+            for j in range(i + 1, n)
+            if codes[i] != codes[j] and raw[i] != raw[j]
+        )
+        assert order.cross_pairs == pairs
+        # each group's run is in raw order, and tie_start counts the smaller scores
+        for lo, hi in zip(order.group_starts[:-1], order.group_starts[1:]):
+            assert np.all(np.diff(raw[order.by_group[lo:hi]]) >= 0)
+        below = [int(np.sum(raw < raw[i])) for i in order.by_group]
+        assert order.tie_start.tolist() == below
+
+
+def test_raw_order_is_for_1d_scores():
+    pop = build_population(["a", "b"], [("A",), ("B",)], [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DimensionError):
+        pop.raw_order
