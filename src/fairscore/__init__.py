@@ -37,7 +37,6 @@ _EXPORTS = {
         "ScoredPopulation",
         "ScoreRecord",
         "build_population",
-        "population_from_records",
         "validate_population",
     ),
     "synth": ("Beta", "Gaussian", "GroupSpec", "Uniform", "generate_synthetic"),

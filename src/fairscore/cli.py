@@ -23,18 +23,22 @@ field declares its JSON parser and its flag, if any (see ``_key``), so
 ``load_config``, the flags and the overrides are loops over ``fields(RunConfig)``.
 A JSON ``null`` leaves a key at its default; an unknown key exits 2.
 
-Data flows as columns. ``load_csv`` takes the id, group and score columns out
-of the input and builds the population from them (see ``population``); no
-per-row object is made. The input is read one of two ways:
+Data flows as columns. ``load_csv`` takes the id, score and group columns out
+of the input, one list per column, and builds the population from them (see
+``population``); no per-row group tuple is made. The input is read one of two
+ways:
 
 - The line path. The text holds no ``"``, no ``\\r`` and no NUL, every line has
-  the header's number of fields (at least 2), no line is longer than
-  ``csv.field_size_limit()`` and every value is good. Then each record is one
-  line, and its fields are the line split at commas. The columns are slices
-  of one ``split(",")`` of the joined lines, and the lines are kept for output.
-- The ``csv.reader`` path, for every other input and for every input that
-  fails a check of the line path. It keeps the parsed rows and reports the
-  first bad row.
+  the header's number of fields (at least 2) and no line is longer than
+  ``csv.field_size_limit()``. Then each record is one line, and its fields
+  are the line split at commas. The columns are slices of one ``split(",")``
+  of the joined lines, and the lines are kept for output. A bad value is
+  named by scanning the lines already in memory, split one by one: these are
+  the rows ``csv.reader`` would give.
+- The ``csv.reader`` path, for every other input. It keeps the parsed rows
+  and reports the first bad row. ``list(reader)`` makes one list per row, so
+  the cyclic garbage collector is paused while it runs; the line path makes
+  no container per row and runs with the collector as the caller left it.
 
 ``transform`` writes each fair score as ``format(v, ".17g")``, the same
 bytes as ``"%.17g" % v``. On the line path it writes each input line, a
@@ -60,7 +64,7 @@ from functools import partial
 from itertools import chain, combinations, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -312,20 +316,12 @@ def load_csv(cfg: RunConfig) -> tuple[list[str], list, ScoredPopulation]:
     the population. Each needed column is parsed with one ``map`` and the
     whole table is checked with vectorized tests. Only when a test fails are
     the rows scanned one by one, so that the error names the first bad row.
-    The cyclic garbage collector is paused meanwhile, and the columns, with
-    their one group tuple per row, are dropped before it resumes, so its
-    next pass does not walk them.
     """
     if cfg.input is None:
         raise ValidationError("no input file configured")
-    # the records and columns hold only strings, so there are no cycles to collect
-    with _gc_paused():
-        # the text goes to _load_lines alone, which drops it once it is split
-        loaded = _load_lines(_read_text(cfg.input), cfg)
-        header, records, columns = loaded or _load_rows(cfg)
-        pop = build_population(*columns)
-        del loaded, columns
-    return header, records, pop
+    # the text goes to _load_lines alone, which drops it once it is split
+    header, records, columns = _load_lines(_read_text(cfg.input), cfg) or _load_rows(cfg)
+    return header, records, build_population(*columns)
 
 
 @contextmanager
@@ -351,7 +347,8 @@ def _load_lines(text: str, cfg: RunConfig):
     ``\\x0b``, ``\\x85`` and others, which ``csv.reader`` keeps in a field.
     With fewer than 2 header fields an empty line would pass the field count.
     NUL is left to ``csv.reader``, which rejects it before Python 3.11. None
-    sends the input to the ``csv.reader`` path, which names its error.
+    sends the input to the ``csv.reader`` path, which names its error. A bad
+    value is named here, from the lines split one by one.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -369,7 +366,9 @@ def _load_lines(text: str, cfg: RunConfig):
     col_index = _column_index(header, cfg)
     flat = ",".join(lines).split(",")
     columns = _parse_columns(lambda j: flat[width + j :: width], len(lines) - 1, cfg, col_index)
-    return None if columns is None else (header, lines[1:], columns)
+    if columns is None:
+        _raise_first_bad_row(header, (line.split(",") for line in lines[1:]), cfg, col_index)
+    return header, lines[1:], columns
 
 
 _NOT_A_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
@@ -395,7 +394,9 @@ def _load_rows(cfg: RunConfig):
             reader = csv.reader(fh)
             try:
                 header = next(reader)
-                rows = list(reader)
+                # the rows hold only strings, so there are no cycles to collect
+                with _gc_paused():
+                    rows = list(reader)
             except StopIteration:
                 raise ValidationError(f"input file {cfg.input} is empty") from None
             except csv.Error as exc:
@@ -406,7 +407,9 @@ def _load_rows(cfg: RunConfig):
     col_index = _column_index(header, cfg)
     columns = None
     if not set(map(len, rows)) - {len(header)}:
-        columns = _parse_columns(lambda j: map(itemgetter(j), rows), len(rows), cfg, col_index)
+        columns = _parse_columns(
+            lambda j: list(map(itemgetter(j), rows)), len(rows), cfg, col_index
+        )
     if columns is None:
         _raise_first_bad_row(header, rows, cfg, col_index)
     return header, rows, columns
@@ -422,11 +425,11 @@ def _column_index(header: list[str], cfg: RunConfig) -> dict[str, int]:
 
 
 def _parse_columns(column, n: int, cfg: RunConfig, col_index: dict):
-    """(ids, group values, scores) of ``n`` rows of the right width, or None if any row is bad.
+    """(ids, group columns, scores) of ``n`` rows of the right width, or None if any row is bad.
 
-    ``column(j)`` gives the values of column ``j`` in row order.
+    ``column(j)`` gives the list of the values of column ``j`` in row order.
     """
-    group_cols = [tuple(column(col_index[name])) for name in cfg.group_columns]
+    group_cols = [column(col_index[name]) for name in cfg.group_columns]
     if any("" in set(col) for col in group_cols):
         return None
     try:
@@ -444,11 +447,11 @@ def _parse_columns(column, n: int, cfg: RunConfig, col_index: dict):
         ids = tuple(column(col_index[cfg.id_column]))
     else:
         ids = tuple(map(str, range(2, n + 2)))  # the row number; the header is row 1
-    return ids, list(zip(*group_cols)), scores
+    return ids, group_cols, scores
 
 
 def _raise_first_bad_row(
-    header: list[str], rows: list[list[str]], cfg: RunConfig, col_index: dict
+    header: list[str], rows: Iterable[list[str]], cfg: RunConfig, col_index: dict
 ) -> None:
     """Scan the rows in order and raise the error of the first bad one."""
     for rownum, row in enumerate(rows, start=2):  # header is row 1
@@ -663,17 +666,16 @@ def run_synth(cfg: RunConfig) -> int:
         raise ValidationError("synth requires an output path")
     from .synth import generate_synthetic
 
-    ids, group_values, scores = generate_synthetic(*cfg.synth)
+    ids, group_columns, scores = generate_synthetic(*cfg.synth)
     dim = 1 if scores.ndim == 1 else scores.shape[1]
-    attr_count = len(group_values[0])
-    group_cols = cfg.group_columns
-    if len(group_cols) != attr_count:
-        group_cols = _numbered("group_", attr_count)
+    group_names = cfg.group_columns
+    if len(group_names) != len(group_columns):
+        group_names = _numbered("group_", len(group_columns))
     score_cols = cfg.score_columns
     if len(score_cols) != dim:
         score_cols = ["score"] if dim == 1 else _numbered("score_", dim)
-    rows = [[rec_id, *values] for rec_id, values in zip(ids, group_values)]
-    _write_with_columns(cfg.output, ["id"] + group_cols, rows, score_cols, scores)
+    rows = list(map(list, zip(ids, *group_columns)))
+    _write_with_columns(cfg.output, ["id"] + group_names, rows, score_cols, scores)
     return 0
 
 

@@ -31,9 +31,10 @@ once per population, so a sweep pays per theta only for what moves:
   right-half element moves left: one int sort per level, O(n log^2 n) at
   worst, and 0 without merging for a sorted sequence.
 * ``group_fairness_error`` takes each group's fair scores in raw order as its
-  sorted sample when they are nondecreasing there, and sorts the others.
-  ``build_report`` lays the fair scores out by group once per theta and hands
-  that layout to both metrics.
+  sorted sample when they are nondecreasing there, and sorts the others;
+  its pairwise maxima take O(G) numpy calls, not one per pair.
+  ``build_report`` lays the fair scores out by group once per theta and
+  hands that layout to both metrics.
 * Top-k selection finds the cut with one ``np.partition``; only the rows
   tied with the cut are ordered, by (raw, id).
 """
@@ -41,7 +42,6 @@ once per population, so a sweep pays per theta only for what moves:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -117,16 +117,6 @@ class FairnessReport:
             },
             "theta": self.theta.to_dict(),
         }
-
-
-def _count_inversions(raw: np.ndarray, fair: np.ndarray) -> int:
-    """Pairs with raw_i < raw_j and fair_i > fair_j, raw ties excluded.
-
-    After a lexsort by (raw, fair), raw ties are in fair order and add
-    nothing, so the count is the number of inversions of the fair scores in
-    that order.
-    """
-    return _inversions(fair[np.lexsort((fair, raw))])
 
 
 def _inversions(seq: np.ndarray) -> int:
@@ -258,11 +248,19 @@ def group_fairness_error(
 
     Each group's sorted sample is its fair scores in raw order when they are
     nondecreasing there (every ``apply_theta`` output), and a sort of them
-    otherwise; its quantile grid and its ECDF are evaluated once. The ECDFs
-    are evaluated at the distinct values of every group: between two samples
-    of a pair both ECDFs are constant, so the points of other groups change
-    no pairwise maximum. ``runs`` is ``_group_runs(pop.raw_order,
-    fair.values)`` when the caller has it already.
+    otherwise. Both maxima take O(G) numpy calls, not one per pair:
+
+    * W2: the quantile grids are stacked into a G x m array, and row a is
+      compared with every later row in one ``w2_from_quantiles`` call.
+    * KS: each group's ECDF is evaluated at the distinct values of every
+      group (between two samples of a pair both ECDFs are constant, so the
+      points of other groups change no pairwise maximum), and folded into a
+      running max and min over the groups. The largest pairwise gap at a
+      point is max_g F_g - min_g F_g, and float subtraction is monotone, so
+      this is bitwise the largest pairwise difference. Memory is O(n + G m).
+
+    ``runs`` is ``_group_runs(pop.raw_order, fair.values)`` when the caller
+    has it already.
     """
     if pop.dimension != 1:
         raise ValidationError("group_fairness_error is defined for 1-D scores")
@@ -273,15 +271,19 @@ def group_fairness_error(
         empirical_from_samples(run) if down else EmpiricalDistribution(run)
         for run, down in zip(np.split(laid_out, pop.raw_order.group_starts[1:-1]), descending)
     ]
+    quantiles = np.stack([discretize_quantiles(dist, m).quantiles for dist in dists])
+    w2 = max(
+        float(np.max(w2_from_quantiles(quantiles[a], quantiles[a + 1 :])))
+        for a in range(len(dists) - 1)
+    )
     points = np.concatenate([_distinct(dist.values) for dist in dists])
-    quantiles = [discretize_quantiles(dist, m).quantiles for dist in dists]
-    cdfs = [np.searchsorted(dist.values, points, side="right") / len(dist) for dist in dists]
-    w2 = 0.0
-    ks = 0.0
-    for a, b in combinations(range(len(cdfs)), 2):
-        w2 = max(w2, w2_from_quantiles(quantiles[a], quantiles[b]))
-        ks = max(ks, float(np.max(np.abs(cdfs[a] - cdfs[b]))))
-    return w2, ks
+    highest = np.full(points.size, -np.inf)
+    lowest = np.full(points.size, np.inf)
+    for dist in dists:
+        cdf = np.searchsorted(dist.values, points, side="right") / len(dist)
+        np.maximum(highest, cdf, out=highest)
+        np.minimum(lowest, cdf, out=lowest)
+    return w2, float(np.max(highest - lowest))
 
 
 def utility_loss(pop: ScoredPopulation, fair: FairScores) -> tuple[float, float]:

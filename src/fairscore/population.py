@@ -10,10 +10,12 @@ A population is held as columns, not as one object per individual:
 * ``group_codes``: the read-only ``np.intp`` array of each row's group, as
   its position in ``groups``.
 
-``build_population(ids, group_values, scores)`` is the one constructor. The
-CLI calls it with the parsed CSV columns, and ``generate_synthetic`` returns
-its arguments. ``population_from_records`` adapts a list of ``ScoreRecord``
-objects to it, and ``records`` is a lazy per-row view that gives them back.
+``build_population(ids, group_columns, scores)`` is the one constructor. It
+takes one sequence of values per group attribute: the CLI passes the parsed
+CSV columns, and ``generate_synthetic`` returns its arguments. No per-row
+group tuple is made: each column is coded against its sorted distinct values,
+and one stable ``np.lexsort`` of the codes orders the rows by group key.
+``records`` is a lazy per-row ``ScoreRecord`` view of a population.
 
 A 1-D population also caches ``raw_order``, the ``RawOrder`` of its scores:
 everything the rank metrics need that does not depend on the fair scores,
@@ -205,15 +207,16 @@ def _first_duplicate(ids: Sequence[str]) -> int | None:
 
 
 def build_population(
-    ids: Sequence[str], group_values: Sequence[tuple[str, ...]], scores
+    ids: Sequence[str], group_columns: Sequence[Sequence[str]], scores
 ) -> ScoredPopulation:
     """Validate the columns and partition the rows into intersectional groups.
 
-    ``group_values`` holds one tuple per row and ``scores`` is array-like of
-    shape (n,) or (n, d); an (n, 1) array is stored as (n,). Ids must be
-    unique and scores finite; of several bad rows, the first is reported.
-    Group iteration order is lexicographic by group key so every downstream
-    computation is reproducible.
+    ``group_columns`` holds one sequence of n values per group attribute, and
+    a row's ``GroupKey`` is its value in each, in column order. ``scores`` is
+    array-like of shape (n,) or (n, d); an (n, 1) array is stored as (n,).
+    Ids must be unique and scores finite; of several bad rows, the first is
+    reported. Group iteration order is lexicographic by group key so every
+    downstream computation is reproducible.
     """
     n = len(ids)
     if n == 0:
@@ -221,7 +224,8 @@ def build_population(
     scores = np.array(scores, dtype=float)
     if scores.ndim == 2 and scores.shape[1] == 1:
         scores = scores[:, 0]
-    if scores.ndim not in (1, 2) or scores.shape[0] != n or len(group_values) != n:
+    lengths = {len(column) for column in group_columns}  # no group column fails too
+    if scores.ndim not in (1, 2) or scores.shape[0] != n or lengths != {n}:
         raise ValidationError("ids, group values and scores must have one entry per row")
 
     dup = _first_duplicate(ids)
@@ -233,46 +237,26 @@ def build_population(
         raise ValidationError(f"duplicate record id {ids[dup]!r}")
     scores.flags.writeable = False
 
-    distinct = sorted(set(group_values))
-    code_of = {values: code for code, values in enumerate(distinct)}
-    codes = np.fromiter(map(code_of.__getitem__, group_values), dtype=np.intp, count=n)
-    codes.flags.writeable = False
-    order = np.argsort(codes, kind="stable")
-    bounds = np.cumsum(np.bincount(codes, minlength=len(distinct)))[:-1]
+    # each column's codes follow str order, so the codes sort as the keys do;
+    # lexsort is stable, and its last key is the primary one
+    column_codes = []
+    for column in group_columns:
+        code_of = {value: code for code, value in enumerate(sorted(set(column)))}
+        column_codes.append(np.fromiter(map(code_of.__getitem__, column), np.intp, n))
+    order = np.lexsort(column_codes[::-1])
+    starts = np.zeros(n, dtype=bool)  # where a group begins in ``order``
+    starts[0] = True
+    for codes in column_codes:
+        ordered = codes[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    group_codes = np.empty(n, dtype=np.intp)
+    group_codes[order] = np.cumsum(starts) - 1
+    group_codes.flags.writeable = False
     groups = {}
-    for values, idx in zip(distinct, np.split(order, bounds)):
+    for idx in np.split(order, np.flatnonzero(starts)[1:]):
         idx.flags.writeable = False
-        groups[GroupKey(values)] = idx
-    return ScoredPopulation(ids=tuple(ids), scores=scores, groups=groups, group_codes=codes)
-
-
-def population_from_records(
-    records: Sequence[ScoreRecord], attribute_count: int
-) -> ScoredPopulation:
-    """Check each record's arity and score dimension, then ``build_population``."""
-    if attribute_count < 1:
-        raise ValidationError("attribute_count must be positive")
-    if not records:
-        raise ValidationError("population must contain at least one record")
-    dimension = len(records[0].score_vector())
-    vectors = []
-    for rec in records:
-        if len(rec.group_values) != attribute_count:
-            raise ValidationError(
-                f"record {rec.id!r} has {len(rec.group_values)} group values, "
-                f"expected {attribute_count}"
-            )
-        vec = rec.score_vector()
-        if len(vec) != dimension:
-            raise ValidationError(
-                f"record {rec.id!r} has score dimension {len(vec)}, expected {dimension}"
-            )
-        vectors.append(vec)
-    return build_population(
-        [rec.id for rec in records],
-        [tuple(rec.group_values) for rec in records],
-        vectors,
-    )
+        groups[GroupKey(tuple(column[idx[0]] for column in group_columns))] = idx
+    return ScoredPopulation(ids=tuple(ids), scores=scores, groups=groups, group_codes=group_codes)
 
 
 def validate_population(pop: ScoredPopulation, min_group_size: int = 100) -> list[GroupSizeWarning]:

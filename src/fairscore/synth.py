@@ -82,12 +82,14 @@ def _group_rng(seed: int, key: GroupKey) -> np.random.Generator:
 
 def generate_synthetic(
     specs: Sequence[GroupSpec], seed: int
-) -> tuple[list[str], list[tuple[str, ...]], np.ndarray]:
-    """(ids, group values, scores), the arguments of ``build_population``.
+) -> tuple[list[str], list[list[str]], np.ndarray]:
+    """(ids, group columns, scores), the arguments of ``build_population``.
 
-    Rows are ordered by (group key, draw index), and the id of draw ``i`` of
-    group ``key`` is ``f"{key}-{i}"``. Scores have shape (n,) for one score
-    dimension and (n, d) for d. Deterministic in (specs, seed).
+    There is one group column per value of a group key, so every key must
+    have the same number of values. Rows are ordered by (group key, draw
+    index), and the id of draw ``i`` of group ``key`` is ``f"{key}-{i}"``.
+    Scores have shape (n,) for one score dimension and (n, d) for d.
+    Deterministic in (specs, seed).
     """
     if not specs:
         raise ValidationError("need at least one group spec")
@@ -96,6 +98,8 @@ def generate_synthetic(
     keys = [spec.key for spec in specs]
     if len(set(keys)) != len(keys):
         raise ValidationError("duplicate group keys in synthetic specs")
+    if len({len(key.values) for key in keys}) != 1:
+        raise ValidationError("all group keys must have the same number of values")
     dim = len(specs[0].dims)
     for spec in specs:
         spec.validate()
@@ -103,12 +107,13 @@ def generate_synthetic(
             raise ValidationError("all groups must share one score dimension")
 
     ids: list[str] = []
-    group_values: list[tuple[str, ...]] = []
+    group_columns: list[list[str]] = [[] for _ in keys[0].values]
     blocks = []
     for spec in sorted(specs, key=lambda s: s.key):
         rng = _group_rng(seed, spec.key)
         blocks.append(np.column_stack([dist.draw(rng, spec.size) for dist in spec.dims]))
         ids += [f"{spec.key}-{i}" for i in range(spec.size)]
-        group_values += [spec.key.values] * spec.size
+        for column, value in zip(group_columns, spec.key.values):
+            column += [value] * spec.size
     scores = np.concatenate(blocks)
-    return ids, group_values, scores[:, 0] if dim == 1 else scores
+    return ids, group_columns, scores[:, 0] if dim == 1 else scores

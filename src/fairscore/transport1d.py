@@ -22,12 +22,15 @@ def w2_distance(a: EmpiricalDistribution, b: EmpiricalDistribution, m: int) -> f
     """Grid-discretized Wasserstein-2 distance: RMS gap of quantile functions."""
     qa = discretize_quantiles(a, m).quantiles
     qb = discretize_quantiles(b, m).quantiles
-    return w2_from_quantiles(qa, qb)
+    return float(w2_from_quantiles(qa, qb))
 
 
-def w2_from_quantiles(qa: np.ndarray, qb: np.ndarray) -> float:
-    """RMS gap of two quantile functions discretized on the same grid."""
-    return float(np.sqrt(np.mean((qa - qb) ** 2)))
+def w2_from_quantiles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """RMS gap of quantile functions discretized on the same grid.
+
+    The grid is the last axis, so a stack of grids gives one distance per row.
+    """
+    return np.sqrt(np.mean((qa - qb) ** 2, axis=-1))
 
 
 def _normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:

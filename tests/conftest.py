@@ -12,11 +12,11 @@ from fairscore import (
     ScoredPopulation,
     ScoreRecord,
     ThetaPolicy,
+    ValidationError,
     barycenter_1d,
     build_population,
     empirical_from_samples,
     generate_synthetic,
-    population_from_records,
     sinkhorn_plan,
 )
 from fairscore.interpolation import apply_theta, check_policy_against, resolve_theta
@@ -28,8 +28,32 @@ from fairscore.transportnd import (
 )
 
 
+def population_from_records(records, attribute_count):
+    """Check each record's arity and score dimension, then ``build_population``."""
+    if attribute_count < 1:
+        raise ValidationError("attribute_count must be positive")
+    if not records:
+        raise ValidationError("population must contain at least one record")
+    dimension = len(records[0].score_vector())
+    vectors = []
+    for rec in records:
+        if len(rec.group_values) != attribute_count:
+            raise ValidationError(
+                f"record {rec.id!r} has {len(rec.group_values)} group values, "
+                f"expected {attribute_count}"
+            )
+        vec = rec.score_vector()
+        if len(vec) != dimension:
+            raise ValidationError(
+                f"record {rec.id!r} has score dimension {len(vec)}, expected {dimension}"
+            )
+        vectors.append(vec)
+    group_columns = [list(column) for column in zip(*(rec.group_values for rec in records))]
+    return build_population([rec.id for rec in records], group_columns, vectors)
+
+
 def two_gaussian_columns(size=1000, seed=7):
-    """(ids, group values, scores) of two shifted Gaussian groups of equal size."""
+    """(ids, group columns, scores) of two shifted Gaussian groups of equal size."""
     specs = [
         GroupSpec(key=GroupKey(("A",)), size=size, dims=(Gaussian(0.4, 0.1),)),
         GroupSpec(key=GroupKey(("B",)), size=size, dims=(Gaussian(0.6, 0.1),)),

@@ -16,7 +16,6 @@ from fairscore import (
     build_population,
     empirical_from_samples,
     interpolate_scores,
-    population_from_records,
     selection_rates,
     sinkhorn_plan,
     utility_loss,
@@ -26,7 +25,7 @@ from fairscore.cli import main
 from fairscore.oracle import barycenter_coordinate_oracle, lp_transport_exact, ot_cost_bruteforce
 from fairscore.transportnd import compute_barycenter_nd, squared_cost_matrix
 
-from conftest import interpolate_scores_nd, two_gaussian_columns
+from conftest import interpolate_scores_nd, population_from_records, two_gaussian_columns
 
 
 def report(number, name, ok, detail=""):
@@ -251,12 +250,12 @@ def test_criterion_6_sinkhorn_correctness():
 
 
 def write_fixture_csv(path, columns):
-    ids, group_values, scores = columns
+    ids, (groups,), scores = columns
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "group", "score"])
-        for rec_id, values, score in zip(ids, group_values, scores.tolist()):
-            writer.writerow([rec_id, values[0], format(score, ".17g")])
+        for rec_id, group, score in zip(ids, groups, scores.tolist()):
+            writer.writerow([rec_id, group, format(score, ".17g")])
 
 
 def fixture_config(tmp_path, **extra):

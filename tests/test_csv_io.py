@@ -6,11 +6,11 @@ every command, one set per case of ``GOLDEN_CASES``. Most cases read
 can get wrong; its quotes and CRLF line endings send it down the
 ``csv.reader`` path. The n-D cases read ``GOLDEN_INPUT_ND``, and ``synth``
 reads no input. The error tests pin the exact ``error:`` line, including
-which of two bad rows is reported. Their LF inputs take the line path first
-and its fallback to ``csv.reader`` when a check fails. A property test
-compares the line path's output with what ``csv.reader`` and ``csv.writer``
-make of the same input; two more pin the line path's field-count scan and
-its one-call egress to the per-line code they replaced.
+which of two bad rows is reported. Their LF inputs take the line path, which
+names a bad value itself and leaves a wrong field count to ``csv.reader``. A
+property test compares the line path's output with what ``csv.reader`` and
+``csv.writer`` make of the same input; two more pin the line path's
+field-count scan and its one-call egress to the per-line code they replaced.
 """
 
 import csv
@@ -247,20 +247,25 @@ def test_two_score_columns_report_the_first_bad_field(tmp_path, capsys):
     assert capsys.readouterr().err == "error: row 3: score column 's2' value 'x' is not a number\n"
 
 
+# a quoted field sends these rows down the csv.reader path
+QUOTED_ROWS = ['"a1",A,0', *AB_ROWS[1:]]
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("bad", [False, True], ids=["good-rows", "bad-row"])
-def test_load_csv_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabled, bad):
-    rows = with_row(4, "b1,B,x") if bad else AB_ROWS
+def test_reader_path_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabled, bad):
+    rows = [*QUOTED_ROWS[:2], "b1,B,x", *QUOTED_ROWS[3:]] if bad else QUOTED_ROWS
     (tmp_path / "in.csv").write_text("\n".join([AB_HEADER, *rows]) + "\n", encoding="utf-8")
     cfg = RunConfig(input=str(tmp_path / "in.csv"), group_columns=["sex"], id_column="id")
     states = []
-    build = fairscore.cli.build_population
+    reader = csv.reader
 
-    def recording_build(*columns):
-        states.append(gc.isenabled())
-        return build(*columns)
+    def recording_reader(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            states.append(gc.isenabled())
+            yield row
 
-    monkeypatch.setattr(fairscore.cli, "build_population", recording_build)
+    monkeypatch.setattr(fairscore.cli.csv, "reader", recording_reader)
     caller_state = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -268,15 +273,38 @@ def test_load_csv_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabl
             with pytest.raises(ValidationError, match="row 4"):
                 load_csv(cfg)
         else:
-            assert len(load_csv(cfg)[2]) == len(AB_ROWS)
-            assert states == [False]
+            assert len(load_csv(cfg)[2]) == len(rows)
+        # the header is read before the pause, the data rows within it
+        assert states == [enabled] + [False] * len(rows)
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if caller_state else gc.disable)()
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["line-path", "csv-path"])
+def test_load_csv_hands_build_population_one_list_per_group_column(tmp_path, monkeypatch, quote):
+    rows = [f"{quote}a1{quote},A,x,0", "a2,A,y,2", "b1,B,x,2", "b2,B,y,4", "b3,B,z,5"]
+    (tmp_path / "in.csv").write_text(
+        "\n".join(["id,sex,region,score", *rows]) + "\n", encoding="utf-8"
+    )
+    cfg = RunConfig(input=str(tmp_path / "in.csv"), group_columns=["region", "sex"], id_column="id")
+    calls = []
+    build = fairscore.cli.build_population
+
+    def recording_build(ids, group_columns, scores):
+        calls.append(group_columns)
+        return build(ids, group_columns, scores)
+
+    monkeypatch.setattr(fairscore.cli, "build_population", recording_build)
+    pop = load_csv(cfg)[2]
+    assert calls == [[["x", "y", "x", "y", "z"], ["A", "A", "B", "B", "B"]]]
+    assert all(type(column) is list for column in calls[0])
+    keys = [("x", "A"), ("x", "B"), ("y", "A"), ("y", "B"), ("z", "B")]
+    assert [key.values for key in pop.groups] == keys
+
+
 def test_load_csv_leaves_no_row_tuple_to_the_collector(tmp_path):
-    """The columns are dropped while the collector is paused, so no collection
+    """The groups are built from one list per group column, so no collection
     that runs inside ``load_csv`` with the caller's collector on walks a
     per-row group tuple. One generation-0 pass may still run over a few
     objects: CPython keeps up to 2000 freed small tuples on a free list
@@ -318,6 +346,25 @@ def test_line_path_reads_no_csv(tmp_path, capsys, monkeypatch):
     assert lines[0] == AB_HEADER + ",fair_score"
     assert [line.rsplit(",", 1)[0] for line in lines[1:-1]] == AB_ROWS
     assert lines[-1] == ""
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({5: "b2,,4"}, "row 5: missing value in group column 'sex'"),
+        ({2: "a1,A,"}, "row 2: missing value in score column 'score'"),
+        ({6: "b3,B,five"}, "row 6: score column 'score' value 'five' is not a number"),
+        ({4: "b1,B,inf", 3: "a2,A,x"}, "row 3: score column 'score' value 'x' is not a number"),
+    ],
+    ids=["missing-group", "missing-score", "non-number", "earlier-row"],
+)
+def test_line_path_names_its_bad_row_without_csv(tmp_path, capsys, monkeypatch, edits, message):
+    monkeypatch.setattr(fairscore.cli.csv, "reader", _no_csv_reader)
+    rows = list(AB_ROWS)
+    for rownum, text in edits.items():
+        rows[rownum - 2] = text
+    assert run_rows(tmp_path, capsys, rows) == (2, f"error: {message}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_field_over_the_limit_exits_2(tmp_path, capsys):

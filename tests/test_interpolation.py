@@ -13,13 +13,12 @@ from fairscore import (
     build_population,
     empirical_from_samples,
     interpolate_scores,
-    population_from_records,
     resolve_theta,
 )
 from fairscore.interpolation import apply_theta, barycenter_targets
 from fairscore.transport1d import w2_distance
 
-from conftest import random_population, random_theta_policy
+from conftest import population_from_records, random_population, random_theta_policy
 
 
 def group_dists(pop):
@@ -208,9 +207,9 @@ _SCORES = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, -2.0]), st.floats(-1e3
 def tied_populations(draw):
     """(population, per-group thetas, grid size) with 1 to 4 groups of 1 to 12 rows."""
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
-    group_values = [(f"g{g}",) for g, size in enumerate(sizes) for _ in range(size)]
-    scores = draw(st.lists(_SCORES, min_size=len(group_values), max_size=len(group_values)))
-    pop = build_population([f"r{i}" for i in range(len(scores))], group_values, scores)
+    groups = [f"g{g}" for g, size in enumerate(sizes) for _ in range(size)]
+    scores = draw(st.lists(_SCORES, min_size=len(groups), max_size=len(groups)))
+    pop = build_population([f"r{i}" for i in range(len(scores))], [groups], scores)
     thetas = draw(st.lists(st.floats(0, 1), min_size=len(sizes), max_size=len(sizes)))
     return pop, thetas, draw(st.integers(2, 40))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,6 @@ from fairscore import (
     group_fairness_error,
     individual_fairness_error,
     interpolate_scores,
-    population_from_records,
     selection_rates,
     utility_loss,
     w2_distance,
@@ -28,13 +28,13 @@ from fairscore.interpolation import FairScores, apply_theta, barycenter_targets
 from fairscore.metrics import (
     CHAIN_MAX_GROUPS,
     _chain_count,
-    _count_inversions,
     _group_runs,
+    _inversions,
     _merge_count,
 )
 from fairscore.oracle import individual_fairness_error_naive
 
-from conftest import random_population, random_theta_policy
+from conftest import population_from_records, random_population, random_theta_policy
 
 
 def far_apart_population():
@@ -101,7 +101,7 @@ def test_ife_matches_naive_on_either_raw_order(raw_ties):
         elif raw_ties == "signed-zeros":
             raw[:2] = [-0.0, 0.0]
         codes = rng.integers(0, int(rng.integers(2, 5)), n)
-        pop = build_population([f"r{i}" for i in range(n)], [(f"g{c}",) for c in codes], raw)
+        pop = build_population([f"r{i}" for i in range(n)], [[f"g{c}" for c in codes]], raw)
         assert (np.unique(pop.raw_order.tie_start).size == n) == (raw_ties == "none")
         for fv in (np.round(rng.normal(size=n), 1), rng.normal(size=n)):
             fair = FairScores(fv, ThetaPolicy(0.0))
@@ -262,6 +262,16 @@ class _Fenwick:
         return total
 
 
+def count_inversions(raw, fair):
+    """Pairs with raw_i < raw_j and fair_i > fair_j, raw ties excluded.
+
+    After a lexsort by (raw, fair), raw ties are in fair order and add
+    nothing, so the count is the number of inversions of the fair scores in
+    that order.
+    """
+    return _inversions(fair[np.lexsort((fair, raw))])
+
+
 def fenwick_count_inversions(raw, fair):
     """Pairs with raw_i < raw_j and fair_i > fair_j, raw ties excluded, via a Fenwick tree."""
     order = np.lexsort((fair, raw))
@@ -319,14 +329,14 @@ def _random_tied(rng, n):
 )
 def test_count_inversions_edge_cases(raw, fair):
     expected = brute_count_inversions(raw, fair)
-    assert _count_inversions(raw, fair) == expected
+    assert count_inversions(raw, fair) == expected
     assert fenwick_count_inversions(raw, fair) == expected
 
 
 def test_count_inversions_reversed_gives_all_pairs():
     for n in (1, 2, 3, 31, 64, 100):
         raw = np.arange(float(n))
-        assert _count_inversions(raw, -raw) == n * (n - 1) // 2
+        assert count_inversions(raw, -raw) == n * (n - 1) // 2
 
 
 def test_count_inversions_matches_references_on_odd_sizes():
@@ -335,7 +345,7 @@ def test_count_inversions_matches_references_on_odd_sizes():
         raw = _random_tied(rng, n)
         fair = _random_tied(rng, n)
         expected = fenwick_count_inversions(raw, fair)
-        assert _count_inversions(raw, fair) == expected
+        assert count_inversions(raw, fair) == expected
         if n <= 129:
             assert brute_count_inversions(raw, fair) == expected
 
@@ -344,7 +354,7 @@ def test_count_inversions_matches_fenwick_at_scale():
     rng = np.random.default_rng(43)
     raw = np.round(rng.normal(size=3001), 2)
     fair = np.round(raw + rng.normal(size=raw.size), 1)
-    assert _count_inversions(raw, fair) == fenwick_count_inversions(raw, fair)
+    assert count_inversions(raw, fair) == fenwick_count_inversions(raw, fair)
 
 
 @st.composite
@@ -400,7 +410,7 @@ def tied_population(draw):
     codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     values = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 2.0])
     raw = draw(st.lists(values, min_size=n, max_size=n))
-    return build_population([f"r{i}" for i in range(n)], [(f"g{g}",) for g in codes], raw)
+    return build_population([f"r{i}" for i in range(n)], [[f"g{g}" for g in codes]], raw)
 
 
 @settings(max_examples=200, deadline=None)
@@ -443,7 +453,7 @@ def lexsort_top_k(pop, fv, k):
 )
 def test_top_k_equals_one_lexsort(ids, raw, fair, k, expected):
     # one group per record, so the rates spell out exactly who is selected
-    pop = build_population(ids, [(i,) for i in ids], raw)
+    pop = build_population(ids, [ids], raw)
     fv = np.array(fair)
     fs = FairScores(fv, ThetaPolicy(0.0))
     assert lexsort_top_k(pop, fv, k) == expected
@@ -478,13 +488,15 @@ def pairwise_group_fairness(pop, fair, m):
 
 @st.composite
 def grouped_fair_scores(draw):
-    """2 to 8 inhabited groups (singletons allowed) with tied and signed-zero fair scores."""
-    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=8))
+    """2 to 64 inhabited groups (singletons allowed) with tied and signed-zero
+    raw and fair scores; a group's fair scores may descend in its raw order."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=64))
     n = sum(sizes)
     codes = draw(st.permutations([g for g, size in enumerate(sizes) for _ in range(size)]))
     values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+    raw = draw(st.lists(values, min_size=n, max_size=n))
     fair = draw(st.lists(values, min_size=n, max_size=n))
-    pop = build_population([f"r{i}" for i in range(n)], [(f"g{g}",) for g in codes], np.zeros(n))
+    pop = build_population([f"r{i}" for i in range(n)], [[f"g{g:02}" for g in codes]], raw)
     m = draw(st.sampled_from([2, 3, 16]))
     return pop, FairScores(np.array(fair), ThetaPolicy(0.0)), m
 
@@ -494,6 +506,24 @@ def grouped_fair_scores(draw):
 def test_group_fairness_equals_pairwise_loop(case):
     pop, fair, m = case
     assert group_fairness_error(pop, fair, m) == pairwise_group_fairness(pop, fair, m)
+
+
+def test_group_fairness_builds_no_group_by_point_array():
+    # 256 groups over 20k tie-free rows: a G x n array of ECDF values would be 41 MB
+    rng = np.random.default_rng(59)
+    n, group_count = 20_000, 256
+    codes = np.arange(n) % group_count
+    groups = [f"g{g:03}" for g in codes]
+    pop = build_population([f"r{i}" for i in range(n)], [groups], rng.random(n))
+    fair = FairScores(pop.scores + codes / group_count, ThetaPolicy(0.0))
+    pop.raw_order  # built and cached outside the measured call
+    tracemalloc.start()
+    try:
+        group_fairness_error(pop, fair, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_group_fairness_equals_pairwise_loop_on_tied_sweep():
@@ -518,7 +548,7 @@ def blended_population(draw):
     codes = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     values = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.5, 2.0])
     raw = draw(st.lists(values, min_size=n, max_size=n))
-    pop = build_population([f"r{i}" for i in range(n)], [(f"g{g}",) for g in codes], raw)
+    pop = build_population([f"r{i}" for i in range(n)], [[f"g{g}" for g in codes]], raw)
     m = draw(st.sampled_from([2, 3, 16]))
     dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
     weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
@@ -562,7 +592,7 @@ def sweep_population(n_groups, rows_per_group, seed):
     n = n_groups * rows_per_group
     codes = np.repeat(np.arange(n_groups), rows_per_group)
     raw = np.round(rng.normal(codes / n_groups, 0.3), 1)
-    pop = build_population([f"r{i}" for i in range(n)], [(f"g{c}",) for c in codes], raw)
+    pop = build_population([f"r{i}" for i in range(n)], [[f"g{c}" for c in codes]], raw)
     dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
     weights = [len(pop.groups[k]) / n for k in pop.group_keys()]
     return pop, barycenter_targets(pop, barycenter_1d(dists, weights, 50))

@@ -7,7 +7,6 @@ from fairscore import (
     ScoreRecord,
     ThetaPolicy,
     empirical_from_samples,
-    population_from_records,
 )
 from fairscore.interpolation import FairScores
 from fairscore.oracle import (
@@ -18,6 +17,8 @@ from fairscore.oracle import (
     ot_cost_bruteforce,
 )
 from fairscore.transport1d import barycenter_1d
+
+from conftest import population_from_records
 
 
 def test_bruteforce_identity():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairscore import (
     DimensionError,
@@ -8,9 +8,10 @@ from fairscore import (
     ScoreRecord,
     ValidationError,
     build_population,
-    population_from_records,
     validate_population,
 )
+
+from conftest import population_from_records
 
 
 def rec(i, group, score=1.0):
@@ -122,7 +123,7 @@ def test_group_scores_index_the_cached_array():
 
 def test_columnar_build_partitions_with_read_only_index_arrays():
     scores = np.array([0.5, 1.5, 2.5, 3.5])
-    pop = build_population(["w", "x", "y", "z"], [("b",), ("a",), ("b",), ("a",)], scores)
+    pop = build_population(["w", "x", "y", "z"], [["b", "a", "b", "a"]], scores)
     assert pop.ids == ("w", "x", "y", "z")
     assert pop.dimension == 1
     assert list(pop.groups) == [GroupKey(("a",)), GroupKey(("b",))]
@@ -138,21 +139,25 @@ def test_columnar_build_partitions_with_read_only_index_arrays():
 
 
 def test_columnar_build_keeps_one_column_scores_one_dimensional():
-    pop = build_population(["a", "b"], [("A",), ("B",)], np.array([[1.0], [2.0]]))
+    pop = build_population(["a", "b"], [["A", "B"]], np.array([[1.0], [2.0]]))
     assert pop.dimension == 1 and pop.scores.shape == (2,)
-    pop2 = build_population(["a", "b"], [("A",), ("B",)], [[1.0, 2.0], [3.0, 4.0]])
+    pop2 = build_population(["a", "b"], [["A", "B"]], [[1.0, 2.0], [3.0, 4.0]])
     assert pop2.dimension == 2 and pop2.scores.shape == (2, 2)
 
 
 def test_columnar_build_rejects_misaligned_columns():
     with pytest.raises(ValidationError, match="one entry per row"):
-        build_population(["a", "b"], [("A",)], [1.0, 2.0])
+        build_population(["a", "b"], [["A"]], [1.0, 2.0])
     with pytest.raises(ValidationError, match="one entry per row"):
-        build_population(["a", "b"], [("A",), ("B",)], [1.0])
+        build_population(["a", "b"], [["A", "B"]], [1.0])
+    with pytest.raises(ValidationError, match="one entry per row"):
+        build_population(["a", "b"], [["A", "B"], ["x"]], [1.0, 2.0])
+    with pytest.raises(ValidationError, match="one entry per row"):
+        build_population(["a", "b"], [], [1.0, 2.0])
 
 
 def test_first_bad_row_wins_between_duplicate_and_non_finite():
-    groups = [("A",)] * 3
+    groups = [["A"] * 3]
     with pytest.raises(ValidationError, match="'b' has a non-finite"):
         build_population(["a", "b", "a"], groups, [1.0, float("nan"), 2.0])
     with pytest.raises(ValidationError, match="duplicate record id 'a'"):
@@ -183,7 +188,7 @@ def test_group_indices_ascend_at_scale():
     n = 5000
     names = rng.choice(["c", "a", "b"], size=n)
     ids = [str(i) for i in range(n)]
-    pop = build_population(ids, [(str(v),) for v in names], rng.normal(size=n))
+    pop = build_population(ids, [[str(v) for v in names]], rng.normal(size=n))
     assert [k.values for k in pop.groups] == [("a",), ("b",), ("c",)]
     for key, idx in pop.groups.items():
         assert np.all(np.diff(idx) > 0)
@@ -203,7 +208,7 @@ def test_group_indices_ascend_at_scale():
 )
 def test_raw_order_is_cached_and_read_only(scores, groups, by_group, tie_start, cross_pairs):
     n = len(scores)
-    pop = build_population([str(i) for i in range(n)], [(g,) for g in groups], scores)
+    pop = build_population([str(i) for i in range(n)], [list(groups)], scores)
     order = pop.raw_order
     assert order is pop.raw_order
     raw = np.array(scores)
@@ -226,7 +231,7 @@ def test_raw_order_counts_cross_pairs_like_enumeration():
         raw = rng.integers(-3, 4, n) / 2.0
         raw[raw == 0.0] *= rng.choice([-1.0, 1.0], int(np.sum(raw == 0.0)))
         codes = rng.integers(0, int(rng.integers(1, 6)), n)
-        pop = build_population([f"r{i}" for i in range(n)], [(f"g{c}",) for c in codes], raw)
+        pop = build_population([f"r{i}" for i in range(n)], [[f"g{c}" for c in codes]], raw)
         order = pop.raw_order
         pairs = sum(
             1
@@ -243,6 +248,58 @@ def test_raw_order_counts_cross_pairs_like_enumeration():
 
 
 def test_raw_order_is_for_1d_scores():
-    pop = build_population(["a", "b"], [("A",), ("B",)], [[0.0, 1.0], [1.0, 0.0]])
+    pop = build_population(["a", "b"], [["A", "B"]], [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DimensionError):
         pop.raw_order
+
+
+def tuple_partition(group_columns):
+    """The coding build_population replaced: one group tuple per row, coded by
+    a dict over the sorted distinct tuples, then one stable argsort."""
+    rows = list(zip(*group_columns))
+    distinct = sorted(set(rows))
+    code_of = {values: code for code, values in enumerate(distinct)}
+    codes = np.array([code_of[values] for values in rows], dtype=np.intp)
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=len(distinct)))[:-1]
+    return [GroupKey(values) for values in distinct], codes, np.split(order, bounds)
+
+
+def assert_partition_matches_tuples(group_columns):
+    n = len(group_columns[0])
+    pop = build_population([str(i) for i in range(n)], group_columns, np.zeros(n))
+    keys, codes, parts = tuple_partition(group_columns)
+    assert list(pop.groups) == keys
+    assert pop.group_codes.tolist() == codes.tolist()
+    assert [idx.tolist() for idx in pop.groups.values()] == [part.tolist() for part in parts]
+
+
+# prefixes of one another, non-ASCII, and the empty string, besides any short text
+_GROUP_VALUES = st.one_of(
+    st.sampled_from(["a", "ab", "abc", "b", "", "Zoë", "Zoe", "東京", "ß", "a b"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.tuples(*[_GROUP_VALUES] * width), min_size=1, max_size=40)
+    )
+)
+@example([("same", "x")] * 5)  # a single group
+@example([("ab",), ("a",), ("b",), ("a",), ("",)])  # prefixes
+def test_column_coding_equals_row_tuple_coding(rows):
+    assert_partition_matches_tuples([list(column) for column in zip(*rows)])
+
+
+def test_column_coding_equals_row_tuple_coding_at_4096_levels_per_column():
+    rng = np.random.default_rng(17)
+    n = 6000
+    levels = [f"v{k}" for k in range(4096)]
+    columns = []
+    for _ in range(3):
+        # every level appears, and the rest of the rows repeat random levels
+        codes = np.concatenate([np.arange(4096), rng.integers(0, 4096, n - 4096)])
+        columns.append([levels[c] for c in rng.permutation(codes)])
+    assert_partition_matches_tuples(columns)

@@ -30,12 +30,11 @@ def test_seed_changes_draws():
 
 
 def test_counts_and_ordering():
-    ids, group_values, scores = generate_synthetic(
+    ids, (groups,), scores = generate_synthetic(
         [spec("B", 200, Uniform(0, 1)), spec("A", 100, Uniform(0, 1))], seed=0
     )
-    assert len(ids) == len(group_values) == scores.shape[0] == 300
-    assert group_values[:100] == [("A",)] * 100
-    assert group_values[100:] == [("B",)] * 200
+    assert len(ids) == len(groups) == scores.shape[0] == 300
+    assert groups == ["A"] * 100 + ["B"] * 200
     assert ids[0] == "A-0"
     assert ids[-1] == "B-199"
 
@@ -73,6 +72,9 @@ def test_invalid_parameters_rejected():
         generate_synthetic([], 0)
     with pytest.raises(ValidationError):
         generate_synthetic([spec("A", 5, Gaussian(0, 1)), spec("A", 5, Gaussian(0, 1))], 0)
+    two_values = GroupSpec(key=GroupKey(("B", "x")), size=5, dims=(Gaussian(0, 1),))
+    with pytest.raises(ValidationError, match="same number of values"):
+        generate_synthetic([spec("A", 5, Gaussian(0, 1)), two_values], 0)
 
 
 def test_two_gaussian_fixture_shape():

@@ -20,7 +20,7 @@ def dist(*samples):
 def ot_map(source, grid):
     """T(s) = Q_grid(midrank of s) for every sample s of one group, in sample order."""
     samples = np.asarray(source, dtype=float)
-    pop = build_population([f"r{i}" for i in range(samples.size)], [("A",)] * samples.size, samples)
+    pop = build_population([f"r{i}" for i in range(samples.size)], [["A"] * samples.size], samples)
     return barycenter_targets(pop, grid)
 
 

@@ -12,7 +12,6 @@ from fairscore import (
     ThetaPolicy,
     ValidationError,
     barycenter_fixed_support,
-    population_from_records,
     sinkhorn_plan,
 )
 import fairscore.transportnd
@@ -25,7 +24,7 @@ from fairscore.transportnd import (
     squared_cost_matrix,
 )
 
-from conftest import interpolate_scores_nd
+from conftest import interpolate_scores_nd, population_from_records
 
 
 def uniform_measure(points):
