@@ -99,24 +99,23 @@ def quantile(dist: EmpiricalDistribution, p: float) -> float:
     return float(np.interp(p, dist.positions, dist.values))
 
 
-def midranks(samples: np.ndarray) -> np.ndarray:
-    """Midrank of every sample within its own (uniformly weighted) multiset.
+def midranks(ordered: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Midrank of every value within its run, for runs that are each sorted.
 
-    One argsort finds the runs of equal values. A run of length ``len``
-    starting at sorted position ``start`` holds the samples with ``left =
-    start`` smaller values and ``right = start + len`` values no larger, so
-    each gets ``(left + right) / 2n = (2 start + len) / 2n``, the same
-    integer over the same float as two ``searchsorted`` passes would give.
+    Run ``r`` is ``ordered[starts[r]:starts[r + 1]]``, non-empty and sorted; one
+    sorted sample of n values is the one run ``starts = [0, n]``. With no sort,
+    a block of ``len`` equal values (-0.0 equals 0.0) after ``left`` smaller ones
+    in a run of ``n`` gets ``(2 left + len) / 2n``, the same integer over the same
+    float as two ``searchsorted`` passes over the run would give.
     """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    order = np.argsort(samples)
-    ordered = samples[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    lengths = np.diff(np.append(starts, n))
-    out = np.empty(n)
-    out[order] = np.repeat(2 * starts + lengths, lengths) / (2.0 * n)
-    return out
+    new_tie = np.empty(ordered.size, dtype=bool)
+    new_tie[1:] = ordered[1:] != ordered[:-1]
+    new_tie[starts[:-1]] = True
+    tie_at = np.flatnonzero(new_tie)
+    lengths = np.diff(np.append(tie_at, ordered.size))
+    run = np.searchsorted(starts, tie_at, side="right") - 1
+    left = tie_at - starts[run]
+    return np.repeat((2 * left + lengths) / (2.0 * np.diff(starts)[run]), lengths)
 
 
 def discretize_quantiles(dist: EmpiricalDistribution, m: int) -> QuantileGrid:

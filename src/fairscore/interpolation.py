@@ -6,9 +6,9 @@ For an individual with raw score s and in-group midrank p, the fair score is
     fair = (1 - theta_g) * s + theta_g * Q_B(p)
 
 which is the 1-D W2 geodesic between the group distribution and the
-barycenter. In-group midranks (not pooled ranks) feed the map, so equal raw
-scores in one group always receive equal fair scores and within-group
-monotonicity holds exactly, ties included.
+barycenter. In-group midranks (not pooled ranks), read off the population's
+``raw_order``, feed the map, so equal raw scores in one group always receive
+equal fair scores and within-group monotonicity holds exactly, ties included.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ def check_policy_against(policy: ThetaPolicy, pop: ScoredPopulation) -> None:
 def barycenter_targets(pop: ScoredPopulation, bary: QuantileGrid) -> np.ndarray:
     """T(s) for every record: the barycenter quantile at its in-group midrank.
 
-    The targets do not depend on theta, so a sweep computes them once.
+    The midranks read the sorted group runs of ``pop.raw_order``. The targets
+    do not depend on theta, so a sweep computes them once.
     """
-    raw = pop.scores
-    targets = np.empty_like(raw)
-    for idx in pop.groups.values():
-        targets[idx] = bary.evaluate(midranks(raw[idx]))
+    order = pop.raw_order
+    targets = np.empty_like(pop.scores)
+    ranks = midranks(pop.scores[order.by_group], order.group_starts)
+    targets[order.by_group] = bary.evaluate(ranks)
     return targets
 
 

@@ -18,11 +18,11 @@ and one stable ``np.lexsort`` of the codes orders the rows by group key.
 ``records`` is a lazy per-row ``ScoreRecord`` view of a population.
 
 A 1-D population also caches ``raw_order``, the ``RawOrder`` of its scores:
-everything the rank metrics need that does not depend on the fair scores,
-built on first use with one argsort of the scores and one small-int stable
-sort of the group codes. A sweep builds it once and reuses it for every
-theta. It holds three index arrays of n entries and the G + 1 group offsets,
-so its memory is O(n) whatever the group count.
+all that the barycenter targets and the rank metrics need that no fair score
+changes, built on first use by one argsort of the scores and one small-int
+stable sort of the group codes, once per sweep. It holds three index arrays
+of n entries and the G + 1 group offsets, so its memory is O(n) whatever the
+group count.
 """
 
 from __future__ import annotations
@@ -38,12 +38,16 @@ from .errors import DimensionError, ValidationError
 
 @dataclass(frozen=True, order=True)
 class GroupKey:
-    """One intersectional group: the full tuple of protected-attribute values."""
+    """One intersectional group: the full tuple of protected-attribute values.
+
+    ``str`` joins the values with ``|``, escaping ``\\`` and ``|`` inside a
+    value with a backslash, so distinct keys never render alike.
+    """
 
     values: tuple[str, ...]
 
     def __str__(self) -> str:
-        return "|".join(self.values)
+        return "|".join(v.replace("\\", "\\\\").replace("|", "\\|") for v in self.values)
 
 
 @dataclass(frozen=True)

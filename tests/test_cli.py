@@ -227,6 +227,33 @@ def test_synth_command_roundtrip(tmp_path):
     assert main(["transform", "--config", cfg2, "--grid-size", "100"]) == 0
 
 
+# two-column keys that read alike when their values are joined with a bare "|"
+BAR_KEYS = (["a|b", "c"], ["a", "b|c"])
+
+
+def test_audit_reports_group_keys_that_contain_a_bar(tmp_path):
+    rows = [f"r{i},{g1},{g2},{i / 40}" for i in range(40) for g1, g2 in [BAR_KEYS[i % 2]]]
+    write(tmp_path / "in.csv", "\n".join(["id,g1,g2,score", *rows]) + "\n")
+    overrides = [{"group": BAR_KEYS[0], "theta": 0.5}, {"group": BAR_KEYS[1], "theta": 0.25}]
+    cfg = base_config(tmp_path, group_columns=["g1", "g2"], theta_overrides=overrides)
+    assert main(["audit", "--config", cfg, "--top-k", "10"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["selection"]["rates"] == {"a\\|b|c": 0.25, "a|b\\|c": 0.25}
+    assert report["theta"]["overrides"] == {"a\\|b|c": 0.5, "a|b\\|c": 0.25}
+
+
+def test_synth_keys_that_contain_a_bar_round_trip_through_audit(tmp_path):
+    dims = [{"type": "uniform", "lo": 0, "hi": 1}]
+    groups = [{"key": key, "size": 20, "dims": dims} for key in BAR_KEYS]
+    cfg = base_config(tmp_path, group_columns=["g1", "g2"], synth={"seed": 2, "groups": groups})
+    out = tmp_path / "synth.csv"
+    assert main(["synth", "--config", cfg, "--output", str(out)]) == 0
+    rows = read_rows(out)[1:]
+    assert len({row[0] for row in rows}) == 40
+    assert len({row[3] for row in rows}) == 40  # the two groups draw from different streams
+    assert main(["audit", "--config", cfg, "--input", str(out)]) == 0
+
+
 def test_verify_passes_on_tiny_fixture(tmp_path, capsys):
     write(tmp_path / "in.csv", AB_CSV)
     cfg = base_config(tmp_path)
@@ -312,6 +339,26 @@ def test_verify_nd_instance(tmp_path, capsys):
         main(["verify", "--config", cfg, "--score-columns", "s1,s2", "--epsilon", "0.05"]) == 0
     )
     assert "sinkhorn" in capsys.readouterr().out
+
+
+# Two groups of 3 points on which plain Sinkhorn stalls near 4e-5 and 3e-5
+# marginal error at these settings; epsilon scaling converges within tol.
+@pytest.mark.parametrize(
+    "a, b, epsilon",
+    [
+        ([(0, 0), (0.5, 0.25), (0.25, 0.5)], [(0.5, 0.5), (1, 0.75), (0.75, 1)], 0.01),
+        ([(0, 0), (1, 0.5), (0.25, 1)], [(2, 1), (1.5, 2), (3, 1.5)], 0.01),
+        ([(0, 0), (1, 0.5), (0.25, 1)], [(2, 1), (1.5, 2), (3, 1.5)], 0.05),
+    ],
+)
+def test_verify_nd_converges_on_three_point_groups(tmp_path, capsys, a, b, epsilon):
+    rows = [f"{g}{i},{g},{x},{y}" for g, points in (("A", a), ("B", b))
+            for i, (x, y) in enumerate(points)]
+    write(tmp_path / "in.csv", "\n".join(["id,sex,s1,s2", *rows]) + "\n")
+    cfg = base_config(tmp_path, score_columns=["s1", "s2"], epsilon=epsilon)
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS sinkhorn(A,B) vs exact LP: ") and "FAIL" not in out
 
 
 def test_verify_nd_reports_an_unconverged_plan(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fairscore import (
     EmpiricalDistribution,
@@ -40,6 +40,15 @@ def midranks_searchsorted(samples: np.ndarray) -> np.ndarray:
     left = np.searchsorted(order, samples, side="left")
     right = np.searchsorted(order, samples, side="right")
     return (left + right) / (2.0 * n)
+
+
+# The per-sample form of ``midranks``: each sample's midrank, in sample order.
+def sample_midranks(samples: np.ndarray) -> np.ndarray:
+    samples = np.asarray(samples, dtype=float)
+    order = np.argsort(samples)
+    out = np.empty(samples.size)
+    out[order] = midranks(samples[order], np.array([0, samples.size]))
+    return out
 
 
 def test_from_samples_sorts_and_weights():
@@ -142,17 +151,31 @@ def test_midranks_match_cdf_rank():
     samples = np.array([5.0, 1.0, 5.0, 2.0])
     dist = empirical_from_samples(samples)
     expected = [cdf_rank(dist, x) for x in samples]
-    np.testing.assert_allclose(midranks(samples), expected)
+    np.testing.assert_allclose(sample_midranks(samples), expected)
 
 
-tie_prone_samples = st.lists(
-    st.one_of(st.sampled_from([-0.0, 0.0, -1.5, 1.5, 3.0]), finite_floats), min_size=1, max_size=60
+tie_prone_values = st.one_of(st.sampled_from([-0.0, 0.0, -1.5, 1.5, 3.0]), finite_floats)
+tie_prone_samples = st.lists(tie_prone_values, min_size=1, max_size=60)
+# ``sorted`` is stable, so tied -0.0 and 0.0 keep the order they were drawn in
+sorted_runs = st.lists(
+    st.lists(tie_prone_values, min_size=1, max_size=12).map(sorted), min_size=1, max_size=64
 )
 
 
 @given(tie_prone_samples)
 def test_midranks_bitwise_equal_two_searchsorted_passes(samples):
     """Ties, signed zeros (one tie run), singleton runs and n = 1."""
-    got = midranks(np.array(samples))
+    got = sample_midranks(np.array(samples))
     expected = midranks_searchsorted(np.array(samples))
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200)
+@given(sorted_runs)
+def test_midranks_of_runs_bitwise_equal_per_run_searchsorted(runs):
+    """Runs read in place: ties, signed zeros in either order and singleton runs."""
+    starts = np.cumsum([0] + [len(run) for run in runs])
+    got = midranks(np.concatenate(runs), starts)
+    assert got.dtype == np.float64 and got.size == starts[-1]
+    for run, lo, hi in zip(runs, starts[:-1], starts[1:]):
+        assert got[lo:hi].tobytes() == midranks_searchsorted(np.array(run)).tobytes()

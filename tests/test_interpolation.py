@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairscore.interpolation
+import fairscore.population
 from fairscore import (
     DimensionError,
+    EmpiricalDistribution,
     GroupKey,
     ScoreRecord,
     ThetaPolicy,
@@ -15,10 +18,13 @@ from fairscore import (
     interpolate_scores,
     resolve_theta,
 )
+from fairscore.cli import RunConfig, transform_population
 from fairscore.interpolation import apply_theta, barycenter_targets
+from fairscore.metrics import build_report
 from fairscore.transport1d import w2_distance
 
 from conftest import population_from_records, random_population, random_theta_policy
+from test_empirical import midranks_searchsorted
 
 
 def group_dists(pop):
@@ -249,3 +255,66 @@ def test_blend_invariants_on_tied_populations(case):
 
     again = _blend(pop, thetas, m)
     assert [a.tobytes() for a in again] == [targets.tobytes(), fair.tobytes()]
+
+
+def per_group_targets(pop, bary):
+    """The targets with each group ranked on its own: one searchsorted pair per group."""
+    targets = np.empty_like(pop.scores)
+    for idx in pop.groups.values():
+        targets[idx] = bary.evaluate(midranks_searchsorted(pop.scores[idx]))
+    return targets
+
+
+def test_targets_take_one_midranks_call_on_the_raw_order(monkeypatch):
+    """All groups are ranked by one ``midranks`` call on ``pop.raw_order``,
+    and the sweep over theta after it builds no second order."""
+    builds, calls = [], []
+    build, ranks = fairscore.population._raw_order, fairscore.interpolation.midranks
+    monkeypatch.setattr(
+        fairscore.population, "_raw_order", lambda *a: builds.append(1) or build(*a)
+    )
+    monkeypatch.setattr(
+        fairscore.interpolation, "midranks", lambda *a: calls.append(1) or ranks(*a)
+    )
+    rng = np.random.default_rng(83)
+    codes = rng.integers(0, 3, 90)
+    pop = build_population(
+        [f"r{i}" for i in range(90)], [[f"g{c}" for c in codes]], np.round(rng.normal(codes, 1), 1)
+    )
+    bary = barycenter_1d(group_dists(pop), size_weights(pop), 25)
+    targets = barycenter_targets(pop, bary)
+    assert len(pop.groups) == 3 and calls == [1] and builds == [1]
+    assert targets.tobytes() == per_group_targets(pop, bary).tobytes()
+    for theta in (0.0, 0.5, 1.0):
+        build_report(pop, apply_theta(pop, targets, ThetaPolicy(theta)), m=25)
+    assert calls == [1] and builds == [1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_signed_zeros_at_the_bottom_of_groups_match_a_sorted_reference(seed):
+    """Tied -0.0 and 0.0 at the bottom of every group, with m above every
+    group size, so the lowest grid ranks read each group's first value. The
+    raw order ranks ties in its own order, not ``np.sort``'s; the fair scores,
+    sign bits included, still equal a reference that sorts each group itself
+    for the barycenter and ranks it with ``np.argsort``."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(4, 12, 3)
+    scores = np.concatenate(
+        [rng.permutation(np.r_[rng.choice([-0.0, 0.0], 3), rng.uniform(0.1, 2, s - 3)])
+         for s in sizes]
+    )
+    groups = np.repeat(["a", "b", "c"], sizes).tolist()
+    pop = build_population([f"r{i}" for i in range(scores.size)], [groups], scores)
+    m = 40
+    dists = [EmpiricalDistribution(np.sort(pop.group_scores(k))) for k in pop.group_keys()]
+    bary = barycenter_1d(dists, size_weights(pop), m)
+    for theta in (1.0, 0.5, 0.0):
+        expected = np.empty_like(scores)
+        for idx in pop.groups.values():
+            s = scores[idx]
+            order = np.argsort(s)
+            t = np.empty_like(s)
+            t[order] = bary.evaluate(midranks_searchsorted(s[order]))
+            expected[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * t
+        got = transform_population(pop, RunConfig(grid_size=m, theta=theta)).values
+        assert got.tobytes() == expected.tobytes()

@@ -18,6 +18,22 @@ def rec(i, group, score=1.0):
     return ScoreRecord(str(i), group if isinstance(group, tuple) else (group,), score)
 
 
+bar_prone = st.sampled_from(["", "a", "|", "\\", "a|", "\\|"])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(bar_prone, bar_prone), min_size=2, max_size=2, unique=True))
+def test_distinct_group_keys_have_distinct_names(pair):
+    first, second = (GroupKey(values) for values in pair)
+    assert str(first) != str(second)
+
+
+def test_group_key_name_escapes_bar_and_backslash():
+    assert str(GroupKey(("F", "Zoë"))) == "F|Zoë"
+    assert str(GroupKey(("a|b", "c"))) == "a\\|b|c"
+    assert str(GroupKey(("a", "b\\"))) == "a|b\\\\"
+
+
 def test_single_attribute_partition():
     pop = population_from_records([rec(0, "A"), rec(1, "A"), rec(2, "B"), rec(3, "B")], 1)
     assert len(pop.groups) == 2
