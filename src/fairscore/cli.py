@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .empirical import DEFAULT_GRID_SIZE, QuantileGrid, empirical_from_samples
+from .empirical import DEFAULT_GRID_SIZE, EmpiricalDistribution, QuantileGrid
 from .errors import FairscoreError, OracleGuardError, ValidationError
 from .interpolation import (
     FairScores,
@@ -531,9 +531,14 @@ def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
     return [cfg.explicit_weights[k] for k in keys]
 
 
+def _group_distributions(pop: ScoredPopulation) -> list[EmpiricalDistribution]:
+    """Each group's sorted sample, read off ``pop.raw_order``'s runs with no sort."""
+    runs = np.split(pop.scores[pop.raw_order.by_group], pop.raw_order.group_starts[1:-1])
+    return [EmpiricalDistribution(run) for run in runs]
+
+
 def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> QuantileGrid:
-    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
-    return barycenter_1d(dists, barycenter_weights(pop, cfg), cfg.grid_size)
+    return barycenter_1d(_group_distributions(pop), barycenter_weights(pop, cfg), cfg.grid_size)
 
 
 def _barycenter_nd(pop: ScoredPopulation, cfg: RunConfig) -> BregmanBarycenter:
@@ -727,7 +732,7 @@ def run_verify(cfg: RunConfig) -> int:
                 f"verify refuses more than {BRUTEFORCE_MAX_PAIRS} pairs of equal-size groups "
                 f"(the input has {len(pairs)})"
             )
-        dists = {k: empirical_from_samples(pop.group_scores(k)) for k in keys}
+        dists = dict(zip(keys, _group_distributions(pop)))
         for a, b in pairs:
             n = len(pop.groups[a])
             fast = w2_distance(dists[a], dists[b], n) ** 2
@@ -804,6 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fairscore",
         description="Fair score post-processing via barycentric optimal transport",
     )
+    # the flags every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    for f in fields(RunConfig):
+        if f.metadata["flag"]:
+            common.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("transform", "rewrite scores and emit a fairness report"),
@@ -813,11 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("synth", "generate a synthetic population CSV"),
         ("verify", "re-check the instance against brute-force oracles"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        for f in fields(RunConfig):
-            if f.metadata["flag"]:
-                p.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "sweep":
             p.add_argument("--thetas", required=True, help="comma-separated theta values")
     return parser

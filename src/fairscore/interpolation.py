@@ -6,8 +6,8 @@ For an individual with raw score s and in-group midrank p, the fair score is
     fair = (1 - theta_g) * s + theta_g * Q_B(p)
 
 which is the 1-D W2 geodesic between the group distribution and the
-barycenter. In-group midranks (not pooled ranks), read off the population's
-``raw_order``, feed the map, so equal raw scores in one group always receive
+barycenter. In-group midranks (not pooled ranks), read off ``raw_order``'s
+sorted group runs, feed the map, so equal raw scores in one group always get
 equal fair scores and within-group monotonicity holds exactly, ties included.
 """
 
@@ -92,19 +92,15 @@ def barycenter_targets(pop: ScoredPopulation, bary: QuantileGrid) -> np.ndarray:
 def apply_theta(pop: ScoredPopulation, targets: np.ndarray, policy: ThetaPolicy) -> FairScores:
     """fair = (1 - theta_g) * s + theta_g * T(s); a group with theta 0 keeps s bitwise.
 
-    The one blend of the 1-D and the n-D path: ``targets`` holds T(s) per record
-    (shape (n,) or (n, d)), from ``barycenter_targets`` or
-    ``transportnd.barycenter_targets_nd``. Rows of groups with theta 0 are not
-    read.
+    The one blend of the 1-D and the n-D path, over all rows at once: ``targets``
+    holds a finite T(s) per record (shape (n,) or (n, d)), from ``barycenter_targets``
+    or ``transportnd.barycenter_targets_nd``, and each row's theta is read through
+    ``pop.group_codes``. A theta-0 row keeps its raw score, -0.0 included.
     """
     check_policy_against(policy, pop)
-    raw = pop.scores
-    fair = np.empty_like(raw)
-    for key, idx in pop.groups.items():
-        s = raw[idx]
-        theta = resolve_theta(policy, key)
-        # without this branch a raw -0.0 would come out as 0.0
-        fair[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * targets[idx]
+    theta = np.array([resolve_theta(policy, key) for key in pop.groups])[pop.group_codes]
+    theta = theta.reshape(theta.shape + (1,) * (pop.scores.ndim - 1))  # broadcast over d
+    fair = np.where(theta == 0.0, pop.scores, (1.0 - theta) * pop.scores + theta * targets)
     return FairScores(values=fair, theta_used=policy)
 
 

@@ -326,9 +326,8 @@ def selection_rates(
             tied = tied[np.lexsort((tied_ids, raw[tied]))[tied.size - need :]]
         selected[tied] = True
 
-    rates = {}
-    for key, idx in pop.groups.items():
-        rates[key] = float(np.count_nonzero(selected[idx]) / idx.size)
+    counts = np.bincount(pop.group_codes, weights=selected)  # exact: sums of 1.0
+    rates = dict(zip(pop.groups, (counts / np.bincount(pop.group_codes)).tolist()))
     max_rate = max(rates.values())
     ratio = None if max_rate == 0.0 else min(rates.values()) / max_rate
     return SelectionOutcome(rates=rates, ratio=ratio)

@@ -7,8 +7,8 @@ A population is held as columns, not as one object per individual:
   for d-dimensional ones;
 * ``groups``: each ``GroupKey``, in lexicographic order, mapped to the
   read-only ``np.intp`` array of its row indices (ascending);
-* ``group_codes``: the read-only ``np.intp`` array of each row's group, as
-  its position in ``groups``.
+* ``group_codes``: each row's group as its position in ``groups``, a
+  read-only ``np.intp`` array; the 1-D path reads the groups through it.
 
 ``build_population(ids, group_columns, scores)`` is the one constructor. It
 takes one sequence of values per group attribute: the CLI passes the parsed
@@ -18,11 +18,11 @@ and one stable ``np.lexsort`` of the codes orders the rows by group key.
 ``records`` is a lazy per-row ``ScoreRecord`` view of a population.
 
 A 1-D population also caches ``raw_order``, the ``RawOrder`` of its scores:
-all that the barycenter targets and the rank metrics need that no fair score
-changes, built on first use by one argsort of the scores and one small-int
-stable sort of the group codes, once per sweep. It holds three index arrays
-of n entries and the G + 1 group offsets, so its memory is O(n) whatever the
-group count.
+all that the barycenter, its targets and the rank metrics need that no fair
+score changes, built on first use by one argsort of the scores and one
+small-int stable sort of the group codes, once per sweep; its runs are the
+groups' sorted samples. It holds three index arrays of n entries and the G + 1
+group offsets, so its memory is O(n) whatever the group count.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ class ScoreRecord:
     id: str
     group_values: tuple[str, ...]
     score: float | tuple[float, ...]
-
-    def score_vector(self) -> tuple[float, ...]:
-        if isinstance(self.score, tuple):
-            return self.score
-        return (float(self.score),)
 
 
 @dataclass(frozen=True)

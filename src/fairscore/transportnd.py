@@ -111,10 +111,20 @@ class TransportPlan:
 
 
 def squared_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, summed one coordinate at a time.
+
+    Memory is the n x m result and one n x m difference, never an n x m x d
+    array. Up to d = 7 the sum is bitwise ``np.sum(diff**2, axis=2)``; from
+    d = 8 numpy's pairwise sum adds in another order.
+    """
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sum(diff**2, axis=2)
+    cost = np.zeros((x.shape[0], y.shape[0]))
+    diff = np.empty_like(cost)
+    for k in range(x.shape[1]):
+        np.subtract.outer(x[:, k], y[:, k], out=diff)
+        cost += np.square(diff, out=diff)
+    return cost
 
 
 def _log_masses(masses: np.ndarray) -> np.ndarray:

@@ -28,13 +28,20 @@ from fairscore.transportnd import (
 )
 
 
+def score_vector(record):
+    """A record's score as a tuple: a 1-D score is a tuple of one float."""
+    if isinstance(record.score, tuple):
+        return record.score
+    return (float(record.score),)
+
+
 def population_from_records(records, attribute_count):
     """Check each record's arity and score dimension, then ``build_population``."""
     if attribute_count < 1:
         raise ValidationError("attribute_count must be positive")
     if not records:
         raise ValidationError("population must contain at least one record")
-    dimension = len(records[0].score_vector())
+    dimension = len(score_vector(records[0]))
     vectors = []
     for rec in records:
         if len(rec.group_values) != attribute_count:
@@ -42,7 +49,7 @@ def population_from_records(records, attribute_count):
                 f"record {rec.id!r} has {len(rec.group_values)} group values, "
                 f"expected {attribute_count}"
             )
-        vec = rec.score_vector()
+        vec = score_vector(rec)
         if len(vec) != dimension:
             raise ValidationError(
                 f"record {rec.id!r} has score dimension {len(vec)}, expected {dimension}"
@@ -111,6 +118,37 @@ def random_theta_policy(rng, pop):
     return ThetaPolicy(default_theta=float(rng.uniform(0, 1)), overrides=overrides)
 
 
+# Scores drawn from this pool half of the time: ties across and within
+# groups, and -0.0 next to 0.0 in either order.
+TIED_POOL = np.array([-0.0, 0.0, 1.0, -1.0, 2.5])
+
+
+def seeded_population(seed, group_count, dimension=1):
+    """1 to 6 rows per group (singletons included), shuffled, half of the
+    score components drawn from ``TIED_POOL`` and the rest rounded normals."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 7, group_count)
+    n = int(sizes.sum())
+    shape = (n,) if dimension == 1 else (n, dimension)
+    scores = np.where(
+        rng.uniform(size=shape) < 0.5,
+        rng.choice(TIED_POOL, shape),
+        np.round(rng.normal(size=shape), 1),
+    )
+    groups = rng.permutation(np.repeat([f"g{g:02d}" for g in range(group_count)], sizes))
+    return build_population([f"r{i}" for i in range(n)], [groups.tolist()], scores)
+
+
+def seeded_policy(seed, pop):
+    """A default theta and overrides for some groups, 0 and 1 among them."""
+    rng = np.random.default_rng(seed + 1)
+    thetas = [0.0, 1.0, 0.5, float(rng.uniform())]
+    overrides = {
+        key: thetas[rng.integers(len(thetas))] for key in pop.group_keys() if rng.uniform() < 0.5
+    }
+    return ThetaPolicy(default_theta=thetas[rng.integers(len(thetas))], overrides=overrides)
+
+
 # The reference for the fused n-D maps of ``transform``: one Sinkhorn solve per
 # group onto a given barycenter, then the same ``apply_theta`` blend.
 def interpolate_scores_nd(
@@ -140,7 +178,7 @@ def interpolate_scores_nd(
     lo, scale = _normalization_bounds(np.vstack([scores, bary.support]))
     norm_bary = DiscreteMeasure(support=(bary.support - lo) / scale, masses=bary.masses)
 
-    targets = np.empty_like(scores)  # rows of theta-0 groups are never read
+    targets = np.zeros_like(scores)  # theta-0 rows keep their raw score in apply_theta
     for key, idx in pop.groups.items():
         if resolve_theta(policy, key) == 0.0:
             continue

@@ -1,8 +1,10 @@
-"""The public surface: the package exports and the functions the benchmark tracer wraps."""
+"""The public surface: the package exports, the functions the benchmark tracer
+wraps, and no shipped definition that only the tests use."""
 
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import fairscore
@@ -37,3 +39,35 @@ def test_tracer_targets_are_public_functions():
         assert not attr.startswith("_"), target
         assert inspect.isfunction(obj), target
         assert obj.__module__ == module.__name__, target
+
+
+def _referenced(tree: ast.AST) -> Counter:
+    """How often each identifier is read as a name or an attribute under ``tree``."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+    return names
+
+
+def test_every_definition_is_used_in_the_package():
+    # a function, class or method that only the tests or the export table
+    # name is code the package ships without running; dunders are called by
+    # Python itself
+    package = Path(fairscore.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
+    }
+    referenced = sum((_referenced(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if referenced[node.name] == _referenced(node)[node.name]:
+                unused.append(f"{module}:{node.name}")
+    assert unused == []

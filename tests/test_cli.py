@@ -732,3 +732,54 @@ def fuzz_dir(tmp_path_factory):
 def test_fuzzed_config_exits_0_or_2(fuzz_dir, values):
     cfg = base_config(fuzz_dir, **values)
     assert main(["audit", "--config", cfg]) in (0, 2)
+
+
+# The help of the command and of each subcommand, and seven argparse errors,
+# at a fixed terminal width. ``tests/golden/argparse.json`` holds the argv,
+# exit code, stdout and stderr of each case.
+ARGPARSE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "argparse.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(ARGPARSE_GOLDEN))
+def test_help_and_argparse_errors_match_golden(capsys, monkeypatch, case):
+    expected = ARGPARSE_GOLDEN[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(expected["argv"])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out, captured.err) == (
+        expected["exit"],
+        expected["stdout"],
+        expected["stderr"],
+    )
+
+
+# three groups with ties inside and across them, and -0.0 next to 0.0
+TIED_CSV = "id,sex,score\na1,A,0\na2,A,2\na3,A,-0.0\nb1,B,2\nb2,B,4\nb3,B,2\nc1,C,1\n"
+
+
+def test_one_d_commands_sort_no_group_again(tmp_path, capsys, monkeypatch):
+    """The 1-D commands read each group's sorted run off ``pop.raw_order``:
+    none calls ``empirical_from_samples``, under any name a fairscore module
+    holds it by, and all but ``verify`` gather no group through
+    ``group_scores``."""
+    import fairscore.empirical
+    from fairscore.population import ScoredPopulation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1-D command sorted a group again")
+
+    original = fairscore.empirical.empirical_from_samples
+    for name, module in list(sys.modules.items()):
+        holds = vars(module).get("empirical_from_samples") is original
+        if name.split(".")[0] == "fairscore" and holds:
+            monkeypatch.setattr(module, "empirical_from_samples", refuse)
+    write(tmp_path / "in.csv", TIED_CSV)
+    cfg = base_config(tmp_path, selection_top_k=2)
+    assert main(["verify", "--config", cfg]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    monkeypatch.setattr(ScoredPopulation, "group_scores", refuse)
+    for argv in (["transform"], ["audit"], ["sweep", "--thetas", "0,0.5,1"], ["barycenter"]):
+        assert main([*argv, "--config", cfg]) == 0, argv

@@ -18,12 +18,23 @@ from fairscore import (
     interpolate_scores,
     resolve_theta,
 )
-from fairscore.cli import RunConfig, transform_population
+from fairscore.cli import (
+    RunConfig,
+    barycenter_weights,
+    compute_barycenter_1d,
+    transform_population,
+)
 from fairscore.interpolation import apply_theta, barycenter_targets
 from fairscore.metrics import build_report
 from fairscore.transport1d import w2_distance
 
-from conftest import population_from_records, random_population, random_theta_policy
+from conftest import (
+    population_from_records,
+    random_population,
+    random_theta_policy,
+    seeded_policy,
+    seeded_population,
+)
 from test_empirical import midranks_searchsorted
 
 
@@ -318,3 +329,54 @@ def test_signed_zeros_at_the_bottom_of_groups_match_a_sorted_reference(seed):
             expected[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * t
         got = transform_population(pop, RunConfig(grid_size=m, theta=theta)).values
         assert got.tobytes() == expected.tobytes()
+
+
+def per_group_blend(pop, targets, policy):
+    """The blend group by group, a group with theta 0 taking its raw scores as they are."""
+    fair = np.empty_like(pop.scores)
+    for key, idx in pop.groups.items():
+        theta, s = resolve_theta(policy, key), pop.scores[idx]
+        fair[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * targets[idx]
+    return fair
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+GROUP_COUNTS = st.integers(1, 40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=SEEDS,
+    group_count=GROUP_COUNTS,
+    m=st.sampled_from([2, 7, 50]),
+    mode=st.sampled_from(["size", "uniform"]),
+)
+def test_barycenter_of_the_raw_order_runs_matches_sorted_groups(seed, group_count, m, mode):
+    """The barycenter read off ``raw_order``'s runs equals the one of each
+    group sorted by ``empirical_from_samples``, bit for bit, although the two
+    may place a tied -0.0 and 0.0 in either order."""
+    pop = seeded_population(seed, group_count)
+    cfg = RunConfig(grid_size=m, weight_mode=mode)
+    reference = barycenter_1d(
+        [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()],
+        barycenter_weights(pop, cfg),
+        m,
+    )
+    got = compute_barycenter_1d(pop, cfg)
+    assert got.quantiles.tobytes() == reference.quantiles.tobytes()
+    assert got.ranks.tobytes() == reference.ranks.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, group_count=GROUP_COUNTS, dimension=st.sampled_from([1, 2]))
+def test_blend_by_group_codes_matches_the_per_group_loop(seed, group_count, dimension):
+    """One blend over all rows, theta read through the group codes, equals the
+    loop over groups bit for bit, sign bits included: a theta-0 row keeps -0.0."""
+    pop = seeded_population(seed, group_count, dimension)
+    policy = seeded_policy(seed, pop)
+    if dimension == 1:
+        targets = barycenter_targets(pop, compute_barycenter_1d(pop, RunConfig(grid_size=7)))
+    else:
+        targets = np.round(np.random.default_rng(seed).normal(size=pop.scores.shape), 1)
+    fair = apply_theta(pop, targets, policy).values
+    assert fair.tobytes() == per_group_blend(pop, targets, policy).tobytes()

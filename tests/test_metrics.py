@@ -34,7 +34,13 @@ from fairscore.metrics import (
 )
 from fairscore.oracle import individual_fairness_error_naive
 
-from conftest import population_from_records, random_population, random_theta_policy
+from conftest import (
+    population_from_records,
+    random_population,
+    random_theta_policy,
+    seeded_policy,
+    seeded_population,
+)
 
 
 def far_apart_population():
@@ -680,3 +686,39 @@ def test_report_lays_out_fair_scores_once_per_theta(monkeypatch):
         assert report.individual_fairness_error == individual_fairness_error(pop, fair)
         gw2, gks = group_fairness_error(pop, fair, 20)
         assert (report.group_fairness_w2, report.group_fairness_ks) == (gw2, gks)
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group_count=st.integers(1, 40),
+    mode=st.sampled_from(["threshold", "top_k"]),
+)
+def test_selection_rates_by_group_codes_match_per_group_counts(seed, group_count, mode):
+    """One ``bincount`` over the group codes gives each group's rate as the
+    float ``count_nonzero / size`` of its own rows, with fair-score ties at
+    the threshold and at the cut. The top-k reference sorts the rows by
+    (fair, raw, id) in Python."""
+    pop = seeded_population(seed, group_count)
+    weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
+    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
+    targets = barycenter_targets(pop, barycenter_1d(dists, weights, 7))
+    fair = apply_theta(pop, targets, seeded_policy(seed, pop))
+    fv, raw, n = fair.values.tolist(), pop.scores.tolist(), len(pop)
+    rng = np.random.default_rng(seed + 2)
+    selected = np.zeros(n, dtype=bool)
+    if mode == "threshold":
+        rule = SelectionRule(threshold=fv[rng.integers(n)])
+        selected[:] = fair.values >= rule.threshold
+    else:
+        rule = SelectionRule(top_k=int(rng.integers(1, n + 1)))
+        ranked = sorted(range(n), key=lambda i: (fv[i], raw[i], pop.ids[i]))
+        selected[ranked[n - rule.top_k :]] = True
+    expected = {
+        key: float(np.count_nonzero(selected[idx]) / idx.size) for key, idx in pop.groups.items()
+    }
+    rates = selection_rates(pop, fair, rule).rates
+    assert list(rates) == list(expected)
+    assert all(type(rate) is float for rate in rates.values())
+    assert rates == expected

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -556,3 +557,37 @@ def test_fused_theta_zero_is_bitwise_identity():
     idx_a, idx_b = pop.groups[key_a], pop.groups[key_b]
     assert fair.values[idx_a].tobytes() == scores[idx_a].tobytes()
     assert np.abs(fair.values[idx_b] - scores[idx_b]).max() > 0.01
+
+
+def cost_matrix_3d(x, y):
+    """The cost through the n x m x d difference array, as it was first written."""
+    return np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+
+
+@pytest.mark.parametrize("d", range(1, 12))
+def test_cost_matrix_matches_the_3d_reference(d):
+    """Bitwise equal up to d = 7, where numpy sums the d terms in order; from
+    d = 8 numpy's pairwise sum orders them otherwise, within 4 ulp."""
+    rng = np.random.default_rng(d)
+    x, y = rng.normal(size=(37, d)), rng.normal(size=(53, d))
+    x[0], y[0] = -0.0, 0.0  # a zero cost, whose sign must come out +0.0
+    got, reference = squared_cost_matrix(x, y), cost_matrix_3d(x, y)
+    if d <= 7:
+        assert got.tobytes() == reference.tobytes()
+    else:
+        np.testing.assert_array_max_ulp(got, reference, maxulp=4)
+
+
+def test_cost_matrix_holds_no_n_by_m_by_d_array():
+    """The traced peak is the result and one difference buffer, where the 3-D
+    form held an n x m x d difference and its square (5 n m floats at d = 2)."""
+    rng = np.random.default_rng(3)
+    n, m = 500, 1000
+    x, y = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+    tracemalloc.start()
+    try:
+        squared_cost_matrix(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * m * 8
