@@ -35,19 +35,17 @@ ways:
   of the joined lines, and the lines are kept for output. A bad value is
   named by scanning the lines already in memory, split one by one: these are
   the rows ``csv.reader`` would give.
-- The ``csv.reader`` path, for every other input. It keeps the parsed rows
-  and reports the first bad row. ``list(reader)`` makes one list per row, so
-  the cyclic garbage collector is paused while it runs; the line path makes
-  no container per row and runs with the collector as the caller left it.
+- The ``csv.reader`` path, for every other input. It reports the first bad
+  row and keeps each row as the line ``csv.writer`` writes for it. ``list(reader)``
+  makes one list per row, so the cyclic garbage collector is paused while it
+  runs; the line path makes no container per row and runs with the collector
+  as the caller left it.
 
-``transform`` writes each fair score as ``format(v, ".17g")``, the same
-bytes as ``"%.17g" % v``. On the line path it writes each input line, a
-comma and its fair scores, with one ``%`` over the interleaved lines and
-values of each block of ``EGRESS_BLOCK_ROWS`` rows. ``csv.writer`` would
-write the same bytes: it quotes a field only when it holds a comma, a quote
-or a line break, and neither these fields nor the numbers do. On the
-``csv.reader`` path it appends the fair scores to the rows and writes them
-with ``csv.writer.writerows``.
+``_write`` writes every output file and reports a path it cannot write as a
+validation error. ``transform`` and ``synth`` write each data line, a comma
+and its scores as ``"%.17g" % v``, with one ``%`` per block of
+``EGRESS_BLOCK_ROWS`` rows; ``csv.writer``, which writes every other line,
+would write the same bytes: it quotes each field on its own, and no number.
 """
 
 from __future__ import annotations
@@ -63,8 +61,10 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import chain, combinations, islice
 from operator import itemgetter
+from os.path import realpath
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -241,6 +241,9 @@ class RunConfig:
     synth: tuple[list[GroupSpec], int] | None = _key(None, _parse_synth)  # (groups, seed)
 
     def validate(self) -> None:
+        for name in ("input", "output", "report"):
+            if "\0" in (getattr(self, name) or ""):  # open() would raise a ValueError
+                raise ValidationError(f"{name} path {getattr(self, name)!r} holds a NUL character")
         for name in ("score_columns", "group_columns"):
             if not getattr(self, name):
                 raise ValidationError(f"{name} must name at least one column")
@@ -255,6 +258,8 @@ class RunConfig:
             raise ValidationError(f"unknown weight_mode {self.weight_mode!r}")
         if self.weight_mode == "explicit" and not self.explicit_weights:
             raise ValidationError("weight_mode 'explicit' requires explicit_weights")
+        if self.explicit_weights and self.weight_mode != "explicit":
+            raise ValidationError(f"weight_mode {self.weight_mode!r} takes no explicit_weights")
         for key, weight in self.explicit_weights.items():
             if not math.isfinite(weight):
                 raise ValidationError(f"explicit weight {weight} for group {key} is not finite")
@@ -308,20 +313,19 @@ def _gc_paused():
             gc.enable()
 
 
-def load_csv(cfg: RunConfig) -> tuple[list[str], list, ScoredPopulation]:
+def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
     """Read the input CSV once and build the population from its columns.
 
-    Returns the header, the records for pass-through on output (the data
-    lines on the line path, the parsed rows on the ``csv.reader`` path) and
-    the population. Each needed column is parsed with one ``map`` and the
+    Returns the header, the data lines for pass-through on output and the
+    population. Each needed column is parsed with one ``map`` and the
     whole table is checked with vectorized tests. Only when a test fails are
     the rows scanned one by one, so that the error names the first bad row.
     """
     if cfg.input is None:
         raise ValidationError("no input file configured")
     # the text goes to _load_lines alone, which drops it once it is split
-    header, records, columns = _load_lines(_read_text(cfg.input), cfg) or _load_rows(cfg)
-    return header, records, build_population(*columns)
+    header, lines, columns = _load_lines(_read_text(cfg.input), cfg) or _load_rows(cfg)
+    return header, lines, build_population(*columns)
 
 
 @contextmanager
@@ -388,7 +392,7 @@ def _fields_per_line(text: str, width: int) -> bool:
 
 
 def _load_rows(cfg: RunConfig):
-    """(header, rows, columns) read with ``csv.reader``; raises the first bad row's error."""
+    """(header, data lines, columns) read with ``csv.reader``; raises the first bad row's error."""
     with _reading(cfg.input):
         with open(cfg.input, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -412,7 +416,7 @@ def _load_rows(cfg: RunConfig):
         )
     if columns is None:
         _raise_first_bad_row(header, rows, cfg, col_index)
-    return header, rows, columns
+    return header, list(_csv_lines(rows)), columns
 
 
 def _column_index(header: list[str], cfg: RunConfig) -> dict[str, int]:
@@ -474,37 +478,37 @@ def _raise_first_bad_row(
                 raise ValidationError(f"row {rownum}: score column {name!r} is not finite")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_lines(rows: Iterable, end: str = "") -> Iterator[str]:
+    """The line ``csv.writer`` writes for each row, ended by ``end``."""
+    # csv.writer quotes a field holding "\r" only if the line terminator holds one, so
+    # lines end in "\r\n", and write, whose result writerow returns, makes that ``end``
+    writer = csv.writer(SimpleNamespace(write=lambda line: line[:-2] + end), lineterminator="\r\n")
+    return map(writer.writerow, rows)
 
 
-# Rows per ``%`` call of the line-path writer: one call formats a whole
-# block, and the block bounds the temporary tuple, format and output strings.
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path``; a path that cannot be written is a ValidationError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
+
+
+# Rows per ``%`` call of the egress: one call formats a whole block, and the
+# block bounds the temporary tuple, format and output strings.
 EGRESS_BLOCK_ROWS = 1 << 16
 
 
-def _write_with_columns(
-    path: str, header: list[str], records: list, names: list[str], values: np.ndarray
-) -> None:
-    """Write the input records with the columns ``names`` of ``values`` appended."""
-    n, k = len(records), len(names)
+def _with_columns(header: list[str], lines: list[str], names: list[str], values: np.ndarray):
+    """The CSV text of the data ``lines`` with the columns ``names`` of ``values`` appended."""
+    n, k = len(lines), len(names)
     columns = values.reshape(n, k).T.tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if isinstance(records[0], str):  # data lines from _load_lines
-            fh.write(",".join(header + names) + "\n")
-            line = "%s" + ",%.17g" * k + "\n"
-            rows = zip(records, *columns)
-            while block := tuple(chain.from_iterable(islice(rows, EGRESS_BLOCK_ROWS))):
-                fh.write(line * (len(block) // (k + 1)) % block)
-            return
-        for row, *row_values in zip(records, *columns):
-            row.extend(map(_fmt, row_values))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header + names)
-        writer.writerows(records)
+    yield from _csv_lines([header + names], "\n")
+    line = "%s" + ",%.17g" * k + "\n"
+    rows = zip(lines, *columns)
+    while block := tuple(chain.from_iterable(islice(rows, EGRESS_BLOCK_ROWS))):
+        yield line * (len(block) // (k + 1)) % block
 
 
 def _emit_warnings(pop: ScoredPopulation, cfg: RunConfig) -> None:
@@ -574,7 +578,7 @@ def _write_report(report, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, [text])
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +593,16 @@ def run_transform(cfg: RunConfig, audit: bool = False) -> int:
     """
     if cfg.output is None and not audit:
         raise ValidationError("transform requires an output path")
-    header, records, pop = load_csv(cfg)
+    # realpath, unlike Path.resolve, raises no RuntimeError on a symlink loop
+    if not audit and cfg.report is not None and realpath(cfg.output) == realpath(cfg.report):
+        raise ValidationError(f"output and report name the same file {cfg.output}")
+    header, lines, pop = load_csv(cfg)
     _emit_warnings(pop, cfg)
     fair = transform_population(pop, cfg)
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
     if not audit:
         names = ["fair_score"] if pop.dimension == 1 else _numbered("fair_score_", pop.dimension)
-        _write_with_columns(cfg.output, header, records, names, fair.values)
+        _write(cfg.output, _with_columns(header, lines, names, fair.values))
     _write_report(report, cfg.report)
     return 0
 
@@ -643,7 +650,7 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
         fair = apply_theta(pop, targets, replace(policy, default_theta=theta))
         rows.append(_sweep_row(theta, build_report(pop, fair, m=cfg.grid_size, rule=rule)))
     header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
-    _write_csv(cfg.output, header, rows)
+    _write(cfg.output, _csv_lines([header, *rows], "\n"))
     return 0
 
 
@@ -659,8 +666,8 @@ def run_barycenter(cfg: RunConfig) -> int:
         bary = _barycenter_nd(pop, cfg)
         header = _numbered("support_", bary.dimension) + ["mass"]
         columns = [bary.support, bary.masses]
-    rows = [list(map(_fmt, row)) for row in np.column_stack(columns).tolist()]
-    _write_csv(cfg.output, header, rows)
+    rows = [map(_fmt, row) for row in np.column_stack(columns).tolist()]
+    _write(cfg.output, _csv_lines([header, *rows], "\n"))
     return 0
 
 
@@ -679,8 +686,8 @@ def run_synth(cfg: RunConfig) -> int:
     score_cols = cfg.score_columns
     if len(score_cols) != dim:
         score_cols = ["score"] if dim == 1 else _numbered("score_", dim)
-    rows = list(map(list, zip(ids, *group_columns)))
-    _write_with_columns(cfg.output, ["id"] + group_names, rows, score_cols, scores)
+    lines = list(_csv_lines(zip(ids, *group_columns)))
+    _write(cfg.output, _with_columns(["id"] + group_names, lines, score_cols, scores))
     return 0
 
 

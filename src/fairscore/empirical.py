@@ -66,10 +66,6 @@ class QuantileGrid:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "quantiles", quantiles)
 
-    @property
-    def size(self) -> int:
-        return self.ranks.size
-
     def evaluate(self, p) -> np.ndarray | float:
         """Piecewise-linear quantile lookup with constant tails."""
         return np.interp(p, self.ranks, self.quantiles)

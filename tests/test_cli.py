@@ -606,6 +606,7 @@ def test_empty_column_flag_exits_2(tmp_path, capsys, flag):
 
 
 NAN_WEIGHTS = [{"group": ["A"], "weight": float("nan")}, {"group": ["B"], "weight": 0.5}]
+WEIGHTS = [{"group": ["A"], "weight": 0.9}, {"group": ["B"], "weight": 0.1}]
 
 
 @pytest.mark.parametrize(
@@ -614,6 +615,13 @@ NAN_WEIGHTS = [{"group": ["A"], "weight": float("nan")}, {"group": ["B"], "weigh
         ({"selection_threshold": float("nan")}, [], "selection threshold"),
         ({}, ["--threshold", "nan"], "selection threshold"),
         ({"weight_mode": "explicit", "explicit_weights": NAN_WEIGHTS}, [], "explicit weight"),
+        ({"explicit_weights": WEIGHTS}, [], "weight_mode 'size' takes no explicit_weights"),
+        ({"explicit_weights": WEIGHTS[:1]}, [], "weight_mode 'size' takes no explicit_weights"),
+        (
+            {"weight_mode": "explicit", "explicit_weights": WEIGHTS},
+            ["--weight-mode", "uniform"],
+            "weight_mode 'uniform' takes no explicit_weights",
+        ),
         ({"tol": float("inf")}, [], "tol must be finite"),
         ({"epsilon": float("inf")}, [], "epsilon must be finite"),
         ({}, ["--tol", "inf"], "tol must be finite"),
@@ -623,7 +631,8 @@ NAN_WEIGHTS = [{"group": ["A"], "weight": float("nan")}, {"group": ["B"], "weigh
         ({}, ["--top-k", "-1"], "top_k must be at least 1"),
     ],
     ids=[
-        "nan-threshold", "nan-threshold-flag", "nan-weight", "infinite-tol",
+        "nan-threshold", "nan-threshold-flag", "nan-weight", "weights-in-size-mode",
+        "one-weight-in-size-mode", "weights-in-uniform-mode-flag", "infinite-tol",
         "infinite-epsilon", "infinite-tol-flag", "negative-seed", "negative-seed-flag",
         "zero-top-k", "negative-top-k-flag",
     ],
@@ -649,6 +658,64 @@ def test_top_k_above_the_row_count_leaves_no_output(tmp_path, capsys, command):
     assert main([command, "--config", base_config(tmp_path), "--top-k", "9"]) == 2
     assert capsys.readouterr().err == "error: top_k 9 out of range [1, 4]\n"
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+# (command, the path flag) of every file a command writes
+WRITTEN_FILES = [
+    ("transform", "--output"),
+    ("transform", "--report"),
+    ("audit", "--report"),
+    ("sweep", "--output"),
+    ("barycenter", "--output"),
+    ("synth", "--output"),
+]
+SYNTH_AB = {"seed": 1, "groups": [{"key": ["A"], "size": 3, "dims": [GAUSSIAN]}]}
+
+
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command, flag", WRITTEN_FILES, ids=[" ".join(c) for c in WRITTEN_FILES])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag, kind):
+    write(tmp_path / "in.csv", AB_CSV)
+    path = tmp_path / "missing" / "out" if kind == "missing-directory" else tmp_path
+    argv = [command, "--config", base_config(tmp_path, synth=SYNTH_AB), flag, str(path)]
+    assert main(argv + (["--thetas", "0,1"] if command == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file {path}: ") and err.count("\n") == 1
+    # a report that cannot be written leaves the fair-score CSV written before it
+    assert (tmp_path / "out.csv").exists() == (command == "transform" and flag == "--report")
+
+
+@pytest.mark.parametrize("command", ["transform", "audit"])
+@pytest.mark.parametrize("key", ["input", "output", "report"])
+def test_path_holding_nul_exits_2(tmp_path, capsys, command, key):
+    # JSON can put a NUL in a path, which open() and realpath reject with a ValueError
+    write(tmp_path / "in.csv", AB_CSV)
+    path = str(tmp_path / "a\0b")
+    assert main([command, "--config", base_config(tmp_path, **{key: path})]) == 2
+    assert capsys.readouterr().err == f"error: {key} path {path!r} holds a NUL character\n"
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_transform_refuses_one_file_for_output_and_report(tmp_path, capsys, monkeypatch):
+    import fairscore.cli
+
+    def read_input(cfg):
+        raise AssertionError("the input was read")
+
+    write(tmp_path / "in.csv", AB_CSV)
+    (tmp_path / "sub").mkdir()
+    report = tmp_path / "sub" / ".." / "out.csv"
+    cfg = base_config(tmp_path, report=str(report))
+    with monkeypatch.context() as patched:
+        patched.setattr(fairscore.cli, "load_csv", read_input)
+        assert main(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output and report name the same file {tmp_path / 'out.csv'}\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+    # audit writes no CSV, so its report may take the output path
+    assert main(["audit", "--config", cfg]) == 0
+    assert json.loads((tmp_path / "out.csv").read_text())["theta"]["default_theta"] == 1.0
 
 
 def test_explicit_weight_for_an_absent_group_exits_2(tmp_path, capsys):

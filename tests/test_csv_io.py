@@ -7,12 +7,15 @@ can get wrong; its quotes and CRLF line endings send it down the
 ``csv.reader`` path. The n-D cases read ``GOLDEN_INPUT_ND``, and ``synth``
 reads no input. The error tests pin the exact ``error:`` line, including
 which of two bad rows is reported. Their LF inputs take the line path, which
-names a bad value itself and leaves a wrong field count to ``csv.reader``. A
-property test compares the line path's output with what ``csv.reader`` and
+names a bad value itself and leaves a wrong field count to ``csv.reader``. Two
+property tests compare the output of quote-free tables (the line path) and of
+quoted ones (the ``csv.reader`` path) with what ``csv.reader`` and
 ``csv.writer`` make of the same input; two more pin the line path's
 field-count scan and its one-call egress to the per-line code they replaced.
+A static check keeps every file write in ``_write``.
 """
 
+import ast
 import csv
 import gc
 import io
@@ -23,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fairscore.cli
@@ -87,6 +90,14 @@ SYNTH_2D = {
         for name in ("x,y", "B")
     ],
 }
+# keys and group column names that csv.writer quotes
+SYNTH_QUOTED = {
+    "seed": 7,
+    "groups": [
+        {"key": ['a,"b"', "c"], "size": 3, "dims": [{"type": "uniform", "lo": 0, "hi": 1}]},
+        {"key": ['"', ","], "size": 2, "dims": [{"type": "beta", "a": 2, "b": 2}]},
+    ],
+}
 
 
 def golden_config(tmp_path, text=GOLDEN_INPUT, **extra):
@@ -116,6 +127,7 @@ GOLDEN_CASES = [
     ("barycenter_nd", ["barycenter"], ND),
     ("synth", ["synth"], {"synth": SYNTH_1D}),
     ("synth_2d", ["synth"], {"synth": SYNTH_2D}),
+    ("synth_quoted", ["synth"], {"synth": SYNTH_QUOTED, "group_columns": ['g,"1"', "g2"]}),
     ("verify", ["verify"], {}),
     ("verify_nd", ["verify"], ND),
 ]
@@ -296,7 +308,9 @@ def test_load_csv_hands_build_population_one_list_per_group_column(tmp_path, mon
         return build(ids, group_columns, scores)
 
     monkeypatch.setattr(fairscore.cli, "build_population", recording_build)
-    pop = load_csv(cfg)[2]
+    header, lines, pop = load_csv(cfg)
+    # on both paths the records are the lines csv.writer writes, which quotes no "a1"
+    assert lines == [row.replace('"', "") for row in rows]
     assert calls == [[["x", "y", "x", "y", "z"], ["A", "A", "B", "B", "B"]]]
     assert all(type(column) is list for column in calls[0])
     keys = [("x", "A"), ("x", "B"), ("y", "A"), ("y", "B"), ("z", "B")]
@@ -403,40 +417,61 @@ except csv.Error:
 
 
 @st.composite
-def quote_free_tables(draw):
-    """(input text, score column names) of a well-formed table without ``"`` or ``\\r``."""
+def quote_free_tables(draw, quoted=False):
+    """(input text, score column names) of a well-formed table without ``"`` or ``\\r``.
+
+    A ``quoted`` table's ids, groups and text fields may also hold ``"``,
+    ``,``, ``\\n`` and ``\\r``: ``csv.writer`` writes it, with ``\\n`` or
+    ``\\r\\n`` line ends, and quotes such fields. It quotes a lone ``\\r``
+    only under ``\\r\\n`` line ends, so an ``\\n``-ended text must read back
+    as written.
+    """
     dimension = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(2, 12))
     score_names = ["score"] if dimension == 1 else ["s1", "s2"]
     notes = draw(st.integers(0, 2))
     header = ["id", "sex", *score_names, *(f"note{k}" for k in range(notes))]
-    text_field = st.text(alphabet=_FIELD_CHARS, max_size=6)
+    text_field = st.text(alphabet=_FIELD_CHARS + ('",\n\r' if quoted else ""), max_size=6)
     number = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
     padded = st.tuples(st.sampled_from(["", " "]), number, st.sampled_from(["", "  "]))
-    lines = [",".join(header)]
+    groups = ["A", "B", " A", "é"] + (['"A"', "A,B", "B\r\n"] if quoted else [])
+    ids = ["r", 'r"', "r,", "r\n"] if quoted else ["r"]
+    rows = [header]
     for i in range(n):
-        group = "AB"[i % 2] if i < 2 else draw(st.sampled_from(["A", "B", " A", "é"]))
+        group = "AB"[i % 2] if i < 2 else draw(st.sampled_from(groups))
         scores = ["".join(draw(padded)) for _ in score_names]
-        lines.append(",".join([f"r{i}", group, *scores, *(draw(text_field) for _ in range(notes))]))
+        row_id = draw(st.sampled_from(ids)) + str(i)
+        rows.append([row_id, group, *scores, *(draw(text_field) for _ in range(notes))])
+    if quoted:
+        out = io.StringIO()
+        csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+        assume(list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == rows)
+        return out.getvalue(), score_names
     newline = draw(st.sampled_from(["\n", ""]))
-    return "\n".join(lines) + newline, score_names
+    return "\n".join(map(",".join, rows)) + newline, score_names
 
 
 def reference_output(text: str, produced: bytes, fair_width: int) -> bytes:
     """csv.reader's rows of ``text``, with the last ``fair_width`` columns of
-    ``produced`` appended, written by csv.writer."""
+    ``produced`` appended, written by csv.writer with ``\\n`` line ends. Each
+    line is written with ``\\r\\n`` and its end replaced, since csv.writer
+    quotes a field that holds a lone ``\\r`` only when the terminator holds one."""
     rows = list(csv.reader(io.StringIO(text, newline="")))
     output = csv.reader(io.StringIO(produced.decode("utf-8"), newline=""))
     fair = [row[-fair_width:] for row in output]
     assert len(fair) == len(rows)
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(row + extra for row, extra in zip(rows, fair))
-    return out.getvalue().encode("utf-8")
+    lines = []
+    for row, extra in zip(rows, fair):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row + extra)
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
-@settings(max_examples=60, deadline=None)
-@given(quote_free_tables())
-def test_quote_free_tables_round_trip_like_csv(table):
+def assert_round_trips_like_csv(table):
+    """``transform`` writes each input row and its fair scores as ``csv.writer``
+    writes the row ``csv.reader`` read; csv.reader may run only on an input
+    that the line path refuses."""
     text, score_names = table
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -453,11 +488,23 @@ def test_quote_free_tables_round_trip_like_csv(table):
             "report": str(tmp / "report.json"),
         }
         (tmp / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
-        reader = _no_csv_reader if "\0" not in text else csv.reader
+        reader = csv.reader if {'"', "\r", "\0"} & set(text) else _no_csv_reader
         with mock.patch.object(fairscore.cli.csv, "reader", reader):
             assert main(["transform", "--config", str(tmp / "config.json")]) == 0
         produced = (tmp / "out.csv").read_bytes()
     assert produced == reference_output(text, produced, len(score_names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quote_free_tables())
+def test_quote_free_tables_round_trip_like_csv(table):
+    assert_round_trips_like_csv(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quote_free_tables(quoted=True))
+def test_quoted_tables_round_trip_like_csv(table):
+    assert_round_trips_like_csv(table)
 
 
 @pytest.mark.parametrize(
@@ -479,6 +526,19 @@ def test_quotes_and_carriage_returns_take_the_csv_path(tmp_path, capsys, text):
     produced = (tmp_path / "out.csv").read_bytes()
     assert produced == reference_output(text, produced, 1)
     assert b'"' not in produced and b"\r" not in produced
+
+
+def test_a_field_holding_a_lone_carriage_return_reads_back_as_one(tmp_path):
+    text = 'id,sex,score,note\r\na1,A,0,"x\ry"\r\na2,A,2,y\r\nb1,B,2,\r\nb2,B,4,"z\r"\r\n'
+    (tmp_path / "in.csv").write_bytes(text.encode("utf-8"))
+    cfg = RunConfig(
+        input=str(tmp_path / "in.csv"), id_column="id", group_columns=["sex"], min_group_size=1,
+        output=str(tmp_path / "out.csv"), report=str(tmp_path / "report.json"),
+    )
+    assert fairscore.cli.run_transform(cfg) == 0
+    with open(tmp_path / "out.csv", newline="", encoding="utf-8") as fh:
+        produced = [row[:4] for row in csv.reader(fh)]
+    assert produced == list(csv.reader(io.StringIO(text, newline="")))
 
 
 def _commas_per_line_by_count(text: str, width: int) -> bool:
@@ -549,10 +609,37 @@ def test_line_path_egress_equals_per_row_format(case, block_rows):
     names = [f"fair_{j}" for j in range(k)]
     expected = ",".join(["id"] + names) + "\n"
     expected += "\n".join(map(("{}" + ",{:.17g}" * k).format, lines, *values.T.tolist())) + "\n"
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out.csv"
-        with mock.patch.object(fairscore.cli, "EGRESS_BLOCK_ROWS", block_rows):
-            fairscore.cli._write_with_columns(
-                str(path), ["id"], lines, names, values if k > 1 else values[:, 0]
+    with mock.patch.object(fairscore.cli, "EGRESS_BLOCK_ROWS", block_rows):
+        chunks = fairscore.cli._with_columns(["id"], lines, names, values if k > 1 else values[:, 0])
+        assert "".join(chunks) == expected
+
+
+def _file_writes(tree: ast.AST, owner: str = "") -> list[tuple[str, str]]:
+    """(enclosing function, call) of each call under ``tree`` that can write
+    a file: ``open`` with a writing mode, ``write_text``, ``write_bytes`` and
+    ``csv.writer``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _file_writes(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            writing = any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
             )
-        assert path.read_bytes() == expected.encode("utf-8")
+            if (name == "open" and writing) or name in ("write_text", "write_bytes"):
+                found.append((owner, name))
+            if isinstance(func, ast.Attribute) and ast.unparse(func) == "csv.writer":
+                found.append((owner, "csv.writer"))
+        found += _file_writes(node, owner)
+    return found
+
+
+def test_every_output_file_is_written_in_one_place():
+    """``_write`` opens every file the CLI writes, and ``_csv_lines`` makes the
+    only ``csv.writer``, so every output has one error path and one quoting."""
+    tree = ast.parse(Path(fairscore.cli.__file__).read_text(encoding="utf-8"))
+    assert sorted(_file_writes(tree)) == [("_csv_lines", "csv.writer"), ("_write", "open")]
