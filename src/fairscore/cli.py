@@ -122,6 +122,15 @@ def _cast(name: str, cast, value):
     raise ValidationError(f"{name} value {value!r} is not a valid {cast.__name__}")
 
 
+def _check_utf8(text: str, where: str) -> None:
+    """Reject ``text`` that does not encode as UTF-8, which only a lone surrogate makes."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise ValidationError(f"{where} holds {bad!r}, which is not valid UTF-8") from None
+
+
 def _object(name: str, value, keys=()) -> dict:
     """``value`` if it is a JSON object holding every key in ``keys``."""
     if not isinstance(value, dict):
@@ -247,11 +256,11 @@ class RunConfig:
         for name in ("score_columns", "group_columns"):
             if not getattr(self, name):
                 raise ValidationError(f"{name} must name at least one column")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta {self.theta} outside [0, 1]")
-        for key, theta in self.theta_overrides.items():
-            if not 0.0 <= theta <= 1.0:
-                raise ValidationError(f"theta override {theta} for group {key} outside [0, 1]")
+        # argv hands on bytes that are not UTF-8 as lone surrogates. A path may
+        # hold them; a column name is matched against a UTF-8 header or written
+        for name in ("score_columns", "group_columns", "id_column"):
+            _check_utf8("".join(getattr(self, name) or ""), name)
+        self.theta_policy()
         if self.grid_size < 2:
             raise ValidationError("grid_size must be at least 2")
         if self.weight_mode not in WEIGHT_MODES:
@@ -265,17 +274,13 @@ class RunConfig:
                 raise ValidationError(f"explicit weight {weight} for group {key} is not finite")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        if self.selection_threshold is not None and self.selection_top_k is not None:
-            raise ValidationError("configure at most one of selection threshold and top-k")
-        self.selection_rule()  # a NaN threshold is rejected here
+        self.selection_rule()
         validate_solver_params(self.epsilon, self.tol, self.max_iter)
 
     def selection_rule(self) -> SelectionRule | None:
-        if self.selection_threshold is not None:
-            return SelectionRule(threshold=self.selection_threshold)
-        if self.selection_top_k is not None:
-            return SelectionRule(top_k=self.selection_top_k)
-        return None
+        if self.selection_threshold is None and self.selection_top_k is None:
+            return None
+        return SelectionRule(threshold=self.selection_threshold, top_k=self.selection_top_k)
 
     def theta_policy(self) -> ThetaPolicy:
         return ThetaPolicy(default_theta=self.theta, overrides=dict(self.theta_overrides))
@@ -290,6 +295,8 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:  # also a non-UTF-8 file and an over-long integer
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     _object(f"config file {path}", raw)
+    # JSON escapes can spell lone surrogates, in a key or in any value
+    _check_utf8(json.dumps(raw, ensure_ascii=False), f"config file {path}")
     parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
     unknown = raw.keys() - parsers.keys()
     if unknown:
@@ -314,12 +321,14 @@ def _gc_paused():
 
 
 def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
-    """Read the input CSV once and build the population from its columns.
+    """Read the input CSV and build the population from its columns.
 
-    Returns the header, the data lines for pass-through on output and the
-    population. Each needed column is parsed with one ``map`` and the
-    whole table is checked with vectorized tests. Only when a test fails are
-    the rows scanned one by one, so that the error names the first bad row.
+    The text is read once for the line path; an input that path refuses is
+    opened a second time, for ``csv.reader``. Returns the header, the data
+    lines for pass-through on output and the population. Each needed column
+    is parsed with one ``map`` and the whole table is checked with vectorized
+    tests. Only when a test fails are the rows scanned one by one, so that
+    the error names the first bad row.
     """
     if cfg.input is None:
         raise ValidationError("no input file configured")
@@ -631,9 +640,8 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
     ``theta_overrides`` entry keeps its group at its own theta."""
     if not thetas:
         raise ValidationError("sweep requires a non-empty theta list")
-    for theta in thetas:
-        if not 0.0 <= theta <= 1.0:
-            raise ValidationError(f"sweep theta {theta} outside [0, 1]")
+    policy = cfg.theta_policy()
+    policies = [replace(policy, default_theta=theta) for theta in thetas]  # checks each theta
     if cfg.output is None:
         raise ValidationError("sweep requires an output path")
     pop = load_csv(cfg)[2]
@@ -644,11 +652,11 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
     bary = compute_barycenter_1d(pop, cfg)
     targets = barycenter_targets(pop, bary)
     rule = cfg.selection_rule()
-    policy = cfg.theta_policy()
     rows = []
-    for theta in thetas:
-        fair = apply_theta(pop, targets, replace(policy, default_theta=theta))
-        rows.append(_sweep_row(theta, build_report(pop, fair, m=cfg.grid_size, rule=rule)))
+    for policy in policies:
+        fair = apply_theta(pop, targets, policy)
+        report = build_report(pop, fair, m=cfg.grid_size, rule=rule)
+        rows.append(_sweep_row(policy.default_theta, report))
     header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
     _write(cfg.output, _csv_lines([header, *rows], "\n"))
     return 0

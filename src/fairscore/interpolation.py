@@ -24,17 +24,23 @@ from .population import GroupKey, ScoredPopulation
 
 @dataclass(frozen=True)
 class ThetaPolicy:
-    """Default interpolation degree plus per-group overrides, all in [0, 1]."""
+    """Default interpolation degree plus per-group overrides, all in [0, 1].
+
+    This is the one check of a theta: the CLI's ``theta``, ``theta_overrides``
+    and each ``sweep`` theta are all checked by building a policy.
+    """
 
     default_theta: float = 1.0
     overrides: dict[GroupKey, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_theta(self.default_theta)
+        if not 0.0 <= self.default_theta <= 1.0:  # a NaN fails this too
+            raise ValidationError(f"theta {self.default_theta} outside [0, 1]")
         for key, theta in self.overrides.items():
             if not isinstance(key, GroupKey):
                 raise ValidationError("override keys must be GroupKey instances")
-            _check_theta(theta)
+            if not 0.0 <= theta <= 1.0:
+                raise ValidationError(f"theta override {theta} for group {key} outside [0, 1]")
 
     def to_dict(self) -> dict:
         return {
@@ -58,11 +64,6 @@ class FairScores:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta {theta} outside [0, 1]")
 
 
 def resolve_theta(policy: ThetaPolicy, g: GroupKey) -> float:

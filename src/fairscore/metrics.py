@@ -33,8 +33,6 @@ once per population, so a sweep pays per theta only for what moves:
 * ``group_fairness_error`` takes each group's fair scores in raw order as its
   sorted sample when they are nondecreasing there, and sorts the others;
   its pairwise maxima take O(G) numpy calls, not one per pair.
-  ``build_report`` lays the fair scores out by group once per theta and
-  hands that layout to both metrics.
 * Top-k selection finds the cut with one ``np.partition``; only the rows
   tied with the cut are ordered, by (raw, id).
 """
@@ -151,10 +149,14 @@ def _inversions(seq: np.ndarray) -> int:
     return inversions
 
 
-_GroupRuns = tuple[np.ndarray, np.ndarray]
+def _aligned(pop: ScoredPopulation, fair: FairScores) -> np.ndarray:
+    """``fair.values``, which must hold one fair score per record, in ``pop.scores``' shape."""
+    if fair.values.shape != pop.scores.shape:
+        raise ValidationError("fair scores are not aligned with the population")
+    return fair.values
 
 
-def _group_runs(order: RawOrder, fv: np.ndarray) -> _GroupRuns:
+def _group_runs(order: RawOrder, fv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fair scores laid out as ``order.by_group``, and for each group whether
     its run descends somewhere (a step down between two groups does not count)."""
     runs = fv[order.by_group]
@@ -206,30 +208,24 @@ def _merge_count(pop: ScoredPopulation, fv: np.ndarray) -> int:
     return inversions
 
 
-def individual_fairness_error(
-    pop: ScoredPopulation, fair: FairScores, *, runs: _GroupRuns | None = None
-) -> float:
+def individual_fairness_error(pop: ScoredPopulation, fair: FairScores) -> float:
     """Cross-group strict-inversion rate, by a chain count or a merge count.
 
     The denominator, the cross-group pairs with distinct raw scores, is
     ``pop.raw_order.cross_pairs``. The count is 0 when the fair scores are
     sorted in raw order, a chain count when every group's are and there are
     at most ``CHAIN_MAX_GROUPS`` groups, and a merge count otherwise.
-    ``runs`` is ``_group_runs(pop.raw_order, fair.values)`` when the
-    caller has it already.
     """
     if pop.dimension != 1:
         raise ValidationError("individual_fairness_error is defined for 1-D scores")
-    if len(fair) != len(pop):
-        raise ValidationError("fair scores are not aligned with the population")
+    fv = _aligned(pop, fair)
     order = pop.raw_order
     if order.cross_pairs == 0:
         return 0.0
-    fv = fair.values
     in_raw_order = fv[order.merged]
     if not np.any(in_raw_order[1:] < in_raw_order[:-1]):
         return 0.0
-    laid_out, descending = runs or _group_runs(order, fv)
+    laid_out, descending = _group_runs(order, fv)
     if descending.any() or len(pop.groups) > CHAIN_MAX_GROUPS:
         inversions = _merge_count(pop, fv)
     else:
@@ -241,9 +237,7 @@ def _distinct(sorted_values: np.ndarray) -> np.ndarray:
     return sorted_values[np.append(True, sorted_values[1:] != sorted_values[:-1])]
 
 
-def group_fairness_error(
-    pop: ScoredPopulation, fair: FairScores, m: int, *, runs: _GroupRuns | None = None
-) -> tuple[float, float]:
+def group_fairness_error(pop: ScoredPopulation, fair: FairScores, m: int) -> tuple[float, float]:
     """Max pairwise grid-W2 and max pairwise KS between fair group distributions.
 
     Each group's sorted sample is its fair scores in raw order when they are
@@ -258,15 +252,12 @@ def group_fairness_error(
       running max and min over the groups. The largest pairwise gap at a
       point is max_g F_g - min_g F_g, and float subtraction is monotone, so
       this is bitwise the largest pairwise difference. Memory is O(n + G m).
-
-    ``runs`` is ``_group_runs(pop.raw_order, fair.values)`` when the caller
-    has it already.
     """
     if pop.dimension != 1:
         raise ValidationError("group_fairness_error is defined for 1-D scores")
     if len(pop.groups) < 2:
         raise ValidationError("group fairness needs at least two groups")
-    laid_out, descending = runs or _group_runs(pop.raw_order, fair.values)
+    laid_out, descending = _group_runs(pop.raw_order, _aligned(pop, fair))
     dists = [
         empirical_from_samples(run) if down else EmpiricalDistribution(run)
         for run, down in zip(np.split(laid_out, pop.raw_order.group_starts[1:-1]), descending)
@@ -288,10 +279,7 @@ def group_fairness_error(
 
 def utility_loss(pop: ScoredPopulation, fair: FairScores) -> tuple[float, float]:
     """Mean absolute displacement and realized transport cost of the applied map."""
-    if len(fair) != len(pop):
-        raise ValidationError("fair scores are not aligned with the population")
-    raw = pop.scores
-    disp = fair.values - raw
+    disp = _aligned(pop, fair) - pop.scores
     if disp.ndim == 1:
         norms = np.abs(disp)
     else:
@@ -305,8 +293,8 @@ def selection_rates(
     """Per-group selection rates under a threshold or deterministic top-k rule."""
     if pop.dimension != 1:
         raise ValidationError("selection_rates is defined for 1-D scores")
+    fv = _aligned(pop, fair)
     n = len(pop)
-    fv = fair.values
     raw = pop.scores
     if rule.threshold is not None:
         selected = fv >= rule.threshold
@@ -344,10 +332,9 @@ def build_report(
     ife = gw2 = gks = None
     selection = None
     if pop.dimension == 1:
-        runs = _group_runs(pop.raw_order, fair.values)
-        ife = individual_fairness_error(pop, fair, runs=runs)
+        ife = individual_fairness_error(pop, fair)
         if len(pop.groups) >= 2:
-            gw2, gks = group_fairness_error(pop, fair, m, runs=runs)
+            gw2, gks = group_fairness_error(pop, fair, m)
         if rule is not None:
             selection = selection_rates(pop, fair, rule)
     return FairnessReport(

@@ -15,6 +15,7 @@ import numpy as np
 from .empirical import EmpiricalDistribution, QuantileGrid, grid_ranks, quantile
 from .errors import OracleGuardError, ValidationError
 from .interpolation import FairScores
+from .metrics import _aligned
 from .population import ScoredPopulation
 from .transportnd import DiscreteMeasure, squared_cost_matrix
 
@@ -116,12 +117,10 @@ def individual_fairness_error_naive(pop: ScoredPopulation, fair: FairScores) -> 
     pair with distinct raw scores counts, and it is an inversion when the
     fair scores order it strictly the other way.
     """
-    if len(fair) != len(pop):
-        raise ValidationError("fair scores are not aligned with the population")
+    fv = _aligned(pop, fair)
     if len(pop) > PAIRWISE_MAX_N:
         raise OracleGuardError(f"pairwise oracle refuses n > {PAIRWISE_MAX_N}")
     raw = pop.scores
-    fv = fair.values
     group_of = np.empty(len(pop), dtype=int)
     for gi, idx in enumerate(pop.groups.values()):
         group_of[idx] = gi

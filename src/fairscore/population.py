@@ -35,6 +35,12 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
+# The largest score magnitude ``build_population`` admits. Below it every
+# square of a score gap (at most (2e150)^2 = 4e300), every quantile-grid slope
+# (a gap times the group size) and every n-D squared norm stays finite, so no
+# metric overflows to an infinity that JSON cannot hold.
+SCORE_LIMIT = 1e150
+
 
 @dataclass(frozen=True, order=True)
 class GroupKey:
@@ -213,9 +219,10 @@ def build_population(
     ``group_columns`` holds one sequence of n values per group attribute, and
     a row's ``GroupKey`` is its value in each, in column order. ``scores`` is
     array-like of shape (n,) or (n, d); an (n, 1) array is stored as (n,).
-    Ids must be unique and scores finite; of several bad rows, the first is
-    reported. Group iteration order is lexicographic by group key so every
-    downstream computation is reproducible.
+    Ids must be unique and every score component finite and at most
+    ``SCORE_LIMIT`` in magnitude; of several bad rows, the first is reported.
+    Group iteration order is lexicographic by group key so every downstream
+    computation is reproducible.
     """
     n = len(ids)
     if n == 0:
@@ -228,10 +235,14 @@ def build_population(
         raise ValidationError("ids, group values and scores must have one entry per row")
 
     dup = _first_duplicate(ids)
-    finite = np.isfinite(scores) if scores.ndim == 1 else np.isfinite(scores).all(axis=1)
-    bad = np.flatnonzero(~finite)
+    in_range = np.abs(scores) <= SCORE_LIMIT  # False for NaN and infinities too
+    bad = np.flatnonzero(~(in_range if scores.ndim == 1 else in_range.all(axis=1)))
     if bad.size and (dup is None or bad[0] < dup):
-        raise ValidationError(f"record {ids[bad[0]]!r} has a non-finite score component")
+        if not np.isfinite(scores[bad[0]]).all():
+            raise ValidationError(f"record {ids[bad[0]]!r} has a non-finite score component")
+        raise ValidationError(
+            f"record {ids[bad[0]]!r} has a score component above {SCORE_LIMIT:g} in magnitude"
+        )
     if dup is not None:
         raise ValidationError(f"duplicate record id {ids[dup]!r}")
     scores.flags.writeable = False

@@ -33,7 +33,14 @@ def w2_from_quantiles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((qa - qb) ** 2, axis=-1))
 
 
-def _normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:
+def normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:
+    """The barycenter weights of ``count`` measures, checked and divided by their sum.
+
+    The one check of barycenter weights, for ``barycenter_1d`` and the n-D
+    ``barycenter_fixed_support`` alike: one weight per measure, each positive,
+    summing to 1 within ``WEIGHT_TOL``. It lives here, not in ``transportnd``,
+    so that the 1-D commands need not import the entropic solver.
+    """
     w = np.asarray(weights, dtype=float)
     if w.size != count:
         raise ValidationError("number of weights must match number of distributions")
@@ -60,7 +67,7 @@ def barycenter_1d(
     """
     if not dists:
         raise ValidationError("need at least one distribution")
-    w = _normalize_weights(weights, len(dists))
+    w = normalize_weights(weights, len(dists))
 
     ranks = grid_ranks(m)
     quantiles = np.zeros(m)

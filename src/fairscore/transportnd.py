@@ -53,6 +53,7 @@ from .solver_settings import (
     DEFAULT_TOL,
     validate_solver_params,
 )
+from .transport1d import normalize_weights
 
 MASS_SUM_TOL = 1e-9
 
@@ -322,12 +323,7 @@ def barycenter_fixed_support(
         raise ValidationError("barycenter support must be non-empty")
     if not measures:
         raise ValidationError("need at least one measure")
-    w = np.asarray(weights, dtype=float)
-    if w.size != len(measures):
-        raise ValidationError("number of weights must match number of measures")
-    if not (np.all(w > 0) and abs(w.sum() - 1.0) <= MASS_SUM_TOL):  # a NaN weight fails this too
-        raise ValidationError("weights must be strictly positive and sum to 1")
-    w = w / w.sum()
+    w = normalize_weights(weights, len(measures))
     d = support.shape[1]
     for meas in measures:
         if meas.dimension != d:

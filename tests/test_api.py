@@ -73,3 +73,49 @@ def test_every_definition_is_used_in_the_package():
                 unused.append(f"{module}:{node.name}")
     assert unused == ["population.py:records"]
     assert _referenced(ast.parse(TRACER.read_text(encoding="utf-8")))["records"]
+
+
+def _message_templates(tree: ast.AST) -> Counter:
+    """Each string literal under ``tree``, an f-string with ``{}`` for each field."""
+    templates = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            templates["".join(
+                part.value if isinstance(part, ast.Constant) else "{}" for part in node.values
+            )] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            templates[node.value] += 1
+    return templates
+
+
+# Each input rule's message, in the module of the one type or function that
+# checks the rule, and the texts of the copies it replaced.
+RULE_OWNERS = {
+    "theta {} outside [0, 1]": "interpolation.py",
+    "theta override {} for group {} outside [0, 1]": "interpolation.py",
+    "specify exactly one of threshold or top_k": "metrics.py",
+    "number of weights must match number of distributions": "transport1d.py",
+    "barycenter weights must be strictly positive": "transport1d.py",
+    "barycenter weights must sum to 1": "transport1d.py",
+    "fair scores are not aligned with the population": "metrics.py",
+}
+REPLACED_COPIES = [
+    "sweep theta {} outside [0, 1]",
+    "configure at most one of selection threshold and top-k",
+    "number of weights must match number of measures",
+    "weights must be strictly positive and sum to 1",
+]
+
+
+def test_each_input_rule_is_checked_in_one_place():
+    # a JoinedStr's constant parts are Constant nodes too; a part never equals
+    # a whole message, so only whole literals are counted
+    package = Path(fairscore.__file__).parent
+    found = {
+        path.name: _message_templates(ast.parse(path.read_text(encoding="utf-8")))
+        for path in package.glob("*.py")
+    }
+    for message, owner in RULE_OWNERS.items():
+        assert {module: t[message] for module, t in found.items() if t[message]} == {owner: 1}
+    for message in REPLACED_COPIES:
+        assert [module for module, t in found.items() if t[message]] == []

@@ -190,10 +190,16 @@ def test_sweep_override_for_an_absent_group_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_sweep_rejects_bad_theta(tmp_path, capsys):
-    write(tmp_path / "in.csv", AB_CSV)
+def test_sweep_rejects_bad_theta(tmp_path, capsys, monkeypatch):
+    import fairscore.cli
+
+    def read_input(cfg):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(fairscore.cli, "load_csv", read_input)
     cfg = base_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--thetas", "0,1.5"]) == 2
+    assert capsys.readouterr().err == "error: theta 1.5 outside [0, 1]\n"
 
 
 def test_barycenter_grid_csv(tmp_path):
@@ -629,12 +635,14 @@ WEIGHTS = [{"group": ["A"], "weight": 0.9}, {"group": ["B"], "weight": 0.1}]
         ({}, ["--seed", "-3"], "seed"),
         ({"selection_top_k": 0}, [], "top_k must be at least 1"),
         ({}, ["--top-k", "-1"], "top_k must be at least 1"),
+        ({"selection_top_k": 2}, ["--threshold", "0"], "specify exactly one of threshold"),
+        ({"theta_overrides": [{"group": ["A"], "theta": -0.5}]}, [], "theta override -0.5"),
     ],
     ids=[
         "nan-threshold", "nan-threshold-flag", "nan-weight", "weights-in-size-mode",
         "one-weight-in-size-mode", "weights-in-uniform-mode-flag", "infinite-tol",
         "infinite-epsilon", "infinite-tol-flag", "negative-seed", "negative-seed-flag",
-        "zero-top-k", "negative-top-k-flag",
+        "zero-top-k", "negative-top-k-flag", "threshold-and-top-k", "theta-override",
     ],
 )
 def test_bad_setting_exits_2_before_the_input_is_read(
@@ -762,29 +770,46 @@ def test_readme_names_every_config_key_and_flag():
 # Random JSON for every config key but the paths, which could name any file.
 # Numbers stay within 1e6 (a float such as 1e9 is a valid grid_size), so that
 # no example allocates gigabytes. Many values have a plausible shape, so that
-# examples also get past the type checks.
+# examples also get past the type checks. Text includes lone surrogates
+# (category Cs), which a JSON escape such as "\ud800" can spell.
 WORDS = st.sampled_from(
     ["A", "B", "sex", "score", "id", "group", "theta", "weight", "explicit", "uniform", "size",
      "key", "dims", "type", "gaussian", "beta", "groups", "seed", "mean", "sd"]
 )
+TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=4)
 NUMBERS = (
     st.integers(-(10**6), 10**6) | st.floats(-1e6, 1e6) | st.floats(0, 1) | st.integers(0, 9)
     | st.sampled_from([float("nan"), float("inf"), float("-inf")])
 )
 ANY_JSON = st.recursive(
-    st.none() | st.booleans() | NUMBERS | WORDS | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(WORDS | st.text(max_size=4), inner, max_size=3),
+    st.none() | st.booleans() | NUMBERS | WORDS | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(WORDS | TEXT, inner, max_size=3),
     max_leaves=10,
 )
 GROUP_ENTRIES = st.lists(
     st.fixed_dictionaries(
-        {"group": st.lists(WORDS, max_size=2), "theta": NUMBERS, "weight": NUMBERS}
+        {"group": st.lists(WORDS | TEXT, max_size=2), "theta": NUMBERS, "weight": NUMBERS}
     ),
     max_size=3,
 )
-JSON_VALUES = ANY_JSON | NUMBERS | st.lists(WORDS, max_size=2) | GROUP_ENTRIES
+SYNTH_SECTIONS = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 9),
+        "groups": st.lists(
+            st.fixed_dictionaries(
+                {"key": st.lists(WORDS | TEXT, min_size=1, max_size=2),
+                 "size": st.integers(1, 5), "dims": st.just([GAUSSIAN])}
+            ),
+            max_size=3,
+        ),
+    }
+)
+JSON_VALUES = (
+    ANY_JSON | NUMBERS | st.lists(WORDS | TEXT, max_size=2) | GROUP_ENTRIES | SYNTH_SECTIONS
+)
 FUZZED_KEYS = [f.name for f in fields(RunConfig) if f.name not in ("input", "output", "report")]
+COMMANDS = [["transform"], ["audit"], ["sweep", "--thetas", "0,1"], ["barycenter"], ["synth"],
+            ["verify"]]
 
 
 @pytest.fixture(scope="module")
@@ -794,11 +819,18 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
 @settings(max_examples=300, deadline=None)
 @given(values=st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON_VALUES, max_size=4))
-def test_fuzzed_config_exits_0_or_2(fuzz_dir, values):
-    cfg = base_config(fuzz_dir, **values)
-    assert main(["audit", "--config", cfg]) in (0, 2)
+def test_fuzzed_config_exits_0_or_2(fuzz_dir, command, values):
+    """No config crashes a command, and a refused one writes no file."""
+    written = [fuzz_dir / "out.csv", fuzz_dir / "report.json"]
+    for path in written:
+        path.unlink(missing_ok=True)
+    code = main([*command, "--config", base_config(fuzz_dir, **values)])
+    assert code in (0, 2)
+    if code == 2:
+        assert not any(path.exists() for path in written)
 
 
 # The help of the command and of each subcommand, and seven argparse errors,
@@ -850,3 +882,228 @@ def test_one_d_commands_sort_no_group_again(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ScoredPopulation, "group_scores", refuse)
     for argv in (["transform"], ["audit"], ["sweep", "--thetas", "0,0.5,1"], ["barycenter"]):
         assert main([*argv, "--config", cfg]) == 0, argv
+
+
+ND_CSV = "id,sex,s1,s2\na1,A,0,0\na2,A,1,0\nb1,B,0,1\nb2,B,1,1\n"
+LP_CSV = "id,sex,s1,s2\n" + "".join(f"a{i},A,{i},{i % 3}\n" for i in range(21)) + "b,B,0,0\n"
+SYNTH_A = {"seed": 1, "groups": [{"key": ["A"], "size": 3, "dims": [GAUSSIAN]}]}
+
+# (id, argv, config keys, input text, error line) of refusals that no other test
+# pins; "{tmp}" stands for the test's directory
+ERROR_LINES = [
+    ("no-input", ["transform"], {"input": None}, AB_CSV, "no input file configured"),
+    (
+        "unreadable-input", ["transform"], {"input": "{tmp}/absent.csv"}, AB_CSV,
+        "cannot read input file {tmp}/absent.csv: "
+        "[Errno 2] No such file or directory: '{tmp}/absent.csv'",
+    ),
+    ("empty-input", ["transform"], {}, "", "input file {tmp}/in.csv is empty"),
+    ("unknown-weight-mode", ["transform"], {"weight_mode": "equal"}, AB_CSV,
+     "unknown weight_mode 'equal'"),
+    ("explicit-without-weights", ["transform"], {"weight_mode": "explicit"}, AB_CSV,
+     "weight_mode 'explicit' requires explicit_weights"),
+    ("threshold-and-top-k", ["audit"], {"selection_threshold": 1.0, "selection_top_k": 2},
+     AB_CSV, "specify exactly one of threshold or top_k"),
+    ("threshold-and-top-k-flags", ["sweep", "--thetas", "0", "--threshold", "1", "--top-k", "2"],
+     {}, AB_CSV, "specify exactly one of threshold or top_k"),
+    ("theta-override-out-of-range", ["transform"],
+     {"theta_overrides": [{"group": ["A"], "theta": 1.5}]}, AB_CSV,
+     "theta override 1.5 for group A outside [0, 1]"),
+    ("theta-override-nan", ["sweep", "--thetas", "0"],
+     {"theta_overrides": [{"group": ["B"], "theta": float("nan")}]}, AB_CSV,
+     "theta override nan for group B outside [0, 1]"),
+    ("explicit-weights-missing-group", ["barycenter"],
+     {"weight_mode": "explicit", "explicit_weights": [{"group": ["A"], "weight": 1.0}]}, AB_CSV,
+     "explicit_weights missing groups: [GroupKey(values=('B',))]"),
+    ("transform-without-output", ["transform"], {"output": None}, AB_CSV,
+     "transform requires an output path"),
+    ("sweep-without-output", ["sweep", "--thetas", "0,1"], {"output": None}, AB_CSV,
+     "sweep requires an output path"),
+    ("barycenter-without-output", ["barycenter"], {"output": None}, AB_CSV,
+     "barycenter requires an output path"),
+    ("synth-without-output", ["synth"], {"output": None, "synth": SYNTH_A}, AB_CSV,
+     "synth requires an output path"),
+    ("empty-thetas", ["sweep", "--thetas", ","], {}, AB_CSV,
+     "sweep requires a non-empty theta list"),
+    ("sweep-on-nd-scores", ["sweep", "--thetas", "0,1"], {"score_columns": ["s1", "s2"]},
+     ND_CSV, "sweep metrics are defined for 1-D scores"),
+    ("synth-without-section", ["synth"], {}, AB_CSV, "config has no 'synth' section"),
+    ("verify-grid-size", ["verify", "--grid-size", "51"], {}, AB_CSV,
+     "verify refuses grid sizes larger than 50"),
+    ("verify-lp-support", ["verify"], {"score_columns": ["s1", "s2"]}, LP_CSV,
+     "verify refuses supports larger than 20 (group A)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, extra, text, message", [case[1:] for case in ERROR_LINES],
+    ids=[case[0] for case in ERROR_LINES],
+)
+def test_each_refusal_prints_its_one_error_line(tmp_path, capsys, argv, extra, text, message):
+    write(tmp_path / "in.csv", text)
+    extra = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in extra.items()}
+    assert main([*argv, "--config", base_config(tmp_path, **extra)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+EQUAL_GROUPS_CSV = "id,sex,score\n" + "".join(
+    f"{g}{i},{g},{(i * 5 + 3 * (g == 'B')) % 7 / 2}\n" for g in "AB" for i in range(6)
+)
+NDW_CSV = "id,sex,s1,s2\n" + "".join(
+    f"{g}{i},{g},{(i * 3) % 5 / 4 + (g == 'B')},{(i * 2) % 5 / 4}\n" for g in "AB" for i in range(5)
+)
+
+
+def explicit(weight_a, weight_b):
+    entries = [{"group": ["A"], "weight": weight_a}, {"group": ["B"], "weight": weight_b}]
+    return {"weight_mode": "explicit", "explicit_weights": entries}
+
+
+def test_explicit_weights_set_the_1d_barycenter(tmp_path):
+    from fairscore import barycenter_1d, build_population
+    from fairscore.cli import _group_distributions
+
+    write(tmp_path / "in.csv", EQUAL_GROUPS_CSV)
+    out = tmp_path / "out.csv"
+    written = {}
+    for name, extra in [("uniform", {"weight_mode": "uniform"}), ("half", explicit(0.5, 0.5)),
+                        ("quarter", explicit(0.25, 0.75))]:
+        assert main(["barycenter", "--config", base_config(tmp_path, grid_size=5, **extra)]) == 0
+        written[name] = out.read_bytes()
+    assert written["half"] == written["uniform"] != written["quarter"]
+    rows = read_rows(tmp_path / "in.csv")[1:]
+    pop = build_population([r[0] for r in rows], [[r[1] for r in rows]], [float(r[2]) for r in rows])
+    grid = barycenter_1d(_group_distributions(pop), [0.25, 0.75], 5)
+    assert read_rows(out)[1:] == [[format(r, ".17g"), format(q, ".17g")]
+                                  for r, q in zip(grid.ranks, grid.quantiles)]
+
+
+def test_explicit_weights_set_the_nd_transform(tmp_path):
+    from fairscore import build_population, compute_barycenter_nd
+    from fairscore import ThetaPolicy
+    from fairscore.interpolation import apply_theta
+    from fairscore.transportnd import barycenter_targets_nd
+
+    write(tmp_path / "in.csv", NDW_CSV)
+    out = tmp_path / "out.csv"
+    settings = dict(score_columns=["s1", "s2"], theta=0.5, epsilon=0.05)
+    written = {}
+    for name, extra in [("uniform", {"weight_mode": "uniform"}), ("half", explicit(0.5, 0.5)),
+                        ("quarter", explicit(0.25, 0.75))]:
+        assert main(["transform", "--config", base_config(tmp_path, **settings, **extra)]) == 0
+        written[name] = out.read_bytes()
+    assert written["half"] == written["uniform"] != written["quarter"]
+    rows = read_rows(tmp_path / "in.csv")[1:]
+    pop = build_population(
+        [r[0] for r in rows], [[r[1] for r in rows]], [[float(r[2]), float(r[3])] for r in rows]
+    )
+    bary = compute_barycenter_nd(pop, [0.25, 0.75], epsilon=0.05)
+    fair = apply_theta(pop, barycenter_targets_nd(pop, bary), ThetaPolicy(0.5))
+    assert [[float(v) for v in r[4:]] for r in read_rows(out)[1:]] == fair.values.tolist()
+
+
+def test_row_numbers_stand_in_for_a_missing_id_column(tmp_path, capsys):
+    # rows 2 to 12 tie at the top-k cut; the tie goes to the largest ids in
+    # string order ("9", "8", "7"), which are in group B
+    groups = ["B"] * 8 + ["A"] * 3
+    numbered = "id,sex,score\n" + "".join(f"{i + 2},{g},1\n" for i, g in enumerate(groups))
+    plain = "sex,score\n" + "".join(f"{g},1\n" for g in groups)
+    reports = []
+    for text, id_column in [(numbered, "id"), (plain, None)]:
+        write(tmp_path / "in.csv", text)
+        cfg = base_config(tmp_path, id_column=id_column, report=None, theta=0.5)
+        assert main(["audit", "--config", cfg, "--top-k", "3"]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1].out)["selection"]["rates"] == {"A": 0.0, "B": 0.375}
+
+
+@pytest.mark.parametrize(
+    "argv, extra, message",
+    [
+        (["synth"], {"synth": {**SYNTH_A, "groups": [{**SYNTH_A["groups"][0], "key": ["\ud800"]}]}},
+         "config file {cfg} holds '\\ud800', which is not valid UTF-8"),
+        (["synth"], {"synth": SYNTH_A, "group_columns": ["g\ud800"]},
+         "config file {cfg} holds '\\ud800', which is not valid UTF-8"),
+        (["synth", "--group-columns", "\udcff"], {"synth": SYNTH_A},
+         "group_columns holds '\\udcff', which is not valid UTF-8"),
+        (["synth", "--score-columns", "s\udcff"], {"synth": SYNTH_A},
+         "score_columns holds '\\udcff', which is not valid UTF-8"),
+        (["transform", "--id-column", "\udcffid"], {},
+         "id_column holds '\\udcff', which is not valid UTF-8"),
+        (["audit"], {"theta_overrides": [{"group": ["\udfff"], "theta": 0.5}]},
+         "config file {cfg} holds '\\udfff', which is not valid UTF-8"),
+        (["transform"], {"\ud800": 1}, "config file {cfg} holds '\\ud800', which is not valid UTF-8"),
+    ],
+    ids=["synth-key", "synth-group-column", "group-columns-flag", "score-columns-flag",
+         "id-column-flag", "override-group", "config-key"],
+)
+def test_text_that_is_not_utf8_exits_2(tmp_path, capsys, argv, extra, message):
+    """argv gives bytes that are not UTF-8 as lone surrogates (``$'\\xff'`` is
+    ``'\\udcff'``), and a JSON escape can spell one; either is refused before
+    any file is opened."""
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, **extra)
+    assert main([*argv, "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(cfg=cfg)}\n")
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_a_path_that_is_not_utf8_is_still_accepted(tmp_path):
+    path = tmp_path / "in\udcff.csv"
+    try:
+        write(path, AB_CSV)
+    except UnicodeEncodeError:
+        pytest.skip("the file system encoding cannot name this file")
+    assert main(["audit", "--config", base_config(tmp_path), "--input", str(path)]) == 0
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+NEAR_THE_LIMIT = [1e150, -1e150, 1.0000000000000002e150, -1.0000000000000002e150,
+                  9.999999999999999e149, 1.7e308, -1.7e308, 8e307, -9e307, 0.0, -0.0, 1e-300]
+HUGE_SCORES = st.floats(-1.7e308, 1.7e308) | st.sampled_from(NEAR_THE_LIMIT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 2]),
+    scores=st.lists(st.tuples(HUGE_SCORES, HUGE_SCORES), min_size=2, max_size=8),
+    theta=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_scores_up_to_the_float_limit_exit_0_or_2_with_strict_json(
+    fuzz_dir, dimension, scores, theta
+):
+    """A score above ``SCORE_LIMIT`` in magnitude exits 2, naming its record,
+    and any other score gives a report in strict JSON, with no warning."""
+    import contextlib
+    import io
+    import warnings
+
+    from fairscore.population import SCORE_LIMIT
+
+    names = ["s1", "s2"][:dimension]
+    rows = [f"r{i},{'AB'[i % 2]},{','.join(map(repr, s[:dimension]))}" for i, s in enumerate(scores)]
+    write(fuzz_dir / "in.csv", "\n".join(["id,sex," + ",".join(names), *rows]) + "\n")
+    (fuzz_dir / "report.json").unlink(missing_ok=True)
+    cfg = base_config(fuzz_dir, score_columns=names, theta=theta, epsilon=0.05)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["audit", "--config", cfg])
+    too_large = [i for i, s in enumerate(scores) if max(map(abs, s[:dimension])) > SCORE_LIMIT]
+    assert code == (2 if too_large else 0)
+    if too_large:
+        assert err.getvalue() == (
+            f"error: record 'r{too_large[0]}' has a score component above 1e+150 in magnitude\n"
+        )
+        assert not (fuzz_dir / "report.json").exists()
+    else:
+        report = strict_json((fuzz_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["utility_loss_w2"] >= 0.0

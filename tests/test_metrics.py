@@ -122,6 +122,33 @@ def test_ife_rejects_misaligned_input():
         individual_fairness_error(pop, FairScores(np.zeros(3), ThetaPolicy(0.0)))
 
 
+MISALIGNED_METRICS = {
+    "individual_fairness_error": individual_fairness_error,
+    "group_fairness_error": lambda pop, fair: group_fairness_error(pop, fair, 4),
+    "utility_loss": utility_loss,
+    "selection_rates": lambda pop, fair: selection_rates(pop, fair, SelectionRule(top_k=1)),
+    "naive individual_fairness_error": individual_fairness_error_naive,
+}
+
+
+@pytest.mark.parametrize("shape", [(5,), (3,), (4, 1)])
+@pytest.mark.parametrize("metric", sorted(MISALIGNED_METRICS))
+def test_every_metric_rejects_misaligned_fair_scores(metric, shape):
+    # before one check served them all, group_fairness_error read 5 values of a
+    # 4-row population as (2.0, 1.0), and selection_rates raised numpy's ValueError
+    pop = far_apart_population()
+    fair = FairScores(np.arange(float(np.prod(shape))).reshape(shape), ThetaPolicy(0.0))
+    with pytest.raises(ValidationError, match="^fair scores are not aligned with the population$"):
+        MISALIGNED_METRICS[metric](pop, fair)
+
+
+def test_utility_loss_rejects_fair_scores_of_another_dimension():
+    pop = build_population(["a", "b"], [["A", "B"]], [[0.0, 1.0], [2.0, 3.0]])
+    for values in ([[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]], [0.0, 2.0]):
+        with pytest.raises(ValidationError, match="^fair scores are not aligned"):
+            utility_loss(pop, FairScores(np.array(values), ThetaPolicy(0.0)))
+
+
 def test_group_fairness_hand_values():
     pop = far_apart_population()
     assert group_fairness_error(pop, transform(pop, 1.0, 2), 2)[0] <= 1e-9
@@ -672,17 +699,13 @@ def test_raw_order_is_built_once_per_population(monkeypatch):
         assert not array.flags.writeable
 
 
-def test_report_lays_out_fair_scores_once_per_theta(monkeypatch):
-    """``build_report`` shares one group layout of the fair scores between
-    the individual and the group fairness error, and both read as when each
-    lays them out itself."""
+def test_report_fairness_fields_equal_each_metric_alone():
+    """``build_report``'s individual and group fairness errors read as each
+    metric called by itself."""
     pop, targets = sweep_population(3, 30, 79)
-    layouts = count_calls(monkeypatch, "_group_runs")
     for theta in (0.0, 0.5, 1.0):
         fair = apply_theta(pop, targets, ThetaPolicy(theta))
-        layouts.clear()
         report = build_report(pop, fair, m=20)
-        assert len(layouts) == 1
         assert report.individual_fairness_error == individual_fairness_error(pop, fair)
         gw2, gks = group_fairness_error(pop, fair, 20)
         assert (report.group_fairness_w2, report.group_fairness_ks) == (gw2, gks)

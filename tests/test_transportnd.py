@@ -404,6 +404,28 @@ def test_barycenter_rejects_nan_weight():
         barycenter_fixed_support([mu, mu], [np.nan, 1.0], mu.support)
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([1.0], "number of weights must match number of distributions"),
+        ([0.5, 0.6], "barycenter weights must sum to 1"),
+        ([1.5, -0.5], "barycenter weights must be strictly positive"),
+    ],
+    ids=["count", "sum", "sign"],
+)
+def test_barycenter_weights_follow_the_1d_rule(weights, message):
+    """The n-D barycenter checks its weights with ``normalize_weights``, as
+    ``barycenter_1d`` does: the same rule, tolerance and messages."""
+    from fairscore import barycenter_1d, empirical_from_samples
+
+    mu = uniform_measure([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        barycenter_fixed_support([mu, mu], weights, mu.support)
+    dist = empirical_from_samples([0.0, 1.0])
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        barycenter_1d([dist, dist], weights, 4)
+
+
 def test_barycenter_empty_support_rejected():
     mu = uniform_measure([[0.0, 0.0]])
     with pytest.raises(ValidationError):
