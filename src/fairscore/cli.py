@@ -59,7 +59,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 from operator import itemgetter
 from os.path import realpath
 from pathlib import Path
@@ -68,8 +68,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .empirical import DEFAULT_GRID_SIZE, EmpiricalDistribution, QuantileGrid
-from .errors import FairscoreError, OracleGuardError, ValidationError
+from .empirical import DEFAULT_GRID_SIZE, QuantileGrid
+from .errors import FairscoreError, ValidationError
 from .interpolation import (
     FairScores,
     ThetaPolicy,
@@ -77,7 +77,7 @@ from .interpolation import (
     barycenter_targets,
     interpolate_scores,
 )
-from .metrics import FairnessReport, SelectionRule, build_report, individual_fairness_error
+from .metrics import FairnessReport, SelectionRule, build_report
 from .population import GroupKey, ScoredPopulation, build_population, validate_population
 from .solver_settings import (
     DEFAULT_EPSILON,
@@ -85,7 +85,7 @@ from .solver_settings import (
     DEFAULT_TOL,
     validate_solver_params,
 )
-from .transport1d import barycenter_1d, w2_distance
+from .transport1d import barycenter_1d, group_distributions
 
 if TYPE_CHECKING:
     from .synth import GroupSpec
@@ -172,11 +172,7 @@ def _group_entries(section: str, value, value_field: str) -> dict[GroupKey, floa
 def _parse_synth(key: str, raw) -> tuple[list[GroupSpec], int]:
     from .synth import Beta, Gaussian, GroupSpec, Uniform
 
-    distributions = {
-        "gaussian": (Gaussian, ("mean", "sd")),
-        "beta": (Beta, ("a", "b")),
-        "uniform": (Uniform, ("lo", "hi")),
-    }
+    distributions = {"gaussian": Gaussian, "beta": Beta, "uniform": Uniform}
     _object(key, raw)
     specs = []
     for g in _list("synth groups", raw.get("groups", [])):
@@ -186,7 +182,8 @@ def _parse_synth(key: str, raw) -> tuple[list[GroupSpec], int]:
             kind = _object("synth dimension", d, ("type",))["type"]
             if not isinstance(kind, str) or kind not in distributions:
                 raise ValidationError(f"unknown synthetic distribution type {kind!r}")
-            cls, params = distributions[kind]
+            cls = distributions[kind]
+            params = [f.name for f in fields(cls)]
             _object(f"{kind} dimension", d, params)
             dims.append(cls(*(_cast(f"{kind} {p}", float, d[p]) for p in params)))
         specs.append(
@@ -537,21 +534,15 @@ def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
         return [1.0 / len(keys)] * len(keys)
     missing = [k for k in keys if k not in cfg.explicit_weights]
     if missing:
-        raise ValidationError(f"explicit_weights missing groups: {missing}")
+        raise ValidationError(f"explicit_weights missing groups: {', '.join(map(str, missing))}")
     for key in cfg.explicit_weights:
         if key not in pop.groups:
             raise ValidationError(f"explicit weight for nonexistent group {key}")
     return [cfg.explicit_weights[k] for k in keys]
 
 
-def _group_distributions(pop: ScoredPopulation) -> list[EmpiricalDistribution]:
-    """Each group's sorted sample, read off ``pop.raw_order``'s runs with no sort."""
-    runs = np.split(pop.scores[pop.raw_order.by_group], pop.raw_order.group_starts[1:-1])
-    return [EmpiricalDistribution(run) for run in runs]
-
-
 def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> QuantileGrid:
-    return barycenter_1d(_group_distributions(pop), barycenter_weights(pop, cfg), cfg.grid_size)
+    return barycenter_1d(group_distributions(pop), barycenter_weights(pop, cfg), cfg.grid_size)
 
 
 def _barycenter_nd(pop: ScoredPopulation, cfg: RunConfig) -> BregmanBarycenter:
@@ -700,119 +691,14 @@ def run_synth(cfg: RunConfig) -> int:
 
 
 def run_verify(cfg: RunConfig) -> int:
-    """Re-check the configured instance against the brute-force oracles."""
-    from .oracle import (
-        BRUTEFORCE_MAX_N,
-        BRUTEFORCE_MAX_PAIRS,
-        COORDINATE_MAX_M,
-        LP_MAX_SUPPORT,
-        PAIRWISE_MAX_N,
-        barycenter_coordinate_oracle,
-        individual_fairness_error_naive,
-        lp_transport_exact,
-        ot_cost_bruteforce,
-    )
-    from .transportnd import group_measures, sinkhorn_plan, squared_cost_matrix
+    """Re-check the instance against the brute-force oracles (see ``oracle.verify``); the
+    barycenter weights are read after its size guards, and for 1-D scores only."""
+    from .oracle import verify
 
     pop = load_csv(cfg)[2]
-    keys = pop.group_keys()
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failures += 1
-
-    if pop.dimension == 1:
-        for key in keys:
-            if len(pop.groups[key]) > BRUTEFORCE_MAX_N:
-                raise OracleGuardError(
-                    f"verify refuses groups larger than {BRUTEFORCE_MAX_N} "
-                    f"(group {key} has {len(pop.groups[key])})"
-                )
-        if cfg.grid_size > COORDINATE_MAX_M:
-            raise OracleGuardError(
-                f"verify refuses grid sizes larger than {COORDINATE_MAX_M}"
-            )
-        if len(pop) > PAIRWISE_MAX_N:
-            raise OracleGuardError(f"verify refuses more than {PAIRWISE_MAX_N} rows")
-        pairs = [
-            (a, b)
-            for a, b in combinations(keys, 2)
-            if len(pop.groups[a]) == len(pop.groups[b]) >= 2
-        ]
-        if len(pairs) > BRUTEFORCE_MAX_PAIRS:
-            raise OracleGuardError(
-                f"verify refuses more than {BRUTEFORCE_MAX_PAIRS} pairs of equal-size groups "
-                f"(the input has {len(pairs)})"
-            )
-        dists = dict(zip(keys, _group_distributions(pop)))
-        for a, b in pairs:
-            n = len(pop.groups[a])
-            fast = w2_distance(dists[a], dists[b], n) ** 2
-            brute = ot_cost_bruteforce(pop.group_scores(a), pop.group_scores(b))
-            check(
-                f"w2({a},{b}) vs permutation brute force",
-                abs(fast - brute) <= 1e-9,
-                f"grid {fast:.12g} vs exact {brute:.12g}",
-            )
-
-        bary = compute_barycenter_1d(pop, cfg)
-        reference = barycenter_coordinate_oracle(
-            [dists[k] for k in keys],
-            barycenter_weights(pop, cfg),
-            cfg.grid_size,
-            grid_resolution=1e-4,
-        )
-        gap = float(np.max(np.abs(bary.quantiles - reference.quantiles)))
-        check(
-            "barycenter vs coordinate search",
-            gap <= 1e-4,
-            f"max coordinate gap {gap:.3e}",
-        )
-
-        fair = interpolate_scores(pop, bary, cfg.theta_policy())
-        counted = individual_fairness_error(pop, fair)
-        enumerated = individual_fairness_error_naive(pop, fair)
-        check(
-            "individual fairness error vs pairwise enumeration",
-            abs(counted - enumerated) <= 1e-12,
-            f"counted {counted:.12g} vs enumerated {enumerated:.12g}",
-        )
-    else:
-        measures = group_measures(pop, pop.scores)
-        for key in keys:
-            if len(measures[key]) > LP_MAX_SUPPORT:
-                raise OracleGuardError(
-                    f"verify refuses supports larger than {LP_MAX_SUPPORT} (group {key})"
-                )
-        for a, b in combinations(keys, 2):
-            plan = sinkhorn_plan(
-                measures[a], measures[b], epsilon=cfg.epsilon, tol=cfg.tol, max_iter=cfg.max_iter
-            )
-            if not plan.converged:  # its marginals are off, so it is no coupling
-                check(
-                    f"sinkhorn({a},{b}) converged",
-                    False,
-                    f"marginal error {plan.marginal_error:.3e} after "
-                    f"{plan.iterations_run} iterations",
-                )
-                continue
-            cost = plan.cost(squared_cost_matrix(measures[a].support, measures[b].support))
-            lp_cost, _ = lp_transport_exact(measures[a], measures[b])
-            slack = cfg.epsilon * np.log(len(measures[a]) * len(measures[b]) + 1.0)
-            ok = lp_cost - 1e-9 <= cost <= lp_cost + slack + 1e-9
-            check(
-                f"sinkhorn({a},{b}) vs exact LP",
-                ok,
-                f"entropic {cost:.12g} in [{lp_cost:.12g}, {lp_cost + slack:.12g}]",
-            )
-
-    if failures:
-        print(f"{failures} check(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    weights = partial(barycenter_weights, pop, cfg)
+    args = (cfg.theta_policy(), cfg.grid_size, cfg.epsilon, cfg.tol, cfg.max_iter)
+    return 1 if verify(pop, weights, *args) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,15 @@ import numpy as np
 
 from .empirical import EmpiricalDistribution, QuantileGrid, discretize_quantiles, grid_ranks
 from .errors import ValidationError
+from .population import ScoredPopulation
 
 WEIGHT_TOL = 1e-9
+
+
+def group_distributions(pop: ScoredPopulation) -> list[EmpiricalDistribution]:
+    """Each group's sorted sample, read off ``pop.raw_order``'s runs with no sort."""
+    runs = np.split(pop.scores[pop.raw_order.by_group], pop.raw_order.group_starts[1:-1])
+    return [EmpiricalDistribution(run) for run in runs]
 
 
 def w2_distance(a: EmpiricalDistribution, b: EmpiricalDistribution, m: int) -> float:

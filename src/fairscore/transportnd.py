@@ -5,8 +5,10 @@ scaled once to ``K = -C/epsilon``, and each measure keeps an absorbed kernel
 ``E_ref = exp(K + lv_ref - peak)``, built by one n x m ``exp`` from a reference
 scaling ``lv_ref`` (``peak`` is its row maximum). A sweep at the current
 scaling ``lv`` uses ``E_ref * t`` with ``t = exp(lv - lv_ref)``, an m-vector,
-so it is two matrix-vector products: the row sums ``s = E_ref @ t`` and the
-column sums ``(a/s) @ E_ref``. ``E_ref`` is rebuilt from ``lv`` only when some
+so it is two matrix-vector products: the row sums ``s = vecdot(E_ref, t)``, one
+dot product per row, which no BLAS thread count changes (a row holds at most
+2,000 entries, the support limit, on every CLI path), and the column sums
+``(a/s) @ E_ref``. ``E_ref`` is rebuilt from ``lv`` only when some
 ``|lv_j - lv_ref_j|`` exceeds ``ABSORB_THRESHOLD`` (Schmitzer,
 arXiv:1610.06519, section 3.2). Columns whose sum falls below
 ``UNDERFLOW_FLOOR`` (a support point far from every atom at small epsilon)
@@ -197,7 +199,7 @@ class _AbsorbedKernel:
         finite ``row``.
         """
         t = self._scaling(lv)
-        sums = self.work @ t
+        sums = np.vecdot(self.work, t)
         row = np.log(sums) + self.peak
         col_sums = (a / sums) @ self.work
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,7 +218,7 @@ class _AbsorbedKernel:
         projection is ``E_ref_i @ (t * support) / (E_ref_i @ t)``.
         """
         t = self._scaling(lv)
-        return (self.work @ (t[:, None] * support)) / (self.work @ t)[:, None]
+        return np.vecdot(self.work[:, None], t * support.T) / np.vecdot(self.work, t)[:, None]
 
 
 def sinkhorn_plan(

@@ -1,5 +1,6 @@
 """The public surface: the package exports, the functions the benchmark tracer
-wraps, and no shipped definition that only the tests use."""
+wraps, no shipped definition that only the tests use, and which modules the
+CLI imports."""
 
 import ast
 import importlib
@@ -119,3 +120,43 @@ def test_each_input_rule_is_checked_in_one_place():
         assert {module: t[message] for module, t in found.items() if t[message]} == {owner: 1}
     for message in REPLACED_COPIES:
         assert [module for module, t in found.items() if t[message]] == []
+
+
+def _imported_modules(nodes) -> set[str]:
+    """The fairscore modules that the import statements among ``nodes`` name."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("fairscore.") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "fairscore") == "fairscore":  # ``from . import cli``
+                names |= {alias.name for alias in node.names}
+            else:  # ``from .cli import main`` and ``from fairscore.cli import main``
+                names.add(node.module.removeprefix("fairscore."))
+    return names
+
+
+def _runtime_statements(body):
+    """The statements of ``body`` that run on import: ``if`` blocks are entered,
+    except ``if TYPE_CHECKING:``; functions and classes are not."""
+    for node in body:
+        if isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                yield from _runtime_statements(node.body + node.orelse)
+        else:
+            yield node
+
+
+def test_cli_is_imported_by_no_module_and_imports_no_optional_one():
+    # ``oracle``, ``synth`` and ``transportnd`` are loaded only by the commands
+    # that run them (``test_cli_and_transform_load_no_synth_oracle_or_hashlib``
+    # checks the loaded modules of a run); here the source says so
+    package = Path(fairscore.__file__).parent
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
+    }
+    importers = [name for name, tree in trees.items() if "cli" in _imported_modules(ast.walk(tree))]
+    assert importers == []
+    at_import = _imported_modules(_runtime_statements(trees["cli"].body))
+    assert at_import & {"oracle", "synth", "transportnd"} == set()
+    assert {"empirical", "population", "transport1d"} <= at_import

@@ -8,6 +8,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -533,6 +534,27 @@ def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_nd_transform_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """2 x 1500 Gaussian 2-D points, where a BLAS matrix product splits its
+    rows among threads, give the same bytes at 1 and at 2 threads."""
+    rng = np.random.default_rng(7)
+    lines = ["id,sex,s1,s2"]
+    for g, mean, sd in (("A", (0.4, 0.5), 0.1), ("B", (0.6, 0.45), 0.12)):
+        points = rng.normal(mean, sd, size=(1500, 2))
+        lines += [f"{g}{i},{g},{x!r},{y!r}" for i, (x, y) in enumerate(points.tolist())]
+    write(tmp_path / "in.csv", "\n".join(lines) + "\n")
+    cfg = base_config(tmp_path, score_columns=["s1", "s2"], min_group_size=1)
+    src = os.path.dirname(os.path.dirname(fairscore.__file__))
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "fairscore.cli", "transform", "--config", cfg],
+                       env=env, check=True)
+        written.append([(tmp_path / name).read_bytes() for name in ("out.csv", "report.json")])
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("theta", [0.5, 2.0], ids=["transform", "bad-config"])
 def test_module_entry_point_matches_in_process_main(tmp_path, capsys, theta):
     """``python -m fairscore.cli`` exits as ``main`` returns, with the same
@@ -886,6 +908,9 @@ def test_one_d_commands_sort_no_group_again(tmp_path, capsys, monkeypatch):
 
 ND_CSV = "id,sex,s1,s2\na1,A,0,0\na2,A,1,0\nb1,B,0,1\nb2,B,1,1\n"
 LP_CSV = "id,sex,s1,s2\n" + "".join(f"a{i},A,{i},{i % 3}\n" for i in range(21)) + "b,B,0,0\n"
+BIG_GROUP_CSV = "id,sex,score\n" + "".join(f"r{i},A,{i}\n" for i in range(12)) + "b,B,5\n"
+ROWS_CSV = "id,sex,score\n" + "".join(f"r{i},g{i // 8},{i % 8}\n" for i in range(2001))
+WIDE_CSV = "id,sex,score\na1,A,0\na2,A,1e20\nb1,B,5\nb2,B,6\n"
 SYNTH_A = {"seed": 1, "groups": [{"key": ["A"], "size": 3, "dims": [GAUSSIAN]}]}
 
 # (id, argv, config keys, input text, error line) of refusals that no other test
@@ -914,7 +939,7 @@ ERROR_LINES = [
      "theta override nan for group B outside [0, 1]"),
     ("explicit-weights-missing-group", ["barycenter"],
      {"weight_mode": "explicit", "explicit_weights": [{"group": ["A"], "weight": 1.0}]}, AB_CSV,
-     "explicit_weights missing groups: [GroupKey(values=('B',))]"),
+     "explicit_weights missing groups: B"),
     ("transform-without-output", ["transform"], {"output": None}, AB_CSV,
      "transform requires an output path"),
     ("sweep-without-output", ["sweep", "--thetas", "0,1"], {"output": None}, AB_CSV,
@@ -932,6 +957,19 @@ ERROR_LINES = [
      "verify refuses grid sizes larger than 50"),
     ("verify-lp-support", ["verify"], {"score_columns": ["s1", "s2"]}, LP_CSV,
      "verify refuses supports larger than 20 (group A)"),
+    ("verify-group-size", ["verify"], {}, BIG_GROUP_CSV,
+     "verify refuses groups larger than 8 (group A has 12)"),
+    ("verify-rows", ["verify"], {}, ROWS_CSV, "verify refuses more than 2000 rows"),
+    ("verify-score-range", ["verify", "--grid-size", "10"], {}, WIDE_CSV,
+     "coordinate oracle refuses a score range of 1e+20 at resolution 0.0001 over 2 groups "
+     "(more than 10000000 cells)"),
+    ("verify-explicit-weights-missing-group", ["verify"],
+     {"weight_mode": "explicit", "explicit_weights": [{"group": ["A"], "weight": 1.0}]}, AB_CSV,
+     "explicit_weights missing groups: B"),
+    ("verify-weights-sum", ["verify"],
+     {"weight_mode": "explicit", "explicit_weights": [{"group": ["A"], "weight": 0.5},
+                                                      {"group": ["B"], "weight": 0.6}]}, AB_CSV,
+     "barycenter weights must sum to 1"),
 ]
 
 
@@ -962,7 +1000,7 @@ def explicit(weight_a, weight_b):
 
 def test_explicit_weights_set_the_1d_barycenter(tmp_path):
     from fairscore import barycenter_1d, build_population
-    from fairscore.cli import _group_distributions
+    from fairscore.transport1d import group_distributions
 
     write(tmp_path / "in.csv", EQUAL_GROUPS_CSV)
     out = tmp_path / "out.csv"
@@ -974,7 +1012,7 @@ def test_explicit_weights_set_the_1d_barycenter(tmp_path):
     assert written["half"] == written["uniform"] != written["quarter"]
     rows = read_rows(tmp_path / "in.csv")[1:]
     pop = build_population([r[0] for r in rows], [[r[1] for r in rows]], [float(r[2]) for r in rows])
-    grid = barycenter_1d(_group_distributions(pop), [0.25, 0.75], 5)
+    grid = barycenter_1d(group_distributions(pop), [0.25, 0.75], 5)
     assert read_rows(out)[1:] == [[format(r, ".17g"), format(q, ".17g")]
                                   for r, q in zip(grid.ranks, grid.quantiles)]
 

@@ -125,3 +125,35 @@ def test_coordinate_oracle_guard():
     d = empirical_from_samples([0, 1])
     with pytest.raises(OracleGuardError):
         barycenter_coordinate_oracle([d], [1.0], 51)
+
+
+WIDE_RANGE_MESSAGE = (
+    "coordinate oracle refuses a score range of 1e+20 at resolution 0.0001 over 2 groups "
+    "(more than 10000000 cells)"
+)
+
+
+def test_coordinate_oracle_refuses_a_wide_score_range():
+    # scores 0 and 1e20 made np.arange raise "Maximum allowed size exceeded"
+    dists = [empirical_from_samples([0, 1e20]), empirical_from_samples([5, 6])]
+    with pytest.raises(OracleGuardError) as refused:
+        barycenter_coordinate_oracle(dists, [0.5, 0.5], 10)
+    assert str(refused.value) == WIDE_RANGE_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "samples, refused",
+    [([[0.0, 999.9]], False), ([[0.0, 1000.1]], True), ([[-1.7e308], [1.7e308]], True)],
+    ids=["below", "above", "infinite"],
+)
+def test_coordinate_oracle_span_guard_bound(samples, refused):
+    # about (range / 1e-4 + 1) x groups cells against the bound of 10^7; the
+    # last range overflows to inf. One group's quantiles never spread, so the
+    # case below the bound builds no candidate grid
+    dists = [empirical_from_samples(s) for s in samples]
+    weights = [1 / len(dists)] * len(dists)
+    if refused:
+        with pytest.raises(OracleGuardError, match="coordinate oracle refuses a score range"):
+            barycenter_coordinate_oracle(dists, weights, 4)
+    else:
+        barycenter_coordinate_oracle(dists, weights, 4)
