@@ -8,15 +8,13 @@ Each command loads, solves and emits once: ``main`` validates the config,
 command writes has been computed. ``audit`` is ``transform`` without the
 fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth`` writes the
 columns of ``generate_synthetic``. A command imports only what it runs:
-``run_verify`` imports ``oracle``, only a ``synth`` config section or the
-``synth`` command imports ``synth`` (and with it ``hashlib``), and only n-D
-scores and ``verify`` import the entropic solver ``transportnd``. The 1-D
-commands load ``empirical``, ``population``, ``interpolation``,
-``transport1d``, ``metrics`` and ``solver_settings``, whose defaults and check
-of epsilon, tol and max_iter ``RunConfig`` uses. Run as ``python -m
-fairscore.cli`` or as the installed ``fairscore`` command (both enter at
-``_run``), the CLI freezes the collector once ``main`` returns, so the
-interpreter's exit runs no collection over the objects left alive.
+``oracle`` for ``verify``, ``synth`` (and ``hashlib``) for a ``synth`` section
+or command, and each score dimension its own layer, ``empirical`` and
+``transport1d`` in 1-D, ``transportnd`` in n-D. A run turns the collector off
+before its first import (``python -m``) or in ``_run``, where both entries
+meet, and never back on: it builds columns and arrays, not reference cycles.
+``_run`` flushes stdout and stderr and ends with ``os._exit``, so no shutdown
+collection runs. A module that imports the CLI keeps its collector as it was.
 
 A JSON config file sets the ``RunConfig`` fields, and flags override it. Each
 field declares its JSON parser and its flag, if any (see ``_key``), so
@@ -36,10 +34,7 @@ ways:
   named by scanning the lines already in memory, split one by one: these are
   the rows ``csv.reader`` would give.
 - The ``csv.reader`` path, for every other input. It reports the first bad
-  row and keeps each row as the line ``csv.writer`` writes for it. ``list(reader)``
-  makes one list per row, so the cyclic garbage collector is paused while it
-  runs; the line path makes no container per row and runs with the collector
-  as the caller left it.
+  row and keeps each row as the line ``csv.writer`` writes for it.
 
 ``_write`` writes every output file and reports a path it cannot write as a
 validation error. ``transform`` and ``synth`` write each data line, a comma
@@ -50,11 +45,16 @@ would write the same bytes: it quotes each field on its own, and no number.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # before the first import; see the module docstring
+
 import argparse
 import csv
-import gc
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -68,7 +68,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .empirical import DEFAULT_GRID_SIZE, QuantileGrid
 from .errors import FairscoreError, ValidationError
 from .interpolation import (
     FairScores,
@@ -81,13 +80,15 @@ from .metrics import FairnessReport, SelectionRule, build_report
 from .population import GroupKey, ScoredPopulation, build_population, validate_population
 from .solver_settings import (
     DEFAULT_EPSILON,
+    DEFAULT_GRID_SIZE,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    MAX_GRID_SIZE,
     validate_solver_params,
 )
-from .transport1d import barycenter_1d, group_distributions
 
 if TYPE_CHECKING:
+    from .empirical import QuantileGrid
     from .synth import GroupSpec
     from .transportnd import BregmanBarycenter
 
@@ -260,6 +261,8 @@ class RunConfig:
         self.theta_policy()
         if self.grid_size < 2:
             raise ValidationError("grid_size must be at least 2")
+        if self.grid_size > MAX_GRID_SIZE:
+            raise ValidationError(f"grid_size must be at most {MAX_GRID_SIZE}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValidationError(f"unknown weight_mode {self.weight_mode!r}")
         if self.weight_mode == "explicit" and not self.explicit_weights:
@@ -303,18 +306,6 @@ def load_config(path: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector; restore the caller's setting on exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
@@ -404,9 +395,7 @@ def _load_rows(cfg: RunConfig):
             reader = csv.reader(fh)
             try:
                 header = next(reader)
-                # the rows hold only strings, so there are no cycles to collect
-                with _gc_paused():
-                    rows = list(reader)
+                rows = list(reader)
             except StopIteration:
                 raise ValidationError(f"input file {cfg.input} is empty") from None
             except csv.Error as exc:
@@ -542,6 +531,8 @@ def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
 
 
 def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> QuantileGrid:
+    from .transport1d import barycenter_1d, group_distributions
+
     return barycenter_1d(group_distributions(pop), barycenter_weights(pop, cfg), cfg.grid_size)
 
 
@@ -758,13 +749,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run() -> None:
-    """The ``fairscore`` command and ``python -m fairscore.cli``: ``main`` on
-    the process arguments, then exit with its code."""
+    """The ``fairscore`` command and ``python -m fairscore.cli``: ``main``, then the
+    process ends with its code; a failed flush (a closed pipe) leaves that to Python."""
+    gc.disable()
     code = main()
-    # Every output file is closed by now, so the collections at interpreter
-    # exit would only walk numpy's import-time objects: freeze them instead.
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

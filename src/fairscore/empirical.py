@@ -1,4 +1,4 @@
-"""Empirical 1-D distributions, quantile functions and midrank CDF evaluation.
+"""Empirical 1-D distributions, quantiles, midranks and a population's raw order.
 
 Conventions (documented design choices, not external mandates):
 
@@ -18,10 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-DEFAULT_GRID_SIZE = 1000
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Sorted samples, each of weight 1/n."""
 
@@ -47,7 +45,7 @@ class EmpiricalDistribution:
         return np.cumsum(np.full(n, 1.0 / n)) - (1.0 / n) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileGrid:
     """Discretized quantile function on the shared grid p_k = (k - 0.5)/m."""
 
@@ -118,3 +116,69 @@ def discretize_quantiles(dist: EmpiricalDistribution, m: int) -> QuantileGrid:
     """Evaluate the quantile function on the shared m-point grid."""
     ranks = grid_ranks(m)
     return QuantileGrid(ranks=ranks, quantiles=np.interp(ranks, dist.positions, dist.values))
+
+
+@dataclass(frozen=True, eq=False)
+class RawOrder:
+    """The order of a 1-D population's raw scores, all that the barycenter, its targets and
+    the rank metrics need that no fair score changes: ``ScoredPopulation.raw_order`` builds
+    it once, by one argsort of the scores and one small-int stable sort of the group codes.
+
+    * ``merged``: the rows by ascending raw score;
+    * ``by_group``: the rows grouped by code, each group's run in ascending
+      raw order (the order of ``merged`` restricted to the group);
+    * ``group_starts``: where each group's run begins in ``by_group``, then n;
+    * ``tie_start``: for the row at each position of ``by_group``, the
+      position in ``merged`` where its block of equal raw scores begins, which
+      is the number of rows with a smaller raw score;
+    * ``cross_pairs``: the number of pairs of rows from different groups with
+      distinct raw scores, the denominator of the individual fairness error.
+
+    -0.0 and 0.0 are one raw score. The arrays are read-only.
+    """
+
+    merged: np.ndarray
+    by_group: np.ndarray
+    group_starts: np.ndarray
+    tie_start: np.ndarray
+    cross_pairs: int
+
+
+def _run_lengths(new_run: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of a sequence; ``new_run[i]`` is whether element i starts one."""
+    return np.diff(np.append(np.flatnonzero(new_run), new_run.size))
+
+
+def _pairs_within(lengths: np.ndarray) -> int:
+    return int(np.sum(lengths * (lengths - 1) // 2))
+
+
+def _raw_order(scores: np.ndarray, codes: np.ndarray, group_count: int) -> RawOrder:
+    n = scores.size
+    merged = np.argsort(scores)
+    # a stable sort of the codes keeps each group in raw order; codes held
+    # in 8 or 16 bits take numpy's radix sort
+    small_codes = codes[merged].astype(np.min_scalar_type(group_count - 1))
+    by_group = merged[np.argsort(small_codes, kind="stable")]
+    sizes = np.bincount(codes, minlength=group_count)
+    group_starts = np.concatenate(([0], np.cumsum(sizes)))
+
+    ordered = scores[merged]
+    new_tie = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    tie_lengths = _run_lengths(new_tie)
+    tie_start = np.empty(n, dtype=np.intp)
+    tie_start[merged] = np.repeat(np.flatnonzero(new_tie), tie_lengths)
+    tie_start = tie_start[by_group]
+
+    # a tie inside a group starts a new block at a group's first row too
+    new_group_tie = np.diff(tie_start, prepend=-1) != 0
+    new_group_tie[group_starts[:-1]] = True
+    cross_pairs = (
+        n * (n - 1) // 2
+        - _pairs_within(sizes)
+        - _pairs_within(tie_lengths)
+        + _pairs_within(_run_lengths(new_group_tie))
+    )
+    for array in (merged, by_group, group_starts, tie_start):
+        array.flags.writeable = False
+    return RawOrder(merged, by_group, group_starts, tie_start, cross_pairs)

@@ -14,12 +14,15 @@ equal fair scores and within-group monotonicity holds exactly, ties included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .empirical import QuantileGrid, midranks
 from .errors import DimensionError, ValidationError
 from .population import GroupKey, ScoredPopulation
+
+if TYPE_CHECKING:
+    from .empirical import QuantileGrid
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class ThetaPolicy:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairScores:
     """Transformed scores, index-aligned with the population's records."""
 
@@ -83,6 +86,8 @@ def barycenter_targets(pop: ScoredPopulation, bary: QuantileGrid) -> np.ndarray:
     The midranks read the sorted group runs of ``pop.raw_order``. The targets
     do not depend on theta, so a sweep computes them once.
     """
+    from .empirical import midranks
+
     order = pop.raw_order
     targets = np.empty_like(pop.scores)
     ranks = midranks(pop.scores[order.by_group], order.group_starts)

@@ -7,7 +7,7 @@ order is reversed by the transform. Raw-score ties across groups are excluded
 from the pair universe and fair-score ties never count as inversions.
 
 The 1-D metrics are vectorized numpy. What does not depend on the fair
-scores is the population's ``raw_order`` (see ``population.RawOrder``), built
+scores is the population's ``raw_order`` (see ``empirical.RawOrder``), built
 once per population, so a sweep pays per theta only for what moves:
 
 * ``individual_fairness_error`` returns 0 at once when the fair scores are
@@ -40,14 +40,16 @@ once per population, so a sweep pays per theta only for what moves:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .empirical import EmpiricalDistribution, discretize_quantiles, empirical_from_samples
 from .errors import ValidationError
 from .interpolation import FairScores, ThetaPolicy
-from .population import GroupKey, RawOrder, ScoredPopulation
-from .transport1d import w2_from_quantiles
+from .population import GroupKey, ScoredPopulation
+
+if TYPE_CHECKING:
+    from .empirical import RawOrder
 
 
 # The most groups the chain count serves. Timed on apply_theta outputs (theta
@@ -257,6 +259,9 @@ def group_fairness_error(pop: ScoredPopulation, fair: FairScores, m: int) -> tup
         raise ValidationError("group_fairness_error is defined for 1-D scores")
     if len(pop.groups) < 2:
         raise ValidationError("group fairness needs at least two groups")
+    from .empirical import EmpiricalDistribution, discretize_quantiles, empirical_from_samples
+    from .transport1d import w2_from_quantiles
+
     laid_out, descending = _group_runs(pop.raw_order, _aligned(pop, fair))
     dists = [
         empirical_from_samples(run) if down else EmpiricalDistribution(run)

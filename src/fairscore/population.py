@@ -16,13 +16,6 @@ CSV columns, and ``generate_synthetic`` returns its arguments. No per-row
 group tuple is made: each column is coded against its sorted distinct values,
 and one stable ``np.lexsort`` of the codes orders the rows by group key.
 ``records`` is a lazy per-row ``ScoreRecord`` view of a population.
-
-A 1-D population also caches ``raw_order``, the ``RawOrder`` of its scores:
-all that the barycenter, its targets and the rank metrics need that no fair
-score changes, built on first use by one argsort of the scores and one
-small-int stable sort of the group codes, once per sweep; its runs are the
-groups' sorted samples. It holds three index arrays of n entries and the G + 1
-group offsets, so its memory is O(n) whatever the group count.
 """
 
 from __future__ import annotations
@@ -30,10 +23,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
+
+if TYPE_CHECKING:
+    from .empirical import RawOrder
 
 # The largest score magnitude ``build_population`` admits. Below it every
 # square of a score gap (at most (2e150)^2 = 4e300), every quantile-grid slope
@@ -108,79 +105,17 @@ class ScoredPopulation:
 
     @cached_property
     def raw_order(self) -> RawOrder:
-        """The theta-free order structure of the 1-D scores (see ``RawOrder``)."""
+        """The theta-free order structure of the 1-D scores (see ``empirical.RawOrder``)."""
         if self.dimension != 1:
             raise DimensionError("raw_order is defined for 1-D scores")
+        from .empirical import _raw_order
+
         return _raw_order(self.scores, self.group_codes, len(self.groups))
 
     @cached_property
     def records(self) -> Sequence[ScoreRecord]:
         """Per-row ``ScoreRecord`` view; each record is built when it is read."""
         return _RecordView(self)
-
-
-@dataclass(frozen=True, eq=False)
-class RawOrder:
-    """The order of a 1-D population's raw scores, which no fair score changes.
-
-    * ``merged``: the rows by ascending raw score;
-    * ``by_group``: the rows grouped by code, each group's run in ascending
-      raw order (the order of ``merged`` restricted to the group);
-    * ``group_starts``: where each group's run begins in ``by_group``, then n;
-    * ``tie_start``: for the row at each position of ``by_group``, the
-      position in ``merged`` where its block of equal raw scores begins, which
-      is the number of rows with a smaller raw score;
-    * ``cross_pairs``: the number of pairs of rows from different groups with
-      distinct raw scores, the denominator of the individual fairness error.
-
-    -0.0 and 0.0 are one raw score. The arrays are read-only.
-    """
-
-    merged: np.ndarray
-    by_group: np.ndarray
-    group_starts: np.ndarray
-    tie_start: np.ndarray
-    cross_pairs: int
-
-
-def _run_lengths(new_run: np.ndarray) -> np.ndarray:
-    """Lengths of the runs of a sequence; ``new_run[i]`` is whether element i starts one."""
-    return np.diff(np.append(np.flatnonzero(new_run), new_run.size))
-
-
-def _pairs_within(lengths: np.ndarray) -> int:
-    return int(np.sum(lengths * (lengths - 1) // 2))
-
-
-def _raw_order(scores: np.ndarray, codes: np.ndarray, group_count: int) -> RawOrder:
-    n = scores.size
-    merged = np.argsort(scores)
-    # a stable sort of the codes keeps each group in raw order; codes held
-    # in 8 or 16 bits take numpy's radix sort
-    small_codes = codes[merged].astype(np.min_scalar_type(group_count - 1))
-    by_group = merged[np.argsort(small_codes, kind="stable")]
-    sizes = np.bincount(codes, minlength=group_count)
-    group_starts = np.concatenate(([0], np.cumsum(sizes)))
-
-    ordered = scores[merged]
-    new_tie = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    tie_lengths = _run_lengths(new_tie)
-    tie_start = np.empty(n, dtype=np.intp)
-    tie_start[merged] = np.repeat(np.flatnonzero(new_tie), tie_lengths)
-    tie_start = tie_start[by_group]
-
-    # a tie inside a group starts a new block at a group's first row too
-    new_group_tie = np.diff(tie_start, prepend=-1) != 0
-    new_group_tie[group_starts[:-1]] = True
-    cross_pairs = (
-        n * (n - 1) // 2
-        - _pairs_within(sizes)
-        - _pairs_within(tie_lengths)
-        + _pairs_within(_run_lengths(new_group_tie))
-    )
-    for array in (merged, by_group, group_starts, tie_start):
-        array.flags.writeable = False
-    return RawOrder(merged, by_group, group_starts, tie_start, cross_pairs)
 
 
 class _RecordView(Sequence):

@@ -15,8 +15,7 @@ import numpy as np
 from .empirical import EmpiricalDistribution, QuantileGrid, discretize_quantiles, grid_ranks
 from .errors import ValidationError
 from .population import ScoredPopulation
-
-WEIGHT_TOL = 1e-9
+from .solver_settings import normalize_weights
 
 
 def group_distributions(pop: ScoredPopulation) -> list[EmpiricalDistribution]:
@@ -38,25 +37,6 @@ def w2_from_quantiles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     The grid is the last axis, so a stack of grids gives one distance per row.
     """
     return np.sqrt(np.mean((qa - qb) ** 2, axis=-1))
-
-
-def normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:
-    """The barycenter weights of ``count`` measures, checked and divided by their sum.
-
-    The one check of barycenter weights, for ``barycenter_1d`` and the n-D
-    ``barycenter_fixed_support`` alike: one weight per measure, each positive,
-    summing to 1 within ``WEIGHT_TOL``. It lives here, not in ``transportnd``,
-    so that the 1-D commands need not import the entropic solver.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.size != count:
-        raise ValidationError("number of weights must match number of distributions")
-    if not np.all(w > 0):  # a NaN weight fails this too
-        raise ValidationError("barycenter weights must be strictly positive")
-    total = w.sum()
-    if not abs(total - 1.0) <= WEIGHT_TOL:
-        raise ValidationError("barycenter weights must sum to 1")
-    return w / total
 
 
 def barycenter_1d(

@@ -53,9 +53,9 @@ from .solver_settings import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    normalize_weights,
     validate_solver_params,
 )
-from .transport1d import normalize_weights
 
 MASS_SUM_TOL = 1e-9
 
@@ -68,7 +68,7 @@ UNDERFLOW_FLOOR = 1e-280
 ABSORB_THRESHOLD = 30.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure on d-vectors."""
 
@@ -99,7 +99,7 @@ class DiscreteMeasure:
         return self.support.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Entropic coupling between two discrete measures."""
 
@@ -291,7 +291,7 @@ def sinkhorn_plan(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BregmanBarycenter(DiscreteMeasure):
     """A barycenter together with what its Bregman solve learned.
 

@@ -1,5 +1,4 @@
 import csv
-import gc
 import json
 import os
 import subprocess
@@ -516,10 +515,14 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):
     """Only ``verify`` loads ``oracle``, only a synth section or command
-    loads ``synth``, which imports ``hashlib``, and only n-D work and
-    ``verify`` load the entropic solver ``transportnd``."""
+    loads ``synth``, which imports ``hashlib``, only n-D work and ``verify``
+    load the entropic solver ``transportnd``, and only 1-D work and
+    ``verify`` load the 1-D layer ``empirical`` and ``transport1d``."""
     write(tmp_path / "in.csv", AB_CSV)
     cfg = base_config(tmp_path)
+    (tmp_path / "nd").mkdir()
+    write(tmp_path / "nd" / "in.csv", ND_CSV)
+    nd_cfg = base_config(tmp_path / "nd", score_columns=["s1", "s2"])
     src = os.path.dirname(os.path.dirname(fairscore.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -532,6 +535,17 @@ def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):
         "assert not set(absent) & set(sys.modules), 'loaded by sweep'\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    nd_code = (
+        "import sys, fairscore.cli\n"
+        "absent = ['fairscore.synth', 'fairscore.oracle', 'hashlib', 'fairscore.empirical',\n"
+        "          'fairscore.transport1d']\n"
+        "assert not set(absent) & set(sys.modules), 'loaded on import'\n"
+        "for command in ('transform', 'audit', 'barycenter'):\n"
+        f"    assert fairscore.cli.main([command, '--config', {nd_cfg!r}]) == 0\n"
+        "    assert not set(absent) & set(sys.modules), f'loaded by 2-D {command}'\n"
+        "assert 'fairscore.transportnd' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", nd_code], env=env, check=True)
 
 
 def test_nd_transform_does_not_depend_on_the_blas_thread_count(tmp_path):
@@ -558,7 +572,7 @@ def test_nd_transform_does_not_depend_on_the_blas_thread_count(tmp_path):
 @pytest.mark.parametrize("theta", [0.5, 2.0], ids=["transform", "bad-config"])
 def test_module_entry_point_matches_in_process_main(tmp_path, capsys, theta):
     """``python -m fairscore.cli`` exits as ``main`` returns, with the same
-    output, though it freezes the collector before it exits."""
+    output, though it runs with the collector off and ends in ``os._exit``."""
     write(tmp_path / "in.csv", AB_CSV)
     cfg = base_config(tmp_path, theta=theta, report=None)
     argv = ["transform", "--config", cfg]
@@ -579,28 +593,113 @@ def test_module_entry_point_matches_in_process_main(tmp_path, capsys, theta):
         assert not (tmp_path / "out.csv").exists()
 
 
-def test_console_script_enters_where_the_module_does(tmp_path, capsys, monkeypatch):
-    """The installed ``fairscore`` command and ``python -m fairscore.cli`` run
-    the same ``_run``: it exits with ``main``'s code and freezes the collector."""
-    from fairscore.cli import _run
+def _piped_env():
+    """A child's environment: this source tree, and stdout block-buffered, as
+    Python makes it for a pipe unless told otherwise."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fairscore.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
+
+RUN_ENTRY = [sys.executable, "-c", "from fairscore.cli import _run; _run()"]
+
+
+@pytest.mark.parametrize("code", [0, 1, 2], ids=["success", "failure", "invalid"])
+def test_console_script_enters_where_the_module_does(tmp_path, capsys, code):
+    """The installed ``fairscore`` command and ``python -m fairscore.cli`` run
+    the same ``_run``, which ends its process: it exits with ``main``'s code,
+    and the report it writes to a piped stdout is complete."""
     pyproject = (Path(fairscore.__file__).parents[2] / "pyproject.toml").read_text()
     assert '\n[project.scripts]\nfairscore = "fairscore.cli:_run"\n' in pyproject
+    if code == 1:  # one Bregman sweep cannot converge
+        write(tmp_path / "in.csv", ND_CSV)
+        cfg = base_config(tmp_path, score_columns=["s1", "s2"], max_iter=1, report=None)
+    else:
+        write(tmp_path / "in.csv", AB_CSV)
+        cfg = base_config(tmp_path, theta=2.0 if code == 2 else 0.5, report=None)
+    argv = ["transform", "--config", cfg]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    written = (tmp_path / "out.csv").read_bytes() if code == 0 else None
+    (tmp_path / "out.csv").unlink(missing_ok=True)
+    child = subprocess.run([*RUN_ENTRY, *argv], env=_piped_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (code, expected.out, expected.err)
+    if code == 0:
+        assert expected.out.startswith("{\n") and expected.out.endswith("}\n")
+        assert (tmp_path / "out.csv").read_bytes() == written
+    else:
+        assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("closed", ["after-first-line", "before-output"])
+def test_run_on_a_closed_stdout_exits_as_python_does(tmp_path, closed):
+    """The report reaches the pipe in one write when ``_run`` flushes it. A
+    reader that closes the pipe after the first line has taken it all, so the
+    run exits 0; a pipe closed before any output fails that flush, and
+    ``_run`` leaves the exit to Python, which reports it with status 120."""
     write(tmp_path / "in.csv", AB_CSV)
-    cfg = base_config(tmp_path, report=None)
-    monkeypatch.setattr(sys, "argv", ["fairscore", "transform", "--config", cfg])
-    try:
-        with pytest.raises(SystemExit) as exit_:
-            _run()
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
-    assert exit_.value.code == 0
-    captured = capsys.readouterr()
-    written = (tmp_path / "out.csv").read_bytes()
-    assert main(["transform", "--config", cfg]) == 0
-    assert capsys.readouterr() == captured
-    assert (tmp_path / "out.csv").read_bytes() == written
+    argv = ["transform", "--config", base_config(tmp_path, report=None)]
+    read_end, write_end = os.pipe()
+    child = subprocess.Popen(
+        [*RUN_ENTRY, *argv], stdout=write_end, stderr=subprocess.PIPE, env=_piped_env()
+    )
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        if closed == "after-first-line":
+            assert pipe.readline() == b"{\n"
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == (0 if closed == "after-first-line" else 120)
+    if closed == "before-output":
+        assert err == (
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+            "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"
+        )
+    assert (tmp_path / "out.csv").exists()
+
+
+def test_module_run_starts_no_collection_once_its_code_begins(tmp_path):
+    """``python -m fairscore.cli`` turns the collector off before its first
+    import, and ends in ``os._exit``: no collection starts while a frame of
+    ``cli.py`` is on the stack, and no exit handler runs."""
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path)
+    log = tmp_path / "collections.log"
+    code = (
+        "import atexit, gc, os, runpy, sys\n"
+        f"fd = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)\n"
+        "cli = os.path.join('fairscore', 'cli.py')\n"
+        "def record(phase, info):\n"
+        "    frame = sys._getframe(1)\n"
+        "    while frame is not None and not frame.f_code.co_filename.endswith(cli):\n"
+        "        frame = frame.f_back\n"
+        "    if phase == 'start':\n"
+        "        os.write(fd, b'in-cli\\n' if frame else b'before-cli\\n')\n"
+        "gc.callbacks.append(record)\n"
+        "atexit.register(os.write, fd, b'exit-handler\\n')\n"
+        "gc.collect()\n"
+        f"sys.argv = ['fairscore', 'transform', '--config', {cfg!r}]\n"
+        "runpy.run_module('fairscore.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=_piped_env(), capture_output=True)
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "out.csv").exists()
+    events = log.read_text().split()
+    assert events[0] == "before-cli"  # the explicit collection: the hook records
+    assert "in-cli" not in events and "exit-handler" not in events
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_importing_the_cli_leaves_the_collector_as_it_was(enabled):
+    code = (
+        "import gc\n"
+        f"gc.enable() if {enabled} else gc.disable()\n"
+        "frozen = gc.get_freeze_count()\n"
+        "import fairscore.cli\n"
+        f"assert gc.isenabled() is {enabled}\n"
+        "assert gc.get_freeze_count() == frozen\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=_piped_env(), check=True)
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -953,6 +1052,10 @@ ERROR_LINES = [
     ("sweep-on-nd-scores", ["sweep", "--thetas", "0,1"], {"score_columns": ["s1", "s2"]},
      ND_CSV, "sweep metrics are defined for 1-D scores"),
     ("synth-without-section", ["synth"], {}, AB_CSV, "config has no 'synth' section"),
+    ("grid-size-above-limit", ["transform"], {"grid_size": 10**6 + 1}, AB_CSV,
+     "grid_size must be at most 1000000"),
+    ("grid-size-flag-above-limit", ["audit", "--grid-size", "1000001"], {}, AB_CSV,
+     "grid_size must be at most 1000000"),
     ("verify-grid-size", ["verify", "--grid-size", "51"], {}, AB_CSV,
      "verify refuses grid sizes larger than 50"),
     ("verify-lp-support", ["verify"], {"score_columns": ["s1", "s2"]}, LP_CSV,
@@ -983,6 +1086,19 @@ def test_each_refusal_prints_its_one_error_line(tmp_path, capsys, argv, extra, t
     assert main([*argv, "--config", base_config(tmp_path, **extra)]) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("route", ["json", "flag"])
+def test_grid_size_limit_is_accepted(tmp_path, route):
+    """``grid_size`` 10^6 is the largest a run accepts; one more is refused
+    (``test_each_refusal_prints_its_one_error_line``)."""
+    write(tmp_path / "in.csv", AB_CSV)
+    if route == "json":
+        argv = ["transform", "--config", base_config(tmp_path, grid_size=10**6)]
+    else:
+        argv = ["transform", "--config", base_config(tmp_path), "--grid-size", "1000000"]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["group_fairness_w2"] == 0.0
 
 
 EQUAL_GROUPS_CSV = "id,sex,score\n" + "".join(

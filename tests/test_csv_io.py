@@ -259,40 +259,6 @@ def test_two_score_columns_report_the_first_bad_field(tmp_path, capsys):
     assert capsys.readouterr().err == "error: row 3: score column 's2' value 'x' is not a number\n"
 
 
-# a quoted field sends these rows down the csv.reader path
-QUOTED_ROWS = ['"a1",A,0', *AB_ROWS[1:]]
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-@pytest.mark.parametrize("bad", [False, True], ids=["good-rows", "bad-row"])
-def test_reader_path_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabled, bad):
-    rows = [*QUOTED_ROWS[:2], "b1,B,x", *QUOTED_ROWS[3:]] if bad else QUOTED_ROWS
-    (tmp_path / "in.csv").write_text("\n".join([AB_HEADER, *rows]) + "\n", encoding="utf-8")
-    cfg = RunConfig(input=str(tmp_path / "in.csv"), group_columns=["sex"], id_column="id")
-    states = []
-    reader = csv.reader
-
-    def recording_reader(*args, **kwargs):
-        for row in reader(*args, **kwargs):
-            states.append(gc.isenabled())
-            yield row
-
-    monkeypatch.setattr(fairscore.cli.csv, "reader", recording_reader)
-    caller_state = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        if bad:
-            with pytest.raises(ValidationError, match="row 4"):
-                load_csv(cfg)
-        else:
-            assert len(load_csv(cfg)[2]) == len(rows)
-        # the header is read before the pause, the data rows within it
-        assert states == [enabled] + [False] * len(rows)
-        assert gc.isenabled() == enabled
-    finally:
-        (gc.enable if caller_state else gc.disable)()
-
-
 @pytest.mark.parametrize("quote", ["", '"'], ids=["line-path", "csv-path"])
 def test_load_csv_hands_build_population_one_list_per_group_column(tmp_path, monkeypatch, quote):
     rows = [f"{quote}a1{quote},A,x,0", "a2,A,y,2", "b1,B,x,2", "b2,B,y,4", "b3,B,z,5"]

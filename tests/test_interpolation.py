@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fairscore.interpolation
-import fairscore.population
+import fairscore.empirical
 from fairscore import (
     DimensionError,
     EmpiricalDistribution,
@@ -280,12 +279,12 @@ def test_targets_take_one_midranks_call_on_the_raw_order(monkeypatch):
     """All groups are ranked by one ``midranks`` call on ``pop.raw_order``,
     and the sweep over theta after it builds no second order."""
     builds, calls = [], []
-    build, ranks = fairscore.population._raw_order, fairscore.interpolation.midranks
+    build, ranks = fairscore.empirical._raw_order, fairscore.empirical.midranks
     monkeypatch.setattr(
-        fairscore.population, "_raw_order", lambda *a: builds.append(1) or build(*a)
+        fairscore.empirical, "_raw_order", lambda *a: builds.append(1) or build(*a)
     )
     monkeypatch.setattr(
-        fairscore.interpolation, "midranks", lambda *a: calls.append(1) or ranks(*a)
+        fairscore.empirical, "midranks", lambda *a: calls.append(1) or ranks(*a)
     )
     rng = np.random.default_rng(83)
     codes = rng.integers(0, 3, 90)

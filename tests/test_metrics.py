@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairscore.metrics
-import fairscore.population
+import fairscore.empirical
 from fairscore import (
     GroupKey,
     ScoreRecord,
@@ -682,13 +682,13 @@ def test_ife_merges_for_scores_that_descend_in_a_group(monkeypatch):
 
 def test_raw_order_is_built_once_per_population(monkeypatch):
     builds = []
-    build = fairscore.population._raw_order
+    build = fairscore.empirical._raw_order
 
     def counted(*args):
         builds.append(1)
         return build(*args)
 
-    monkeypatch.setattr(fairscore.population, "_raw_order", counted)
+    monkeypatch.setattr(fairscore.empirical, "_raw_order", counted)
     pop, targets = sweep_population(3, 30, 73)
     for theta in (0.0, 0.5, 1.0):
         fair = apply_theta(pop, targets, ThetaPolicy(theta))
