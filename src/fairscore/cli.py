@@ -4,7 +4,8 @@ Subcommands: transform, audit, sweep, barycenter, synth, verify.
 Exit codes: 0 success, 1 runtime/verification failure or out of memory, 2 validation error.
 
 Each command loads, solves and emits once: ``main`` validates the config,
-``load_csv`` reads the input, and no file is written before everything the
+``load_csv`` reads the input, ``compute_barycenter`` solves for either score
+dimension (its one fork), and no file is written before everything the
 command writes has been computed. ``audit`` is ``transform`` without the
 fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth`` writes the
 columns of ``generate_synthetic``. A command imports only what it runs:
@@ -77,7 +78,13 @@ from .interpolation import (
     interpolate_scores,
 )
 from .metrics import FairnessReport, SelectionRule, build_report
-from .population import GroupKey, ScoredPopulation, build_population, validate_population
+from .population import (
+    DEFAULT_MIN_GROUP_SIZE,
+    GroupKey,
+    ScoredPopulation,
+    build_population,
+    validate_population,
+)
 from .solver_settings import (
     DEFAULT_EPSILON,
     DEFAULT_GRID_SIZE,
@@ -233,7 +240,7 @@ class RunConfig:
     max_iter: int = _key(
         DEFAULT_MAX_ITER, _INT, "--max-iter", "solver iteration cap (n-D)", type=int
     )
-    min_group_size: int = _key(100, _INT, "--min-group-size", type=int)
+    min_group_size: int = _key(DEFAULT_MIN_GROUP_SIZE, _INT, "--min-group-size", type=int)
     seed: int = _key(0, _INT, "--seed", "seed for support subsampling", type=int)
     selection_threshold: float | None = _key(
         None, _FLOAT, "--threshold", "selection threshold", type=float, metavar="THRESHOLD"
@@ -415,11 +422,16 @@ def _load_rows(cfg: RunConfig):
 
 
 def _column_index(header: list[str], cfg: RunConfig) -> dict[str, int]:
+    """Each header name's position; a configured column must appear exactly once."""
     col_index = {name: i for i, name in enumerate(header)}
     needed = cfg.score_columns + cfg.group_columns + ([cfg.id_column] if cfg.id_column else [])
     for name in needed:
         if name not in col_index:
             raise ValidationError(f"column {name!r} not found in input header")
+        if header.count(name) > 1:
+            raise ValidationError(
+                f"column {name!r} appears {header.count(name)} times in the input header"
+            )
     return col_index
 
 
@@ -530,38 +542,24 @@ def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
     return [cfg.explicit_weights[k] for k in keys]
 
 
-def compute_barycenter_1d(pop: ScoredPopulation, cfg: RunConfig) -> QuantileGrid:
-    from .transport1d import barycenter_1d, group_distributions
+def compute_barycenter(
+    pop: ScoredPopulation, cfg: RunConfig
+) -> QuantileGrid | BregmanBarycenter:
+    """The groups' barycenter: a ``QuantileGrid`` in 1-D, in n-D a ``BregmanBarycenter``,
+    whose couplings give the transport maps, so it is the only entropic solve."""
+    weights = barycenter_weights(pop, cfg)
+    if pop.dimension == 1:
+        from .transport1d import barycenter_1d, group_distributions
 
-    return barycenter_1d(group_distributions(pop), barycenter_weights(pop, cfg), cfg.grid_size)
-
-
-def _barycenter_nd(pop: ScoredPopulation, cfg: RunConfig) -> BregmanBarycenter:
+        return barycenter_1d(group_distributions(pop), weights, cfg.grid_size)
     from .transportnd import compute_barycenter_nd
 
-    return compute_barycenter_nd(
-        pop,
-        weights=barycenter_weights(pop, cfg),
-        epsilon=cfg.epsilon,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        seed=cfg.seed,
-    )
+    return compute_barycenter_nd(pop, weights, cfg.epsilon, cfg.tol, cfg.max_iter, seed=cfg.seed)
 
 
 def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
-    """Fair scores under the configured theta policy.
-
-    In n-D the transport maps come from the barycenter's own Bregman
-    couplings, so the barycenter is the only entropic solve.
-    """
-    policy = cfg.theta_policy()
-    if pop.dimension == 1:
-        return interpolate_scores(pop, compute_barycenter_1d(pop, cfg), policy)
-    from .transportnd import barycenter_targets_nd
-
-    bary = _barycenter_nd(pop, cfg)
-    return apply_theta(pop, barycenter_targets_nd(pop, bary), policy)
+    """Fair scores under the configured theta policy."""
+    return interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy())
 
 
 def _write_report(report, path: str | None) -> None:
@@ -631,8 +629,7 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
         raise ValidationError("sweep metrics are defined for 1-D scores")
     _emit_warnings(pop, cfg)
 
-    bary = compute_barycenter_1d(pop, cfg)
-    targets = barycenter_targets(pop, bary)
+    targets = barycenter_targets(pop, compute_barycenter(pop, cfg))
     rule = cfg.selection_rule()
     rows = []
     for policy in policies:
@@ -649,11 +646,10 @@ def run_barycenter(cfg: RunConfig) -> int:
         raise ValidationError("barycenter requires an output path")
     pop = load_csv(cfg)[2]
     _emit_warnings(pop, cfg)
+    bary = compute_barycenter(pop, cfg)
     if pop.dimension == 1:
-        grid = compute_barycenter_1d(pop, cfg)
-        header, columns = ["rank", "quantile"], [grid.ranks, grid.quantiles]
+        header, columns = ["rank", "quantile"], [bary.ranks, bary.quantiles]
     else:
-        bary = _barycenter_nd(pop, cfg)
         header = _numbered("support_", bary.dimension) + ["mass"]
         columns = [bary.support, bary.masses]
     rows = [map(_fmt, row) for row in np.column_stack(columns).tolist()]
@@ -743,7 +739,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FairscoreError, MemoryError) as exc:
+    except (FairscoreError, MemoryError, BrokenPipeError) as exc:
+        # a BrokenPipeError here is stdout closed under an unbuffered report or
+        # verify line; buffered, it comes at _run's flush instead
         print(f"failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,14 @@
 """The core fairness transform: per-group displacement interpolation between
 each raw score distribution and the barycenter, governed by a theta policy.
 
-For an individual with raw score s and in-group midrank p, the fair score is
+For an individual with raw score s, in any score dimension, the fair score is
 
-    fair = (1 - theta_g) * s + theta_g * Q_B(p)
+    fair = (1 - theta_g) * s + theta_g * T(s)
 
-which is the 1-D W2 geodesic between the group distribution and the
-barycenter. In-group midranks (not pooled ranks), read off ``raw_order``'s
-sorted group runs, feed the map, so equal raw scores in one group always get
-equal fair scores and within-group monotonicity holds exactly, ties included.
+the W2 geodesic toward the barycenter. In 1-D, T(s) is the barycenter quantile
+at the in-group midrank (not the pooled rank), read off ``raw_order``'s sorted
+group runs, so equal raw scores in one group always get equal fair scores and
+within-group monotonicity holds, ties included; in n-D, the barycentric projection.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .population import GroupKey, ScoredPopulation
 
 if TYPE_CHECKING:
     from .empirical import QuantileGrid
+    from .transportnd import BregmanBarycenter
 
 
 @dataclass(frozen=True)
@@ -80,27 +81,38 @@ def check_policy_against(policy: ThetaPolicy, pop: ScoredPopulation) -> None:
             raise ValidationError(f"theta override for nonexistent group {key}")
 
 
-def barycenter_targets(pop: ScoredPopulation, bary: QuantileGrid) -> np.ndarray:
-    """T(s) for every record: the barycenter quantile at its in-group midrank.
-
-    The midranks read the sorted group runs of ``pop.raw_order``. The targets
-    do not depend on theta, so a sweep computes them once.
-    """
-    from .empirical import midranks
-
-    order = pop.raw_order
+def barycenter_targets(
+    pop: ScoredPopulation, bary: QuantileGrid | BregmanBarycenter
+) -> np.ndarray:
+    """T(s) for every record: in 1-D a ``QuantileGrid`` read at each in-group midrank,
+    off ``pop.raw_order``'s sorted runs; in n-D the projections of the
+    ``BregmanBarycenter`` of ``compute_barycenter_nd(pop, ...)``. Theta-free, so a
+    sweep computes them once."""
+    if pop.dimension == 1:
+        from .empirical import QuantileGrid as kind, midranks
+    else:
+        from .transportnd import BregmanBarycenter as kind
+    if not isinstance(bary, kind) or (pop.dimension > 1 and bary.dimension != pop.dimension):
+        raise DimensionError(f"{pop.dimension}-D scores need a {pop.dimension}-D {kind.__name__}")
     targets = np.empty_like(pop.scores)
-    ranks = midranks(pop.scores[order.by_group], order.group_starts)
-    targets[order.by_group] = bary.evaluate(ranks)
+    if pop.dimension == 1:
+        order = pop.raw_order
+        ranks = midranks(pop.scores[order.by_group], order.group_starts)
+        targets[order.by_group] = bary.evaluate(ranks)
+        return targets
+    if [len(p) for p in bary.projections] != [len(idx) for idx in pop.groups.values()]:
+        raise ValidationError("barycenter projections do not match the population's groups")
+    for idx, projection in zip(pop.groups.values(), bary.projections):
+        targets[idx] = projection
     return targets
 
 
 def apply_theta(pop: ScoredPopulation, targets: np.ndarray, policy: ThetaPolicy) -> FairScores:
     """fair = (1 - theta_g) * s + theta_g * T(s); a group with theta 0 keeps s bitwise.
 
-    The one blend of the 1-D and the n-D path, over all rows at once: ``targets``
-    holds a finite T(s) per record (shape (n,) or (n, d)), from ``barycenter_targets``
-    or ``transportnd.barycenter_targets_nd``, and each row's theta is read through
+    One blend for every score dimension, over all rows at once: ``targets``
+    holds a finite T(s) per record (shape (n,) or (n, d)), such as
+    ``barycenter_targets`` gives, and each row's theta is read through
     ``pop.group_codes``. A theta-0 row keeps its raw score, -0.0 included.
     """
     check_policy_against(policy, pop)
@@ -111,12 +123,7 @@ def apply_theta(pop: ScoredPopulation, targets: np.ndarray, policy: ThetaPolicy)
 
 
 def interpolate_scores(
-    pop: ScoredPopulation, bary: QuantileGrid, policy: ThetaPolicy
+    pop: ScoredPopulation, bary: QuantileGrid | BregmanBarycenter, policy: ThetaPolicy
 ) -> FairScores:
-    """Apply the theta-interpolated transport toward the barycenter (1-D only)."""
-    if pop.dimension != 1:
-        raise DimensionError(
-            "interpolate_scores handles 1-D scores only; for multi-dimensional "
-            "populations use compute_barycenter_nd, barycenter_targets_nd and apply_theta"
-        )
+    """Apply the theta-interpolated transport toward the barycenter, in any dimension."""
     return apply_theta(pop, barycenter_targets(pop, bary), policy)

@@ -47,6 +47,7 @@ import numpy as np
 from .errors import ValidationError
 from .interpolation import FairScores, ThetaPolicy
 from .population import GroupKey, ScoredPopulation
+from .solver_settings import DEFAULT_GRID_SIZE
 
 if TYPE_CHECKING:
     from .empirical import RawOrder
@@ -329,7 +330,7 @@ def selection_rates(
 def build_report(
     pop: ScoredPopulation,
     fair: FairScores,
-    m: int = 1000,
+    m: int = DEFAULT_GRID_SIZE,
     rule: SelectionRule | None = None,
 ) -> FairnessReport:
     """Assemble the full metric bundle; 1-D-only metrics are None in d >= 2."""

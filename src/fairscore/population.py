@@ -38,6 +38,9 @@ if TYPE_CHECKING:
 # metric overflows to an infinity that JSON cannot hold.
 SCORE_LIMIT = 1e150
 
+# Groups smaller than this get a warning (the CLI's ``min_group_size`` default).
+DEFAULT_MIN_GROUP_SIZE = 100
+
 
 @dataclass(frozen=True, order=True)
 class GroupKey:
@@ -204,7 +207,9 @@ def build_population(
     return ScoredPopulation(ids=tuple(ids), scores=scores, groups=groups, group_codes=group_codes)
 
 
-def validate_population(pop: ScoredPopulation, min_group_size: int = 100) -> list[GroupSizeWarning]:
+def validate_population(
+    pop: ScoredPopulation, min_group_size: int = DEFAULT_MIN_GROUP_SIZE
+) -> list[GroupSizeWarning]:
     """Return one warning per group smaller than ``min_group_size``. Never raises."""
     warnings = []
     for key, idx in pop.groups.items():

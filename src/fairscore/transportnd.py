@@ -20,7 +20,8 @@ the barycenter masses move by at most ``tol`` (L1) between sweeps. Each
 measure's final coupling ``diag(u_k) K_k diag(v_k)`` (``u_k`` recomputed from
 the last ``v_k``, so its row marginal is exactly ``a_k``) gives that measure's
 barycentric projection, so ``transform`` and ``audit`` need no second solve:
-the barycenter is the only entropic solve on their n-D path.
+the barycenter is the only entropic solve on their n-D path, and
+``interpolation.barycenter_targets`` reads each record's target off it.
 
 Sinkhorn is used only by ``verify``, which compares each pair of group
 measures' entropic cost with the exact LP. It keeps the scaled duals ``f``
@@ -430,19 +431,3 @@ def compute_barycenter_nd(
         support=bary.support * scale + lo,
         projections=tuple(p * scale + lo for p in bary.projections),
     )
-
-
-def barycenter_targets_nd(pop: ScoredPopulation, bary: BregmanBarycenter) -> np.ndarray:
-    """T(s) for every record: its projection under its group's Bregman coupling.
-
-    The n-D counterpart of ``interpolation.barycenter_targets``; ``bary`` comes
-    from ``compute_barycenter_nd(pop, ...)``.
-    """
-    sizes = [len(pop.groups[k]) for k in pop.group_keys()]
-    if [len(p) for p in bary.projections] != sizes:
-        raise ValidationError("barycenter projections do not match the population's groups")
-    targets = np.empty_like(pop.scores)
-    for idx, projection in zip(pop.groups.values(), bary.projections):
-        targets[idx] = projection
-    return targets
-

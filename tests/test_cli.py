@@ -631,30 +631,36 @@ def test_console_script_enters_where_the_module_does(tmp_path, capsys, code):
         assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("closed", ["after-first-line", "before-output"])
+@pytest.mark.parametrize("closed", ["after-first-line", "before-output", "unbuffered"])
 def test_run_on_a_closed_stdout_exits_as_python_does(tmp_path, closed):
     """The report reaches the pipe in one write when ``_run`` flushes it. A
     reader that closes the pipe after the first line has taken it all, so the
     run exits 0; a pipe closed before any output fails that flush, and
-    ``_run`` leaves the exit to Python, which reports it with status 120."""
+    ``_run`` leaves the exit to Python, which reports it with status 120.
+    Unbuffered (``PYTHONUNBUFFERED``), the report's own write fails instead,
+    inside ``main``, which reports it as one ``failure:`` line with exit 1."""
     write(tmp_path / "in.csv", AB_CSV)
     argv = ["transform", "--config", base_config(tmp_path, report=None)]
+    env = _piped_env()
+    if closed == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
-    child = subprocess.Popen(
-        [*RUN_ENTRY, *argv], stdout=write_end, stderr=subprocess.PIPE, env=_piped_env()
-    )
+    child = subprocess.Popen([*RUN_ENTRY, *argv], stdout=write_end, stderr=subprocess.PIPE, env=env)
     os.close(write_end)
     with open(read_end, "rb") as pipe:
         if closed == "after-first-line":
             assert pipe.readline() == b"{\n"
     err = child.stderr.read().decode()
     child.stderr.close()
-    assert child.wait(timeout=60) == (0 if closed == "after-first-line" else 120)
+    codes = {"after-first-line": 0, "before-output": 120, "unbuffered": 1}
+    assert child.wait(timeout=60) == codes[closed]
     if closed == "before-output":
         assert err == (
             "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
             "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"
         )
+    if closed == "unbuffered":
+        assert err == "failure: [Errno 32] Broken pipe\n"
     assert (tmp_path / "out.csv").exists()
 
 
@@ -875,7 +881,7 @@ def test_out_of_memory_is_a_failure_line(tmp_path, capsys, monkeypatch, message)
     def exhausted(pop, cfg):
         raise MemoryError(message)
 
-    monkeypatch.setattr(fairscore.cli, "compute_barycenter_1d", exhausted)
+    monkeypatch.setattr(fairscore.cli, "compute_barycenter", exhausted)
     write(tmp_path / "in.csv", AB_CSV)
     assert main(["transform", "--config", base_config(tmp_path)]) == 1
     assert capsys.readouterr().err == f"failure: {message or 'out of memory'}\n"
@@ -1134,10 +1140,7 @@ def test_explicit_weights_set_the_1d_barycenter(tmp_path):
 
 
 def test_explicit_weights_set_the_nd_transform(tmp_path):
-    from fairscore import build_population, compute_barycenter_nd
-    from fairscore import ThetaPolicy
-    from fairscore.interpolation import apply_theta
-    from fairscore.transportnd import barycenter_targets_nd
+    from fairscore import ThetaPolicy, build_population, compute_barycenter_nd, interpolate_scores
 
     write(tmp_path / "in.csv", NDW_CSV)
     out = tmp_path / "out.csv"
@@ -1153,7 +1156,7 @@ def test_explicit_weights_set_the_nd_transform(tmp_path):
         [r[0] for r in rows], [[r[1] for r in rows]], [[float(r[2]), float(r[3])] for r in rows]
     )
     bary = compute_barycenter_nd(pop, [0.25, 0.75], epsilon=0.05)
-    fair = apply_theta(pop, barycenter_targets_nd(pop, bary), ThetaPolicy(0.5))
+    fair = interpolate_scores(pop, bary, ThetaPolicy(0.5))
     assert [[float(v) for v in r[4:]] for r in read_rows(out)[1:]] == fair.values.tolist()
 
 

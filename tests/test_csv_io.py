@@ -260,6 +260,33 @@ def test_two_score_columns_report_the_first_bad_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("quote", ["", '"'], ids=["line-path", "csv-path"])
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("id,sex,score,score", "column 'score' appears 2 times in the input header"),
+        ("id,sex,score,sex", "column 'sex' appears 2 times in the input header"),
+        ("id,id,sex,score,id", "column 'id' appears 3 times in the input header"),
+        ("id,note,sex,score,note", None),
+    ],
+    ids=["score", "group", "id", "unused"],
+)
+def test_a_configured_column_named_twice_exits_2(tmp_path, capsys, quote, header, message):
+    """A score, group or id column must be named once in the header, or no
+    copy could be told from the others; a repeated name that the config does
+    not use is passed through."""
+    fields = {"id": "r{k}", "sex": "{g}", "score": "{k}", "note": "x"}
+    line = ",".join(fields[name] for name in header.split(","))
+    rows = [line.format(k=k, g="AB"[k % 2]) for k in range(6)]
+    rows[0] = quote + rows[0].replace(",", quote + ",", 1)
+    if message is None:
+        assert run_rows(tmp_path, capsys, rows, header) == (0, "")
+        assert (tmp_path / "out.csv").read_text().startswith(header + ",fair_score\n")
+    else:
+        assert run_rows(tmp_path, capsys, rows, header) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["line-path", "csv-path"])
 def test_load_csv_hands_build_population_one_list_per_group_column(tmp_path, monkeypatch, quote):
     rows = [f"{quote}a1{quote},A,x,0", "a2,A,y,2", "b1,B,x,2", "b2,B,y,4", "b3,B,z,5"]
     (tmp_path / "in.csv").write_text(

@@ -13,6 +13,7 @@ from fairscore import (
     ValidationError,
     barycenter_1d,
     build_population,
+    compute_barycenter_nd,
     empirical_from_samples,
     interpolate_scores,
     resolve_theta,
@@ -20,7 +21,7 @@ from fairscore import (
 from fairscore.cli import (
     RunConfig,
     barycenter_weights,
-    compute_barycenter_1d,
+    compute_barycenter,
     transform_population,
 )
 from fairscore.interpolation import apply_theta, barycenter_targets
@@ -81,14 +82,30 @@ def test_override_for_missing_group_rejected(ab_population, ab_barycenter):
         interpolate_scores(ab_population, ab_barycenter, policy)
 
 
-def test_multidimensional_population_routed(ab_barycenter):
+def test_multidimensional_population_routed(ab_population, ab_barycenter):
+    """Each score dimension takes its own kind of barycenter, of its own dimension."""
     records = [
         ScoreRecord("a", ("A",), (0.0, 1.0)),
         ScoreRecord("b", ("B",), (1.0, 0.0)),
     ]
     pop = population_from_records(records, 1)
-    with pytest.raises(DimensionError, match="compute_barycenter_nd"):
+    with pytest.raises(DimensionError, match="2-D scores need a 2-D BregmanBarycenter"):
         interpolate_scores(pop, ab_barycenter, ThetaPolicy(1.0))
+    bregman = compute_barycenter_nd(pop, [0.5, 0.5])
+    with pytest.raises(DimensionError, match="1-D scores need a 1-D QuantileGrid"):
+        interpolate_scores(ab_population, bregman, ThetaPolicy(1.0))
+    wide = build_population(["a", "b"], [["A", "B"]], np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]))
+    with pytest.raises(DimensionError, match="3-D scores need a 3-D BregmanBarycenter"):
+        interpolate_scores(wide, bregman, ThetaPolicy(1.0))
+
+
+def test_nd_targets_need_the_barycenter_of_the_same_groups():
+    scores = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+    pop = build_population(["a1", "a2", "b"], [["A", "A", "B"]], scores)
+    other = build_population(["a", "b1", "b2"], [["A", "B", "B"]], scores)
+    bary = compute_barycenter_nd(other, [0.5, 0.5])
+    with pytest.raises(ValidationError, match="projections do not match the population's groups"):
+        barycenter_targets(pop, bary)
 
 
 def test_within_group_monotonicity_random():
@@ -361,7 +378,7 @@ def test_barycenter_of_the_raw_order_runs_matches_sorted_groups(seed, group_coun
         barycenter_weights(pop, cfg),
         m,
     )
-    got = compute_barycenter_1d(pop, cfg)
+    got = compute_barycenter(pop, cfg)
     assert got.quantiles.tobytes() == reference.quantiles.tobytes()
     assert got.ranks.tobytes() == reference.ranks.tobytes()
 
@@ -374,7 +391,7 @@ def test_blend_by_group_codes_matches_the_per_group_loop(seed, group_count, dime
     pop = seeded_population(seed, group_count, dimension)
     policy = seeded_policy(seed, pop)
     if dimension == 1:
-        targets = barycenter_targets(pop, compute_barycenter_1d(pop, RunConfig(grid_size=7)))
+        targets = barycenter_targets(pop, compute_barycenter(pop, RunConfig(grid_size=7)))
     else:
         targets = np.round(np.random.default_rng(seed).normal(size=pop.scores.shape), 1)
     fair = apply_theta(pop, targets, policy).values
