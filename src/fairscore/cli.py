@@ -22,19 +22,19 @@ field declares its JSON parser and its flag, if any (see ``_key``), so
 ``load_config``, the flags and the overrides are loops over ``fields(RunConfig)``.
 A JSON ``null`` leaves a key at its default; an unknown key exits 2.
 
-Data flows as columns. ``load_csv`` takes the id, score and group columns out
-of the input, one list per column, and builds the population from them (see
-``population``); no per-row group tuple is made. The input is read one of two
-ways:
+Data flows as columns. ``load_csv`` reads the input once, takes the id,
+score and group columns out of it, one list per column, and builds the
+population from them (see ``population``); no per-row group tuple is made. The
+text's bytes pick one of two parsers, and each names its own errors:
 
-- The line path. The text holds no ``"``, no ``\\r`` and no NUL, every line has
-  the header's number of fields (at least 2) and no line is longer than
-  ``csv.field_size_limit()``. Then each record is one line, and its fields
-  are the line split at commas. The columns are slices of one ``split(",")``
-  of the joined lines, and the lines are kept for output. A bad value is
-  named by scanning the lines already in memory, split one by one: these are
-  the rows ``csv.reader`` would give.
-- The ``csv.reader`` path, for every other input. It reports the first bad
+- The line path, for a text with no ``"``, no ``\\r`` and no NUL. Each record
+  is one line, its fields are the line split at commas, and an empty line has
+  no fields. When every line has the header's number of fields, the columns
+  are slices of one ``split(",")`` of the joined lines; the lines are kept for
+  output. A bad row is named by scanning the lines, split one by one: these
+  are the rows ``csv.reader`` would give. A line longer than
+  ``csv.field_size_limit()`` sends the text on to ``csv.reader``.
+- The ``csv.reader`` path, for every other text. It reports the first bad
   row and keeps each row as the line ``csv.writer`` writes for it.
 
 ``_write`` writes every output file and reports a path it cannot write as a
@@ -53,11 +53,11 @@ if __name__ == "__main__":
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import chain, islice
@@ -265,6 +265,10 @@ class RunConfig:
         # hold them; a column name is matched against a UTF-8 header or written
         for name in ("score_columns", "group_columns", "id_column"):
             _check_utf8("".join(getattr(self, name) or ""), name)
+        names = self.score_columns + self.group_columns
+        for name in names:
+            if names.count(name) > 1:
+                raise ValidationError(f"column {name!r} is configured {names.count(name)} times")
         self.theta_policy()
         if self.grid_size < 2:
             raise ValidationError("grid_size must be at least 2")
@@ -316,67 +320,68 @@ def load_config(path: str) -> RunConfig:
 
 
 def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
-    """Read the input CSV and build the population from its columns.
+    """Read the input CSV once and build the population from its columns.
 
-    The text is read once for the line path; an input that path refuses is
-    opened a second time, for ``csv.reader``. Returns the header, the data
-    lines for pass-through on output and the population. Each needed column
-    is parsed with one ``map`` and the whole table is checked with vectorized
-    tests. Only when a test fails are the rows scanned one by one, so that
-    the error names the first bad row.
+    Returns the header, the data lines for pass-through on output and the
+    population. Each needed column is parsed with one ``map`` and the whole
+    table is checked with vectorized tests. Only when a test fails are the
+    rows scanned one by one, so that the error names the first bad row.
     """
     if cfg.input is None:
         raise ValidationError("no input file configured")
     # the text goes to _load_lines alone, which drops it once it is split
-    header, lines, columns = _load_lines(_read_text(cfg.input), cfg) or _load_rows(cfg)
+    header, lines, columns = _load_lines(_read_text(cfg.input), cfg)
     return header, lines, build_population(*columns)
 
 
-@contextmanager
-def _reading(path: str):
-    """Report a file that cannot be read or is not UTF-8 as a ValidationError."""
+def _read_text(path: str) -> str:
+    """The text of the input file, opened once; a file that cannot be read, is
+    not UTF-8 or is empty is a ValidationError."""
     try:
-        yield
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"input file {path} is not valid UTF-8: {exc}") from None
-
-
-def _read_text(path: str) -> str:
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        return fh.read()
+    if not text:
+        raise ValidationError(f"input file {path} is empty")
+    return text
 
 
 def _load_lines(text: str, cfg: RunConfig):
-    """(header, data lines, columns) on the line path (see the module docstring), or None.
+    """(header, data lines, columns) of ``text``; raises the first bad row's error.
 
-    The text is split at ``\\n`` only: ``splitlines`` also breaks at
-    ``\\x0b``, ``\\x85`` and others, which ``csv.reader`` keeps in a field.
-    With fewer than 2 header fields an empty line would pass the field count.
-    NUL is left to ``csv.reader``, which rejects it before Python 3.11. None
-    sends the input to the ``csv.reader`` path, which names its error. A bad
-    value is named here, from the lines split one by one.
+    The line path (see the module docstring) splits at ``\\n`` only:
+    ``splitlines`` also breaks at ``\\x0b``, ``\\x85`` and others, which
+    ``csv.reader`` keeps in a field. NUL goes to ``csv.reader``, which rejects
+    it before Python 3.11. With fewer than 2 header fields an empty line would
+    pass the comma count.
     """
     if '"' in text or "\r" in text or "\0" in text:
-        return None
+        return _load_rows(text, cfg)
     end = text.find("\n")
-    header = text[: len(text) if end < 0 else end].split(",")
+    header = _fields(text[: len(text) if end < 0 else end])
     width = len(header)
-    if width < 2 or not _fields_per_line(text, width):
-        return None
+    rectangular = width and _fields_per_line(text, width) and not (width == 1 and "\n\n" in text)
     lines = text.split("\n")
     del text
+    if max(map(len, lines)) > csv.field_size_limit():
+        return _load_rows("\n".join(lines), cfg)
     if lines[-1] == "":
         lines.pop()  # the final newline ends the last record
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
-        return None
     col_index = _column_index(header, cfg)
-    flat = ",".join(lines).split(",")
-    columns = _parse_columns(lambda j: flat[width + j :: width], len(lines) - 1, cfg, col_index)
+    columns = None
+    if rectangular:
+        flat = ",".join(lines).split(",")
+        columns = _parse_columns(lambda j: flat[width + j :: width], len(lines) - 1, cfg, col_index)
     if columns is None:
-        _raise_first_bad_row(header, (line.split(",") for line in lines[1:]), cfg, col_index)
+        _raise_first_bad_row(header, map(_fields, lines[1:]), cfg, col_index)
     return header, lines[1:], columns
+
+
+def _fields(line: str) -> list[str]:
+    return line.split(",") if line else []
 
 
 _NOT_A_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
@@ -395,20 +400,14 @@ def _fields_per_line(text: str, width: int) -> bool:
     return seps == (b"," * (width - 1) + b"\n") * (len(seps) // width)
 
 
-def _load_rows(cfg: RunConfig):
+def _load_rows(text: str, cfg: RunConfig):
     """(header, data lines, columns) read with ``csv.reader``; raises the first bad row's error."""
-    with _reading(cfg.input):
-        with open(cfg.input, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-                rows = list(reader)
-            except StopIteration:
-                raise ValidationError(f"input file {cfg.input} is empty") from None
-            except csv.Error as exc:
-                raise ValidationError(
-                    f"input file {cfg.input}, line {reader.line_num}: {exc}"
-                ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValidationError(f"input file {cfg.input}, line {reader.line_num}: {exc}") from None
 
     col_index = _column_index(header, cfg)
     columns = None

@@ -27,6 +27,8 @@ BRUTEFORCE_MAX_N = 8
 BRUTEFORCE_MAX_PAIRS = 10
 LP_MAX_SUPPORT = 20
 COORDINATE_MAX_M = 50
+# the coordinate search's step, and verify's bound on its gap to the barycenter
+COORDINATE_RESOLUTION = 1e-4
 # candidates x groups of the coordinate search's objective: 80 MB for each of its temporaries
 COORDINATE_MAX_CELLS = 10**7
 PAIRWISE_MAX_N = 2000
@@ -67,15 +69,18 @@ def lp_transport_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float,
     return float(np.sum(plan * C)), plan
 
 
-def _check_coordinate_span(span: float, groups: int, grid_resolution: float) -> None:
+def _check_coordinate_span(span: float, groups: int) -> None:
     """Refuse a coordinate search over more than ``COORDINATE_MAX_CELLS`` cells: every
     quantile lies within the samples' range ``span``, so each grid value is searched among
-    at most about ``span / grid_resolution + 1`` candidates, each against ``groups`` quantiles.
+    at most about ``span / COORDINATE_RESOLUTION + 1`` candidates, each against ``groups``
+    quantiles.
     """
-    if not (span / grid_resolution + 1) * groups <= COORDINATE_MAX_CELLS:  # also an infinite span
+    # an infinite span is refused too
+    if not (span / COORDINATE_RESOLUTION + 1) * groups <= COORDINATE_MAX_CELLS:
         raise OracleGuardError(
             f"coordinate oracle refuses a score range of {span:.6g} at resolution "
-            f"{grid_resolution:g} over {groups} groups (more than {COORDINATE_MAX_CELLS} cells)"
+            f"{COORDINATE_RESOLUTION:g} over {groups} groups "
+            f"(more than {COORDINATE_MAX_CELLS} cells)"
         )
 
 
@@ -83,7 +88,6 @@ def barycenter_coordinate_oracle(
     dists: Sequence[EmpiricalDistribution],
     weights: Sequence[float],
     m: int,
-    grid_resolution: float = 1e-4,
 ) -> QuantileGrid:
     """Coordinate-wise scalar grid search for the barycenter quantile grid.
 
@@ -93,7 +97,7 @@ def barycenter_coordinate_oracle(
     if m > COORDINATE_MAX_M:
         raise OracleGuardError(f"coordinate oracle refuses m > {COORDINATE_MAX_M}")
     span = float(max(d.values[-1] for d in dists)) - float(min(d.values[0] for d in dists))
-    _check_coordinate_span(span, len(dists), grid_resolution)
+    _check_coordinate_span(span, len(dists))
     w = np.asarray(weights, dtype=float)
     w = w / w.sum()
     ranks = grid_ranks(m)
@@ -101,10 +105,10 @@ def barycenter_coordinate_oracle(
     for k, p in enumerate(ranks):
         qs = np.array([quantile(d, p) for d in dists])
         lo, hi = qs.min(), qs.max()
-        if hi - lo < grid_resolution:
+        if hi - lo < COORDINATE_RESOLUTION:
             out[k] = float(np.dot(w, qs))
             continue
-        candidates = np.arange(lo, hi + grid_resolution, grid_resolution)
+        candidates = np.arange(lo, hi + COORDINATE_RESOLUTION, COORDINATE_RESOLUTION)
         objective = ((candidates[:, None] - qs[None, :]) ** 2 * w[None, :]).sum(axis=1)
         out[k] = float(candidates[np.argmin(objective)])
     # enforce monotonicity against grid-search jitter
@@ -189,8 +193,7 @@ def _checks_1d(
             f"verify refuses more than {BRUTEFORCE_MAX_PAIRS} pairs of equal-size groups "
             f"(the input has {len(pairs)})"
         )
-    resolution = 1e-4
-    _check_coordinate_span(float(pop.scores.max() - pop.scores.min()), len(keys), resolution)
+    _check_coordinate_span(float(pop.scores.max() - pop.scores.min()), len(keys))
 
     dists = dict(zip(keys, group_distributions(pop)))
     w = weights()
@@ -201,9 +204,10 @@ def _checks_1d(
         detail = f"grid {fast:.12g} vs exact {brute:.12g}"
         yield f"w2({a},{b}) vs permutation brute force", abs(fast - brute) <= 1e-9, detail
 
-    reference = barycenter_coordinate_oracle(list(dists.values()), w, m, grid_resolution=resolution)
+    reference = barycenter_coordinate_oracle(list(dists.values()), w, m)
     gap = float(np.max(np.abs(bary.quantiles - reference.quantiles)))
-    yield "barycenter vs coordinate search", gap <= resolution, f"max coordinate gap {gap:.3e}"
+    ok = gap <= COORDINATE_RESOLUTION
+    yield "barycenter vs coordinate search", ok, f"max coordinate gap {gap:.3e}"
 
     fair = interpolate_scores(pop, bary, policy)
     counted = individual_fairness_error(pop, fair)

@@ -406,7 +406,6 @@ def compute_barycenter_nd(
     epsilon: float = DEFAULT_EPSILON,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    support_limit: int = DEFAULT_SUPPORT_LIMIT,
     seed: int = 0,
 ) -> BregmanBarycenter:
     """Barycenter of the group score clouds, in original score coordinates.
@@ -422,7 +421,7 @@ def compute_barycenter_nd(
     norm = (scores - lo) / scale
 
     measures = list(group_measures(pop, norm).values())
-    support = default_barycenter_support(norm, limit=support_limit, seed=seed)
+    support = default_barycenter_support(norm, DEFAULT_SUPPORT_LIMIT, seed)
     bary = barycenter_fixed_support(
         measures, weights, support, epsilon=epsilon, tol=tol, max_iter=max_iter
     )

@@ -175,7 +175,7 @@ def test_criterion_5_transport_oracles():
         ]
         w = rng.dirichlet(np.ones(k))
         closed = barycenter_1d(dists, w, n).quantiles
-        searched = barycenter_coordinate_oracle(dists, w, n, grid_resolution=1e-4).quantiles
+        searched = barycenter_coordinate_oracle(dists, w, n).quantiles
         worst_bary = max(worst_bary, float(np.abs(closed - searched).max()))
     elapsed = time.perf_counter() - start
     ok = worst_w2 <= 1e-9 and worst_bary <= 1e-4 and elapsed < 30.0

@@ -895,8 +895,9 @@ def test_readme_names_every_config_key_and_flag():
 
 
 # Random JSON for every config key but the paths, which could name any file.
-# Numbers stay within 1e6 (a float such as 1e9 is a valid grid_size), so that
-# no example allocates gigabytes. Many values have a plausible shape, so that
+# Numbers stay within 1e6, the largest grid_size a run accepts (MAX_GRID_SIZE):
+# a larger one is refused before the input is read, so draws within the bound
+# reach the accepted grid sizes. Many values have a plausible shape, so that
 # examples also get past the type checks. Text includes lone surrogates
 # (category Cs), which a JSON escape such as "\ud800" can spell.
 WORDS = st.sampled_from(
@@ -1062,6 +1063,15 @@ ERROR_LINES = [
      "grid_size must be at most 1000000"),
     ("grid-size-flag-above-limit", ["audit", "--grid-size", "1000001"], {}, AB_CSV,
      "grid_size must be at most 1000000"),
+    ("score-column-twice", ["transform"], {"score_columns": ["score", "score"]}, AB_CSV,
+     "column 'score' is configured 2 times"),
+    ("score-and-group-column", ["transform"], {"group_columns": ["sex", "score"]}, AB_CSV,
+     "column 'score' is configured 2 times"),
+    ("group-column-flag-twice", ["audit", "--group-columns", "sex,sex"], {}, AB_CSV,
+     "column 'sex' is configured 2 times"),
+    # refused before the input is read: the file named does not exist
+    ("score-column-flag-three-times", ["transform", "--score-columns", "score,score,score"],
+     {"input": "{tmp}/absent.csv"}, AB_CSV, "column 'score' is configured 3 times"),
     ("verify-grid-size", ["verify", "--grid-size", "51"], {}, AB_CSV,
      "verify refuses grid sizes larger than 50"),
     ("verify-lp-support", ["verify"], {"score_columns": ["s1", "s2"]}, LP_CSV,

@@ -7,11 +7,12 @@ can get wrong; its quotes and CRLF line endings send it down the
 ``csv.reader`` path. The n-D cases read ``GOLDEN_INPUT_ND``, and ``synth``
 reads no input. The error tests pin the exact ``error:`` line, including
 which of two bad rows is reported. Their LF inputs take the line path, which
-names a bad value itself and leaves a wrong field count to ``csv.reader``. Two
-property tests compare the output of quote-free tables (the line path) and of
-quoted ones (the ``csv.reader`` path) with what ``csv.reader`` and
-``csv.writer`` make of the same input; two more pin the line path's
-field-count scan and its one-call egress to the per-line code they replaced.
+names each bad row itself. Two property tests compare the output of quote-free
+tables (the line path) and of quoted ones (the ``csv.reader`` path) with what
+``csv.reader`` and ``csv.writer`` make of the same input; one more finds the
+two loaders equal on every quote-free text, valid or not, and two pin the line
+path's field-count scan and its one-call egress to the per-line code they
+replaced. The input is opened once, so a pipe or a FIFO reads as a file does.
 A static check keeps every file write in ``_write``.
 """
 
@@ -20,13 +21,17 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fairscore.cli
@@ -375,11 +380,159 @@ def test_line_path_names_its_bad_row_without_csv(tmp_path, capsys, monkeypatch, 
 
 
 def test_field_over_the_limit_exits_2(tmp_path, capsys):
-    # the long field is a pass-through one, which the line path would accept
+    # the long field is a pass-through one; its line goes on to csv.reader, which names it
     rows = [f"{row},n" for row in AB_ROWS]
     rows[1] += "x" * 131_072
     message = f"input file {tmp_path / 'in.csv'}, line 3: field larger than field limit (131072)"
     assert run_rows(tmp_path, capsys, rows, AB_HEADER + ",note") == (2, f"error: {message}\n")
+
+
+# a 4-row A/B table, quoted, with CRLF line ends and plain
+ONE_READ_INPUTS = {
+    "quoted": 'id,sex,score,note\na1,A,0,"x, y"\na2,A,2,y\nb1,B,2,\nb2,B,4,"z"\n',
+    "crlf": "id,sex,score\r\na1,A,0\r\na2,A,2\r\nb1,B,2\r\nb2,B,4\r\n",
+    "plain": "id,sex,score\na1,A,0\na2,A,2\nb1,B,2\nb2,B,4\n",
+}
+
+
+def run_cli_on(tmp_path, input_path, stdin=None):
+    """(exit code, stdout, stderr, fair-score CSV, report) of a ``transform``
+    child that reads ``input_path``; the outputs are removed after reading."""
+    out, report = tmp_path / "out.csv", tmp_path / "report.json"
+    argv = ["transform", "--input", str(input_path), "--output", str(out), "--report", str(report),
+            "--group-columns", "sex", "--id-column", "id", "--min-group-size", "1"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fairscore.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-m", "fairscore.cli", *argv],
+        input=stdin, capture_output=True, env=env, timeout=60,
+    )
+    outputs = child.returncode, child.stdout, child.stderr, _bytes(out), _bytes(report)
+    for path in (out, report):
+        path.unlink(missing_ok=True)
+    return outputs
+
+
+@pytest.mark.parametrize("name", ONE_READ_INPUTS)
+def test_a_piped_input_reads_as_the_file_does(tmp_path, name):
+    """``--input /dev/stdin`` gives the run's bytes from a regular file, on both paths."""
+    data = ONE_READ_INPUTS[name].encode("utf-8")
+    (tmp_path / "in.csv").write_bytes(data)
+    from_file = run_cli_on(tmp_path, tmp_path / "in.csv")
+    assert from_file[0] == 0 and from_file[3] is not None
+    assert run_cli_on(tmp_path, "/dev/stdin", stdin=data) == from_file
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name", ONE_READ_INPUTS)
+def test_a_fifo_input_reads_as_the_file_does(tmp_path, name):
+    """A named FIFO is read once: a second open would wait for a writer that
+    never comes, and the child's timeout would fail the test."""
+    data = ONE_READ_INPUTS[name].encode("utf-8")
+    (tmp_path / "in.csv").write_bytes(data)
+    from_file = run_cli_on(tmp_path, tmp_path / "in.csv")
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except OSError:  # the reader went away
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        from_fifo = run_cli_on(tmp_path, fifo)
+    finally:
+        if writer.is_alive():  # still waiting for a reader: open one to release it
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(10)
+    assert from_fifo == from_file
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ONE_READ_INPUTS["plain"],
+        ONE_READ_INPUTS["quoted"],
+        ONE_READ_INPUTS["plain"] + "c1,C\n",  # a bad row, named on the line path
+        ONE_READ_INPUTS["plain"] + "c1,C," + "0" * 131_073 + "\n",  # over the field limit
+    ],
+    ids=["line-path", "csv-path", "bad-row", "field-limit"],
+)
+def test_load_csv_opens_its_input_once(tmp_path, monkeypatch, text):
+    (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(fairscore.cli, "open", counting_open, raising=False)
+    cfg = RunConfig(input=str(tmp_path / "in.csv"), group_columns=["sex"], id_column="id")
+    try:
+        load_csv(cfg)
+    except ValidationError:
+        pass
+    assert opened == [cfg.input]
+
+
+LOADER_CONFIGS = [
+    RunConfig(input="in.csv", group_columns=["sex"], id_column="id"),
+    RunConfig(input="in.csv", score_columns=["s1", "score"], group_columns=["sex"]),
+    RunConfig(input="in.csv", score_columns=["g"], group_columns=["sex", "note"], id_column="id"),
+]
+
+
+@st.composite
+def quote_free_texts(draw):
+    """A non-empty text with no ``"``, ``\\r`` or NUL: a header of 0 to 4 known
+    names, then lines of 0 to 5 fields, often of the header's width."""
+    header = draw(st.lists(st.sampled_from(["id", "sex", "score", "s1", "g", "note"]), max_size=4))
+    value = st.one_of(
+        st.sampled_from(["", " ", "A", "B", "1", "-0.0", " 2 ", "1e400", "nan", "x", "r1"]),
+        st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+        st.text(alphabet="ab 9.;\x0b\x0c\x1c\x1e\x85\u2028é東", max_size=3),
+    )
+    widths = st.one_of(st.just(len(header)), st.integers(0, 5))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(widths)
+        lines.append(",".join(draw(st.lists(value, min_size=width, max_size=width))))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    assume(text)
+    return text
+
+
+def _loaded(loader, text, cfg):
+    """``loader(text, cfg)`` as comparable values, or the text of its error."""
+    try:
+        header, lines, (ids, groups, scores) = loader(text, cfg)
+    except ValidationError as exc:
+        return str(exc)
+    return header, lines, ids, groups, scores.shape, scores.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(quote_free_texts(), st.sampled_from(LOADER_CONFIGS), st.sampled_from([None, 4, 8]))
+@example("g\n1\n\n2\n", LOADER_CONFIGS[2], None)  # a one-column header, an empty line
+@example("\nid,sex,score\n", LOADER_CONFIGS[0], None)  # an empty header
+@example("id,sex,score\n", LOADER_CONFIGS[0], None)  # a header with no data row
+@example("id,sex,score\nr1,A\n", LOADER_CONFIGS[0], None)  # a wrong field count
+@example("id,sex\nr1,A\n", LOADER_CONFIGS[0], None)  # a missing configured column
+@example("id,sex,score\nr1,A,1\n\nr2,B,2\n", LOADER_CONFIGS[0], 4)  # a line over the limit
+def test_the_two_loaders_agree_on_quote_free_texts(text, cfg, limit):
+    """On a quote-free text, valid or not, the line path returns what
+    ``csv.reader`` reads or raises its error, under any field size limit."""
+    default = csv.field_size_limit()
+    csv.field_size_limit(limit or default)
+    try:
+        by_lines = _loaded(fairscore.cli._load_lines, text, cfg)
+        by_rows = _loaded(fairscore.cli._load_rows, text, cfg)
+    finally:
+        csv.field_size_limit(default)
+    assert by_lines == by_rows
 
 
 def test_one_column_header_reports_an_empty_line(tmp_path):

@@ -94,13 +94,13 @@ def test_pairwise_ife_guard():
 
 def test_coordinate_oracle_hand_case():
     dists = [empirical_from_samples([0, 2]), empirical_from_samples([2, 4])]
-    grid = barycenter_coordinate_oracle(dists, [0.5, 0.5], 2, grid_resolution=1e-4)
+    grid = barycenter_coordinate_oracle(dists, [0.5, 0.5], 2)
     np.testing.assert_allclose(grid.quantiles, [1, 3], atol=1e-4)
 
 
 def test_coordinate_oracle_single_dist():
     d = empirical_from_samples([1, 5, 9])
-    grid = barycenter_coordinate_oracle([d], [1.0], 6, grid_resolution=1e-4)
+    grid = barycenter_coordinate_oracle([d], [1.0], 6)
     np.testing.assert_allclose(
         grid.quantiles, barycenter_1d([d], [1.0], 6).quantiles, atol=1e-4
     )
@@ -117,7 +117,7 @@ def test_coordinate_oracle_matches_closed_form_random():
         w = rng.dirichlet(np.ones(k))
         m = int(rng.integers(2, 12))
         closed = barycenter_1d(dists, w, m).quantiles
-        searched = barycenter_coordinate_oracle(dists, w, m, grid_resolution=1e-4).quantiles
+        searched = barycenter_coordinate_oracle(dists, w, m).quantiles
         assert np.abs(closed - searched).max() <= 1e-4
 
 
