@@ -53,10 +53,10 @@ if __name__ == "__main__":
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -335,10 +335,10 @@ def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
 
 
 def _read_text(path: str) -> str:
-    """The text of the input file, opened once; a file that cannot be read, is
-    not UTF-8 or is empty is a ValidationError."""
+    """The text of the input file, opened once, without a UTF-8 byte-order mark;
+    a file that cannot be read, is not UTF-8 or is empty is a ValidationError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
@@ -400,9 +400,18 @@ def _fields_per_line(text: str, width: int) -> bool:
     return seps == (b"," * (width - 1) + b"\n") * (len(seps) // width)
 
 
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as ``io.StringIO(text, newline="")`` gives them, with no
+    copy: only ``\\r\\n``, ``\\r`` and ``\\n`` end a line, unlike in ``splitlines``."""
+    return (match.group() for match in _LINE.finditer(text))
+
+
 def _load_rows(text: str, cfg: RunConfig):
     """(header, data lines, columns) read with ``csv.reader``; raises the first bad row's error."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
         rows = list(reader)

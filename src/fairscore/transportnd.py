@@ -10,35 +10,28 @@ dot product per row, which no BLAS thread count changes (a row holds at most
 2,000 entries, the support limit, on every CLI path), and the column sums
 ``(a/s) @ E_ref``. ``E_ref`` is rebuilt from ``lv`` only when some
 ``|lv_j - lv_ref_j|`` exceeds ``ABSORB_THRESHOLD`` (Schmitzer,
-arXiv:1610.06519, section 3.2). Columns whose sum falls below
-``UNDERFLOW_FLOOR`` (a support point far from every atom at small epsilon)
-are recomputed with a max-shifted log-sum-exp. This stays stable for epsilon
-down to 1e-3 on scores scaled to [0, 1].
+arXiv:1610.06519, section 3.2); halving epsilon squares it. Columns whose sum
+falls below ``UNDERFLOW_FLOOR`` (a support point far from every atom at small
+epsilon) are recomputed with a max-shifted log-sum-exp. This stays stable for
+epsilon down to 1e-3 on scores scaled to [0, 1].
 
-Barycenters use iterative Bregman projections on a fixed support and stop when
-the barycenter masses move by at most ``tol`` (L1) between sweeps. Each
-measure's final coupling ``diag(u_k) K_k diag(v_k)`` (``u_k`` recomputed from
-the last ``v_k``, so its row marginal is exactly ``a_k``) gives that measure's
-barycentric projection, so ``transform`` and ``audit`` need no second solve:
-the barycenter is the only entropic solve on their n-D path, and
-``interpolation.barycenter_targets`` reads each record's target off it.
+Both solvers are one loop, ``_bregman``, of iterative Bregman projections
+(Benamou et al., arXiv:1412.5154). A sweep scales each measure's coupling
+``diag(u_k) exp(K_k + lv_k)`` to its row marginal ``a_k``; the loop stops when
+every such coupling has a column marginal within ``tol`` (L1) of ``b``, and
+otherwise scales the columns to ``b``. For a barycenter ``b`` is the weighted
+geometric mean of the couplings' column marginals; a transport plan is the
+one-measure case with the target's masses as ``b``. ``marginal_error`` is that
+L1 error on ``TransportPlan``, ``BregmanBarycenter`` and ``ConvergenceError``.
+At a small epsilon the loop alone can crawl (two groups of 3 points at epsilon
+0.01 reach 4e-5 after 10000 sweeps), so ``_scaled_bregman`` runs it once per
+epsilon stage (Peyré & Cuturi, arXiv:1803.00567, section 4.1).
 
-Sinkhorn is used only by ``verify``, which compares each pair of group
-measures' entropic cost with the exact LP. It keeps the scaled duals ``f``
-and ``g`` and never forms the plan inside its loop. After the g-update the
-plan's column marginal is exactly ``b`` and its row marginal is
-``a * exp(f - f_next)``, where ``f_next`` comes from the next sweep, which the
-loop needs anyway. Once that dual estimate is within ``tol``, the plan is
-materialised and its marginal L1 error is checked directly; iteration
-continues unless that check passes too.
-
-Plain Sinkhorn at a small epsilon can stall above ``tol`` (two groups of 3
-points at epsilon 0.01 stop near 4e-5 after 10000 sweeps), so ``sinkhorn_plan``
-scales epsilon (Schmitzer, arXiv:1610.06519; Peyré & Cuturi,
-arXiv:1803.00567, section 4.1): it starts at ``max(epsilon, max C)`` and
-halves down to the target, with one kernel per stage. A stage above the
-target stops at a dual error of ``1e-2`` times its epsilon and hands its
-duals on, rescaled by the ratio of the two epsilons.
+Each measure's final coupling gives its barycentric projection, so
+``transform`` and ``audit`` need no second solve, and
+``interpolation.barycenter_targets`` reads each record's target off the
+barycenter. Only ``verify`` calls ``sinkhorn_plan``; both marginals of the
+plan it returns, checked directly, decide ``converged``.
 """
 
 from __future__ import annotations
@@ -178,6 +171,15 @@ class _AbsorbedKernel:
         self.lv_ref: np.ndarray | None = None
         self.peak: np.ndarray | None = None
 
+    def halve_epsilon(self) -> None:
+        """Become the kernel at half the epsilon with no ``exp``: ``K``, ``lv_ref``
+        and ``peak`` double, so ``E_ref`` squares. Callers double their ``lv``."""
+        self.neg_cost *= 2
+        if self.lv_ref is not None:
+            self.work *= self.work
+            self.lv_ref = 2 * self.lv_ref
+            self.peak = 2 * self.peak
+
     def _scaling(self, lv: np.ndarray) -> np.ndarray:
         """``t = exp(lv - lv_ref)``, rebuilding ``E_ref`` from ``lv`` if it drifted.
 
@@ -191,26 +193,19 @@ class _AbsorbedKernel:
         self.lv_ref = lv
         return np.ones_like(lv)
 
-    def sweep(self, lv: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One entropic sweep: row log-sums, then column log-sums.
-
-        Returns ``row`` with ``row_i = log sum_j exp(K_ij + lv_j)`` and ``col``
-        with ``col_j = log sum_i exp(K_ij + log a_i - row_i)``, the column pass
-        after the row scaling ``u = a / exp(row)``. Zero-mass atoms keep a
-        finite ``row``.
-        """
+    def sweep(self, lv: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """One entropic sweep: the row scaling ``u`` that gives ``diag(u) exp(K + lv)``
+        the row marginal ``a``, then ``col_j = log sum_i u_i exp(K_ij)``."""
         t = self._scaling(lv)
         sums = np.vecdot(self.work, t)
-        row = np.log(sums) + self.peak
         col_sums = (a / sums) @ self.work
         with np.errstate(divide="ignore", invalid="ignore"):
             col = np.log(col_sums * t) - lv
         low = col_sums < UNDERFLOW_FLOOR
         if low.any():  # every E_ref entry of these columns may have underflowed
-            col[low] = _logsumexp(
-                self.neg_cost[:, low] + (_log_masses(a) - row)[:, None], axis=0
-            )
-        return row, col
+            log_u = _log_masses(a) - np.log(sums) - self.peak
+            col[low] = _logsumexp(self.neg_cost[:, low] + log_u[:, None], axis=0)
+        return col
 
     def projections(self, lv: np.ndarray, support: np.ndarray) -> np.ndarray:
         """Barycentric projection of each row point under ``diag(u) exp(K + lv)``.
@@ -220,6 +215,56 @@ class _AbsorbedKernel:
         """
         t = self._scaling(lv)
         return np.vecdot(self.work[:, None], t * support.T) / np.vecdot(self.work, t)[:, None]
+
+
+def _bregman(kernels, masses, lvs, target, tol, max_iter):
+    """Alternate Bregman projections from the column scalings ``lvs``.
+
+    After its row scaling, coupling ``k`` has the column marginal
+    ``exp(lv_k + col_k)``, and ``target(cols)`` gives ``log b``. The loop stops
+    when every such marginal is within ``tol`` (L1) of ``b``, or after
+    ``max_iter`` sweeps, and returns the scalings of those couplings, ``log b``,
+    the sweeps run and the largest L1 error.
+    """
+    for it in range(1, max_iter + 1):
+        cols = [kern.sweep(lv, a) for kern, lv, a in zip(kernels, lvs, masses)]
+        log_b = target(cols)
+        b = np.exp(log_b)
+        err = max(float(np.abs(np.exp(lv + col) - b).sum()) for lv, col in zip(lvs, cols))
+        if err <= tol or it == max_iter:
+            return lvs, log_b, it, err
+        lvs = [log_b - col for col in cols]
+
+
+def _scaled_bregman(costs, masses, target, epsilon, tol, max_iter):
+    """``_bregman`` from zero scalings, once per epsilon stage.
+
+    The stages halve ``epsilon * 2**s``, the first such value at least
+    ``max C``, down to ``epsilon``. A stage above it stops at an error of
+    ``1e-2`` times its epsilon, and the last sweep is always made at
+    ``epsilon``. Returns the kernels at ``epsilon`` and the last stage's
+    result, with the sweeps of every stage.
+    """
+    max_cost = max(float(cost.max()) for cost in costs)
+    eps = epsilon
+    while eps < max_cost:
+        eps *= 2
+    if not np.isfinite(eps):
+        raise ValidationError("squared distances between support points overflow")
+    kernels = [_AbsorbedKernel(-cost / eps) for cost in costs]
+    lvs = [np.zeros(cost.shape[1]) for cost in costs]
+    it = 0
+    while eps > epsilon:
+        if it < max_iter - 1:
+            budget = max_iter - 1 - it
+            lvs, _, sweeps, _ = _bregman(kernels, masses, lvs, target, 1e-2 * eps, budget)
+            it += sweeps
+        for kern in kernels:
+            kern.halve_epsilon()
+        lvs = [2 * lv for lv in lvs]
+        eps /= 2
+    lvs, log_b, sweeps, err = _bregman(kernels, masses, lvs, target, tol, max_iter - it)
+    return kernels, lvs, log_b, it + sweeps, err
 
 
 def sinkhorn_plan(
@@ -242,47 +287,17 @@ def sinkhorn_plan(
         )
     validate_solver_params(epsilon, tol, max_iter)
 
-    a = mu.masses
-    b = nu.masses
-    loga = _log_masses(a)
+    a, b = mu.masses, nu.masses
     logb = _log_masses(b)
     cost = squared_cost_matrix(mu.support, nu.support)
+    _, (lv,), _, it, _ = _scaled_bregman([cost], [a], lambda cols: logb, epsilon, tol, max_iter)
 
-    # f and g are the duals scaled by 1/eps; the sweep from g gives
-    # f = -row and the next g = -col
-    eps = max(epsilon, float(cost.max()))
-    g = np.zeros(len(nu))
-    it = 0
-    while eps > epsilon:
-        kernel = _AbsorbedKernel(-cost / eps)
-        row, col = kernel.sweep(logb + g, a)
-        while it < max_iter - 1:
-            it += 1
-            f, g = -row, -col
-            row, col = kernel.sweep(logb + g, a)
-            if np.abs(a * np.exp(f + row) - a).sum() <= 1e-2 * eps:
-                break
-        next_eps = max(eps / 2, epsilon) if it < max_iter - 1 else epsilon
-        g *= eps / next_eps
-        eps = next_eps
-
-    neg_cost = -cost / epsilon
-    kernel = _AbsorbedKernel(neg_cost)
-    row, col = kernel.sweep(logb + g, a)
-    while it < max_iter:
-        it += 1
-        f, g = -row, -col
-        row, col = kernel.sweep(logb + g, a)
-        # the column marginal is exactly b here; the row marginal is a * exp(f + row)
-        if it < max_iter and np.abs(a * np.exp(f + row) - a).sum() > tol:
-            continue
-        plan = np.exp(neg_cost + (loga + f)[:, None] + (logb + g)[None, :])
-        row_err = float(np.abs(plan.sum(axis=1) - a).sum())
-        col_err = float(np.abs(plan.sum(axis=0) - b).sum())
-        err = max(row_err, col_err)
-        if err <= tol:
-            break
-
+    log_plan = lv - cost / epsilon
+    log_plan += (_log_masses(a) - _logsumexp(log_plan.copy(), axis=1))[:, None]
+    plan = np.exp(log_plan)
+    row_err = float(np.abs(plan.sum(axis=1) - a).sum())
+    col_err = float(np.abs(plan.sum(axis=0) - b).sum())
+    err = max(row_err, col_err)
     return TransportPlan(
         matrix=plan,
         epsilon=epsilon,
@@ -298,13 +313,14 @@ class BregmanBarycenter(DiscreteMeasure):
 
     ``projections[k]`` holds, for each point of input measure ``k``, its
     barycentric projection under that measure's final coupling onto the
-    support. ``iterations`` is the number of sweeps run and ``mass_change``
-    the last L1 change of the masses.
+    support. ``iterations`` is the number of sweeps run and
+    ``marginal_error`` the largest L1 distance of a final coupling's column
+    marginal from the barycenter.
     """
 
     projections: tuple[np.ndarray, ...]
     iterations: int
-    mass_change: float
+    marginal_error: float
 
 
 def barycenter_fixed_support(
@@ -317,8 +333,8 @@ def barycenter_fixed_support(
 ) -> BregmanBarycenter:
     """Entropic W2 barycenter on a fixed support via iterative Bregman projections.
 
-    Raises ``ConvergenceError`` when the masses still move by more than ``tol``
-    (L1) after ``max_iter`` sweeps.
+    Raises ``ConvergenceError`` when some coupling's column marginal is still
+    more than ``tol`` (L1) from the barycenter after ``max_iter`` sweeps.
     """
     validate_solver_params(epsilon, tol, max_iter)
     support = np.atleast_2d(np.asarray(support, dtype=float))
@@ -332,39 +348,28 @@ def barycenter_fixed_support(
         if meas.dimension != d:
             raise DimensionError("all measures must share the support's dimension")
 
-    kernels = [
-        _AbsorbedKernel(-squared_cost_matrix(meas.support, support) / epsilon)
-        for meas in measures
-    ]
-    masses = [meas.masses for meas in measures]
+    def log_barycenter(cols):  # the weighted geometric mean of the column marginals
+        return sum(wk * col for wk, col in zip(w, cols))
 
-    lvs = [np.zeros(support.shape[0]) for _ in measures]
-    prev_b = np.full(support.shape[0], 1.0 / support.shape[0])
-    for it in range(1, max_iter + 1):
-        # col is log(K^T u) with u = a / (K v), the projection onto the row marginal a
-        cols = [kern.sweep(lv, a)[1] for kern, lv, a in zip(kernels, lvs, masses)]
-        log_b = sum(wk * col for wk, col in zip(w, cols))
-        lvs = [log_b - col for col in cols]
-        b = np.exp(log_b)
-        change = float(np.abs(b - prev_b).sum())
-        if change <= tol:
-            break
-        prev_b = b
-    else:
+    costs = [squared_cost_matrix(meas.support, support) for meas in measures]
+    kernels, lvs, log_b, it, err = _scaled_bregman(
+        costs, [meas.masses for meas in measures], log_barycenter, epsilon, tol, max_iter
+    )
+    if err > tol:
         raise ConvergenceError(
-            f"Bregman barycenter did not converge (mass change {change:.3e} after {it} iters)",
+            f"Bregman barycenter did not converge (marginal error {err:.3e} after {it} iters)",
             iterations=it,
-            marginal_error=change,
+            marginal_error=err,
         )
 
-    # coupling k is diag(u) K diag(v) with u recomputed from the last v
     projections = tuple(kern.projections(lv, support) for kern, lv in zip(kernels, lvs))
+    b = np.exp(log_b)
     return BregmanBarycenter(
         support=support,
         masses=b / b.sum(),
         projections=projections,
         iterations=it,
-        mass_change=change,
+        marginal_error=err,
     )
 
 

@@ -17,6 +17,7 @@ A static check keeps every file write in ``_write``.
 """
 
 import ast
+import codecs
 import csv
 import gc
 import io
@@ -422,6 +423,17 @@ def test_a_piped_input_reads_as_the_file_does(tmp_path, name):
     assert run_cli_on(tmp_path, "/dev/stdin", stdin=data) == from_file
 
 
+@pytest.mark.parametrize("name", ["plain", "crlf"], ids=["line-path", "csv-path"])
+def test_a_byte_order_mark_reads_as_its_absence(tmp_path, name):
+    """Excel's "CSV UTF-8" starts with a byte-order mark, which must not become
+    part of the first column's name."""
+    data = ONE_READ_INPUTS[name].encode("utf-8")
+    (tmp_path / "in.csv").write_bytes(data)
+    without = run_cli_on(tmp_path, tmp_path / "in.csv")
+    (tmp_path / "in.csv").write_bytes(codecs.BOM_UTF8 + data)
+    assert without[0] == 0 and run_cli_on(tmp_path, tmp_path / "in.csv") == without
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 @pytest.mark.parametrize("name", ONE_READ_INPUTS)
 def test_a_fifo_input_reads_as_the_file_does(tmp_path, name):
@@ -533,6 +545,29 @@ def test_the_two_loaders_agree_on_quote_free_texts(text, cfg, limit):
     finally:
         csv.field_size_limit(default)
     assert by_lines == by_rows
+
+
+def _read_csv(source):
+    """(rows, error message, line_num) of ``csv.reader`` over ``source``."""
+    reader = csv.reader(source)
+    rows = []
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as exc:
+        return rows, str(exc), reader.line_num
+    return rows, None, reader.line_num
+
+
+CSV_PIECES = ["a", ",", '"', "\r", "\n", "\r\n", "\x0b", "\x85", "\u2028", "\0", "Zoë"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(CSV_PIECES), max_size=40).map("".join))
+def test_csv_reader_reads_the_lines_as_a_string_io(text):
+    """``_lines`` gives ``csv.reader`` what ``io.StringIO(text, newline="")``
+    gives it: the same rows, the same error and the same line number."""
+    assert _read_csv(fairscore.cli._lines(text)) == _read_csv(io.StringIO(text, newline=""))
 
 
 def test_one_column_header_reports_an_empty_line(tmp_path):

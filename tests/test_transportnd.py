@@ -16,7 +16,7 @@ from fairscore import (
     sinkhorn_plan,
 )
 import fairscore.transportnd
-from fairscore.cli import RunConfig, barycenter_weights, transform_population
+from fairscore.cli import RunConfig, barycenter_weights, main, transform_population
 from fairscore.oracle import lp_transport_exact
 from fairscore.transportnd import (
     _logsumexp,
@@ -75,36 +75,48 @@ def test_sinkhorn_nonconvergence_flagged():
     assert plan.iterations_run == 1
 
 
+def first_epsilon(max_cost, epsilon):
+    """The first epsilon of the schedule: ``epsilon * 2**s``, the first at least ``max_cost``."""
+    eps = epsilon
+    while eps < max_cost:
+        eps *= 2
+    return eps
+
+
 def reference_sinkhorn(mu, nu, epsilon, tol, max_iter):
     """The plain log-domain loop under the same epsilon schedule.
 
-    It materialises the plan and checks both marginals every sweep. Its duals
-    are not scaled by 1/eps, so they carry from stage to stage unchanged.
+    Each sweep materialises the plan with its rows scaled to a. A stage stops
+    once the plan's column marginal is within its tolerance of b, or at the
+    end of its budget; otherwise the columns are scaled to b. The dual
+    ``eps * lv`` carries from stage to stage unchanged. Both marginals of the
+    last plan decide convergence.
     """
     a, b = mu.masses, nu.masses
     loga = np.log(a, where=a > 0, out=np.full_like(a, -np.inf))
     logb = np.log(b, where=b > 0, out=np.full_like(b, -np.inf))
     C = squared_cost_matrix(mu.support, nu.support)
-    f = np.zeros(len(mu))
-    g = np.zeros(len(nu))
-    eps = max(epsilon, C.max())
+    lv = np.zeros(len(nu))
+    eps = first_epsilon(C.max(), epsilon)
     it = 0
     while True:
         final = eps == epsilon
-        while it < (max_iter if final else max_iter - 1):
+        limit = max_iter if final else max_iter - 1
+        while it < limit:
             it += 1
-            f = -eps * logsumexp((g[None, :] - C) / eps + logb[None, :], axis=1)
-            g = -eps * logsumexp((f[:, None] - C) / eps + loga[:, None], axis=0)
-            log_plan = (f[:, None] + g[None, :] - C) / eps + loga[:, None] + logb[None, :]
-            plan = np.exp(log_plan)
-            row_err = float(np.abs(plan.sum(axis=1) - a).sum())
+            log_kv = lv[None, :] - C / eps
+            lu = loga - logsumexp(log_kv, axis=1)
+            plan = np.exp(log_kv + lu[:, None])
             col_err = float(np.abs(plan.sum(axis=0) - b).sum())
-            err = max(row_err, col_err)
-            if err <= (tol if final else 1e-2 * eps):
+            if it == limit or col_err <= (tol if final else 1e-2 * eps):
                 break
+            lv = logb - logsumexp(lu[:, None] - C / eps, axis=0)
         if final:
+            row_err = float(np.abs(plan.sum(axis=1) - a).sum())
+            err = max(row_err, col_err)
             return plan, it, err <= tol, err
-        eps = max(eps / 2, epsilon) if it < max_iter - 1 else epsilon
+        lv = 2 * lv
+        eps /= 2
 
 
 def random_masses(rng, n, kind):
@@ -199,6 +211,15 @@ def test_solvers_reject_bad_settings(name, value):
         barycenter_fixed_support([mu], [1.0], mu.support, **{name: value})
 
 
+def test_solvers_refuse_costs_that_overflow():
+    # no epsilon schedule can start above an infinite squared distance
+    far = uniform_measure([[0.0, 0.0], [1e200, 0.0]])
+    with pytest.warns(RuntimeWarning), pytest.raises(ValidationError, match="overflow"):
+        sinkhorn_plan(far, far)
+    with pytest.warns(RuntimeWarning), pytest.raises(ValidationError, match="overflow"):
+        barycenter_fixed_support([far], [1.0], far.support)
+
+
 def test_discrete_measure_rejects_nan_mass():
     with pytest.raises(ValidationError, match="finite"):
         DiscreteMeasure([[0.0], [1.0]], [np.nan, 1.0])
@@ -269,30 +290,42 @@ def test_barycenter_nonconvergence_raises():
 
 
 def reference_barycenter(measures, weights, support, epsilon, tol, max_iter):
-    """The log-domain Bregman loop with two exps per sweep; returns (masses, iters, lvs).
+    """The log-domain Bregman loop with dense couplings; returns (masses, iters, lvs).
 
+    Each sweep scales every coupling's rows to its masses and stops a stage
+    once each coupling's column marginal is within the stage's tolerance (L1)
+    of the barycenter, under the epsilon schedule of ``reference_sinkhorn``.
     Raises ConvergenceError like the solver.
     """
     w = np.asarray(weights, dtype=float)
-    neg_costs = [-squared_cost_matrix(meas.support, support) / epsilon for meas in measures]
+    costs = [squared_cost_matrix(meas.support, support) for meas in measures]
     logas = [np.log(m.masses, where=m.masses > 0, out=np.full(len(m), -np.inf)) for m in measures]
-    m = support.shape[0]
-    log_b = np.full(m, -np.log(m))
-    lvs = [np.zeros(m) for _ in measures]
-    prev_b = np.exp(log_b)
-    for it in range(1, max_iter + 1):
-        lktus = []
-        for nc, loga, lv in zip(neg_costs, logas, lvs):
-            lu = loga - _logsumexp(nc + lv[None, :], axis=1)
-            lktus.append(_logsumexp(nc + lu[:, None], axis=0))
-        log_b = sum(wk * lk for wk, lk in zip(w, lktus))
-        lvs = [log_b - lk for lk in lktus]
-        b = np.exp(log_b)
-        change = float(np.abs(b - prev_b).sum())
-        if change <= tol:
-            return b / b.sum(), it, lvs
-        prev_b = b
-    raise ConvergenceError("reference did not converge", iterations=it, marginal_error=change)
+    lvs = [np.zeros(support.shape[0]) for _ in measures]
+    eps = first_epsilon(max(C.max() for C in costs), epsilon)
+    it = 0
+    while True:
+        final = eps == epsilon
+        limit = max_iter if final else max_iter - 1
+        while it < limit:
+            it += 1
+            plans, lktus = [], []
+            for C, loga, lv in zip(costs, logas, lvs):
+                lu = loga - _logsumexp(lv[None, :] - C / eps, axis=1)
+                plans.append(np.exp(lv[None, :] - C / eps + lu[:, None]))
+                lktus.append(_logsumexp(lu[:, None] - C / eps, axis=0))
+            log_b = sum(wk * lk for wk, lk in zip(w, lktus))
+            b = np.exp(log_b)
+            err = max(float(np.abs(plan.sum(axis=0) - b).sum()) for plan in plans)
+            if it == limit or err <= (tol if final else 1e-2 * eps):
+                break
+            lvs = [log_b - lk for lk in lktus]
+        if final:
+            break
+        lvs = [2 * lv for lv in lvs]
+        eps /= 2
+    if err > tol:
+        raise ConvergenceError("reference did not converge", iterations=it, marginal_error=err)
+    return b / b.sum(), it, lvs
 
 
 def random_barycenter_case(rng):
@@ -383,7 +416,7 @@ def test_barycenter_projections_follow_final_couplings():
             measures, weights, support = random_barycenter_case(rng)
             bary = barycenter_fixed_support(measures, weights, support, epsilon, 1e-8, 20000)
             _, _, lvs = reference_barycenter(measures, weights, support, epsilon, 1e-8, 20000)
-            assert bary.iterations >= 1 and bary.mass_change <= 1e-8
+            assert bary.iterations >= 1 and bary.marginal_error <= 1e-8
             assert len(bary.projections) == len(measures)
             for meas, lv, projection in zip(measures, lvs, bary.projections):
                 nc = -squared_cost_matrix(meas.support, support) / epsilon
@@ -396,6 +429,67 @@ def test_barycenter_projections_follow_final_couplings():
                 expected = (plan @ support)[live] / a[live, None]
                 np.testing.assert_allclose(projection[live], expected, rtol=0, atol=1e-12)
                 assert np.isfinite(projection).all()
+
+
+def transform_repro(tmp_path, *flags):
+    """Fair scores of ``transform --theta 1 --min-group-size 1`` on 4 + 3 Gaussian 2-D points.
+
+    With the default ``tol`` the mass-change rule stopped this barycenter 0.07
+    (L1) short of its couplings, and the fair scores 6e-2 from the fixed point.
+    """
+    rng = np.random.default_rng(34)
+    n_a, n_b = rng.integers(3, 21, 2)
+    points = {"A": rng.normal(0.4, 0.1, (n_a, 2)), "B": rng.normal(0.6, 0.12, (n_b, 2))}
+    lines = ["id,sex,s1,s2"] + [
+        f"{g}{i},{g},{x!r},{y!r}" for g, pts in points.items() for i, (x, y) in enumerate(pts.tolist())
+    ]
+    (tmp_path / "in.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["transform", "--input", str(tmp_path / "in.csv"), "--output",
+            str(tmp_path / "out.csv"), "--report", str(tmp_path / "report.json"),
+            "--score-columns", "s1,s2", "--group-columns", "sex", "--id-column", "id",
+            "--theta", "1", "--min-group-size", "1", *flags]
+    assert main(argv) == 0
+    rows = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 7
+    return np.array([[float(v) for v in row.split(",")[-2:]] for row in rows])
+
+
+def test_repro_couplings_meet_the_barycenter_at_the_stop(tmp_path, monkeypatch):
+    """Each final coupling, rebuilt densely from the scaling its projection used,
+    has a column marginal within ``tol`` (L1) of the barycenter."""
+    solves, scalings = [], []
+    solve = fairscore.transportnd.barycenter_fixed_support
+    projections = fairscore.transportnd._AbsorbedKernel.projections
+
+    def recording_solve(measures, weights, support, epsilon, tol, max_iter):
+        solves.append((measures, support, epsilon, tol))
+        bary = solve(measures, weights, support, epsilon, tol, max_iter)
+        solves[-1] += (bary,)
+        return bary
+
+    def recording_projections(kernel, lv, support):
+        scalings.append(lv.copy())
+        return projections(kernel, lv, support)
+
+    monkeypatch.setattr(fairscore.transportnd, "barycenter_fixed_support", recording_solve)
+    monkeypatch.setattr(
+        fairscore.transportnd._AbsorbedKernel, "projections", recording_projections
+    )
+    transform_repro(tmp_path)
+    [(measures, support, epsilon, tol, bary)] = solves
+    assert len(scalings) == len(measures) == 2
+    for meas, lv in zip(measures, scalings):
+        log_kernel = lv - squared_cost_matrix(meas.support, support) / epsilon
+        lu = np.log(meas.masses) - logsumexp(log_kernel, axis=1)
+        coupling = np.exp(log_kernel + lu[:, None])
+        np.testing.assert_allclose(coupling.sum(axis=1), meas.masses, rtol=1e-12)
+        assert np.abs(coupling.sum(axis=0) - bary.masses).sum() <= tol
+
+
+def test_repro_fair_scores_sit_at_the_fixed_point(tmp_path):
+    default = transform_repro(tmp_path)
+    strict = transform_repro(tmp_path, "--tol", "1e-12")
+    assert np.abs(default - strict).max() <= 1e-5
 
 
 def test_barycenter_rejects_nan_weight():
