@@ -4,7 +4,8 @@ Subcommands: transform, audit, sweep, barycenter, synth, verify.
 Exit codes: 0 success, 1 runtime/verification failure or out of memory, 2 validation error.
 
 Each command loads, solves and emits once: ``main`` validates the config,
-``load_csv`` reads the input, ``compute_barycenter`` solves for either score
+``load_csv`` reads the input through ``csvio``, which owns the CSV format and
+writes every output file, ``compute_barycenter`` solves for either score
 dimension (its one fork), and no file is written before everything the
 command writes has been computed. ``audit`` is ``transform`` without the
 fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth`` writes the
@@ -21,27 +22,6 @@ A JSON config file sets the ``RunConfig`` fields, and flags override it. Each
 field declares its JSON parser and its flag, if any (see ``_key``), so
 ``load_config``, the flags and the overrides are loops over ``fields(RunConfig)``.
 A JSON ``null`` leaves a key at its default; an unknown key exits 2.
-
-Data flows as columns. ``load_csv`` reads the input once, takes the id,
-score and group columns out of it, one list per column, and builds the
-population from them (see ``population``); no per-row group tuple is made. The
-text's bytes pick one of two parsers, and each names its own errors:
-
-- The line path, for a text with no ``"``, no ``\\r`` and no NUL. Each record
-  is one line, its fields are the line split at commas, and an empty line has
-  no fields. When every line has the header's number of fields, the columns
-  are slices of one ``split(",")`` of the joined lines; the lines are kept for
-  output. A bad row is named by scanning the lines, split one by one: these
-  are the rows ``csv.reader`` would give. A line longer than
-  ``csv.field_size_limit()`` sends the text on to ``csv.reader``.
-- The ``csv.reader`` path, for every other text. It reports the first bad
-  row and keeps each row as the line ``csv.writer`` writes for it.
-
-``_write`` writes every output file and reports a path it cannot write as a
-validation error. ``transform`` and ``synth`` write each data line, a comma
-and its scores as ``"%.17g" % v``, with one ``%`` per block of
-``EGRESS_BLOCK_ROWS`` rows; ``csv.writer``, which writes every other line,
-would write the same bytes: it quotes each field on its own, and no number.
 """
 
 from __future__ import annotations
@@ -52,23 +32,19 @@ if __name__ == "__main__":
     gc.disable()  # before the first import; see the module docstring
 
 import argparse
-import csv
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import chain, islice
-from operator import itemgetter
 from os.path import realpath
 from pathlib import Path
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .csvio import _write, read_csv, write_csv
 from .errors import FairscoreError, ValidationError
 from .interpolation import (
     FairScores,
@@ -77,7 +53,7 @@ from .interpolation import (
     barycenter_targets,
     interpolate_scores,
 )
-from .metrics import FairnessReport, SelectionRule, build_report
+from .metrics import SelectionRule, build_report
 from .population import (
     DEFAULT_MIN_GROUP_SIZE,
     GroupKey,
@@ -98,10 +74,6 @@ if TYPE_CHECKING:
     from .empirical import QuantileGrid
     from .synth import GroupSpec
     from .transportnd import BregmanBarycenter
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _numbered(prefix: str, count: int) -> list[str]:
@@ -316,223 +288,22 @@ def load_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion / emission
+# Input and pipeline pieces
 
 
 def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
-    """Read the input CSV once and build the population from its columns.
-
-    Returns the header, the data lines for pass-through on output and the
-    population. Each needed column is parsed with one ``map`` and the whole
-    table is checked with vectorized tests. Only when a test fails are the
-    rows scanned one by one, so that the error names the first bad row.
-    """
+    """The input's header, its data lines for pass-through on output and the
+    population built from its columns (see ``csvio.read_csv``)."""
     if cfg.input is None:
         raise ValidationError("no input file configured")
-    # the text goes to _load_lines alone, which drops it once it is split
-    header, lines, columns = _load_lines(_read_text(cfg.input), cfg)
+    names = (cfg.score_columns, cfg.group_columns, cfg.id_column)
+    header, lines, columns = read_csv(cfg.input, *names)
     return header, lines, build_population(*columns)
-
-
-def _read_text(path: str) -> str:
-    """The text of the input file, opened once, without a UTF-8 byte-order mark;
-    a file that cannot be read, is not UTF-8 or is empty is a ValidationError."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read input file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"input file {path} is not valid UTF-8: {exc}") from None
-    if not text:
-        raise ValidationError(f"input file {path} is empty")
-    return text
-
-
-def _load_lines(text: str, cfg: RunConfig):
-    """(header, data lines, columns) of ``text``; raises the first bad row's error.
-
-    The line path (see the module docstring) splits at ``\\n`` only:
-    ``splitlines`` also breaks at ``\\x0b``, ``\\x85`` and others, which
-    ``csv.reader`` keeps in a field. NUL goes to ``csv.reader``, which rejects
-    it before Python 3.11. With fewer than 2 header fields an empty line would
-    pass the comma count.
-    """
-    if '"' in text or "\r" in text or "\0" in text:
-        return _load_rows(text, cfg)
-    end = text.find("\n")
-    header = _fields(text[: len(text) if end < 0 else end])
-    width = len(header)
-    rectangular = width and _fields_per_line(text, width) and not (width == 1 and "\n\n" in text)
-    lines = text.split("\n")
-    del text
-    if max(map(len, lines)) > csv.field_size_limit():
-        return _load_rows("\n".join(lines), cfg)
-    if lines[-1] == "":
-        lines.pop()  # the final newline ends the last record
-    col_index = _column_index(header, cfg)
-    columns = None
-    if rectangular:
-        flat = ",".join(lines).split(",")
-        columns = _parse_columns(lambda j: flat[width + j :: width], len(lines) - 1, cfg, col_index)
-    if columns is None:
-        _raise_first_bad_row(header, map(_fields, lines[1:]), cfg, col_index)
-    return header, lines[1:], columns
-
-
-def _fields(line: str) -> list[str]:
-    return line.split(",") if line else []
-
-
-_NOT_A_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
-
-
-def _fields_per_line(text: str, width: int) -> bool:
-    """Whether every line of ``text`` holds ``width - 1`` commas, by one scan in C.
-
-    The scan keeps the ``,`` and ``\\n`` bytes of the UTF-8 text, in which no
-    multi-byte character holds either. They must be ``width - 1`` commas and a
-    line end, repeated; a last line without its ``\\n`` is ended here.
-    """
-    seps = text.encode().translate(None, _NOT_A_SEPARATOR)
-    if not text.endswith("\n"):
-        seps += b"\n"
-    return seps == (b"," * (width - 1) + b"\n") * (len(seps) // width)
-
-
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` as ``io.StringIO(text, newline="")`` gives them, with no
-    copy: only ``\\r\\n``, ``\\r`` and ``\\n`` end a line, unlike in ``splitlines``."""
-    return (match.group() for match in _LINE.finditer(text))
-
-
-def _load_rows(text: str, cfg: RunConfig):
-    """(header, data lines, columns) read with ``csv.reader``; raises the first bad row's error."""
-    reader = csv.reader(_lines(text))
-    try:
-        header = next(reader)
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ValidationError(f"input file {cfg.input}, line {reader.line_num}: {exc}") from None
-
-    col_index = _column_index(header, cfg)
-    columns = None
-    if not set(map(len, rows)) - {len(header)}:
-        columns = _parse_columns(
-            lambda j: list(map(itemgetter(j), rows)), len(rows), cfg, col_index
-        )
-    if columns is None:
-        _raise_first_bad_row(header, rows, cfg, col_index)
-    return header, list(_csv_lines(rows)), columns
-
-
-def _column_index(header: list[str], cfg: RunConfig) -> dict[str, int]:
-    """Each header name's position; a configured column must appear exactly once."""
-    col_index = {name: i for i, name in enumerate(header)}
-    needed = cfg.score_columns + cfg.group_columns + ([cfg.id_column] if cfg.id_column else [])
-    for name in needed:
-        if name not in col_index:
-            raise ValidationError(f"column {name!r} not found in input header")
-        if header.count(name) > 1:
-            raise ValidationError(
-                f"column {name!r} appears {header.count(name)} times in the input header"
-            )
-    return col_index
-
-
-def _parse_columns(column, n: int, cfg: RunConfig, col_index: dict):
-    """(ids, group columns, scores) of ``n`` rows of the right width, or None if any row is bad.
-
-    ``column(j)`` gives the list of the values of column ``j`` in row order.
-    """
-    group_cols = [column(col_index[name]) for name in cfg.group_columns]
-    if any("" in set(col) for col in group_cols):
-        return None
-    try:
-        scores = np.column_stack(
-            [
-                np.fromiter(map(float, column(col_index[name])), float, n)
-                for name in cfg.score_columns
-            ]
-        )
-    except ValueError:
-        return None
-    if not np.isfinite(scores).all():
-        return None
-    if cfg.id_column:
-        ids = tuple(column(col_index[cfg.id_column]))
-    else:
-        ids = tuple(map(str, range(2, n + 2)))  # the row number; the header is row 1
-    return ids, group_cols, scores
-
-
-def _raise_first_bad_row(
-    header: list[str], rows: Iterable[list[str]], cfg: RunConfig, col_index: dict
-) -> None:
-    """Scan the rows in order and raise the error of the first bad one."""
-    for rownum, row in enumerate(rows, start=2):  # header is row 1
-        if len(row) != len(header):
-            raise ValidationError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        for name in cfg.group_columns:
-            if row[col_index[name]] == "":
-                raise ValidationError(f"row {rownum}: missing value in group column {name!r}")
-        for name in cfg.score_columns:
-            raw_value = row[col_index[name]]
-            if raw_value == "":
-                raise ValidationError(f"row {rownum}: missing value in score column {name!r}")
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise ValidationError(
-                    f"row {rownum}: score column {name!r} value {raw_value!r} is not a number"
-                ) from None
-            if not math.isfinite(value):
-                raise ValidationError(f"row {rownum}: score column {name!r} is not finite")
-
-
-def _csv_lines(rows: Iterable, end: str = "") -> Iterator[str]:
-    """The line ``csv.writer`` writes for each row, ended by ``end``."""
-    # csv.writer quotes a field holding "\r" only if the line terminator holds one, so
-    # lines end in "\r\n", and write, whose result writerow returns, makes that ``end``
-    writer = csv.writer(SimpleNamespace(write=lambda line: line[:-2] + end), lineterminator="\r\n")
-    return map(writer.writerow, rows)
-
-
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` to ``path``; a path that cannot be written is a ValidationError."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
-
-
-# Rows per ``%`` call of the egress: one call formats a whole block, and the
-# block bounds the temporary tuple, format and output strings.
-EGRESS_BLOCK_ROWS = 1 << 16
-
-
-def _with_columns(header: list[str], lines: list[str], names: list[str], values: np.ndarray):
-    """The CSV text of the data ``lines`` with the columns ``names`` of ``values`` appended."""
-    n, k = len(lines), len(names)
-    columns = values.reshape(n, k).T.tolist()
-    yield from _csv_lines([header + names], "\n")
-    line = "%s" + ",%.17g" * k + "\n"
-    rows = zip(lines, *columns)
-    while block := tuple(chain.from_iterable(islice(rows, EGRESS_BLOCK_ROWS))):
-        yield line * (len(block) // (k + 1)) % block
 
 
 def _emit_warnings(pop: ScoredPopulation, cfg: RunConfig) -> None:
     for warning in validate_population(pop, cfg.min_group_size):
         print(f"warning: {warning.message}", file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# Pipeline pieces
 
 
 def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
@@ -599,7 +370,7 @@ def run_transform(cfg: RunConfig, audit: bool = False) -> int:
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
     if not audit:
         names = ["fair_score"] if pop.dimension == 1 else _numbered("fair_score_", pop.dimension)
-        _write(cfg.output, _with_columns(header, lines, names, fair.values))
+        write_csv(cfg.output, header + names, fair.values, lines)
     _write_report(report, cfg.report)
     return 0
 
@@ -612,15 +383,6 @@ SWEEP_COLUMNS = (
     "utility_loss_mean_abs",
     "utility_loss_w2",
 )
-
-
-def _sweep_row(theta: float, report: FairnessReport) -> list[str]:
-    """The sweep CSV row of one theta; an undefined metric is written as ""."""
-    metrics = report.to_dict()
-    values = [metrics[name] for name in SWEEP_COLUMNS]
-    if metrics["selection"] is not None:
-        values.append(metrics["selection"]["ratio"])
-    return [_fmt(theta)] + ["" if v is None else _fmt(v) for v in values]
 
 
 def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
@@ -639,13 +401,14 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
 
     targets = barycenter_targets(pop, compute_barycenter(pop, cfg))
     rule = cfg.selection_rule()
-    rows = []
+    rows = []  # a metric that is undefined (None) is written as ""
     for policy in policies:
         fair = apply_theta(pop, targets, policy)
-        report = build_report(pop, fair, m=cfg.grid_size, rule=rule)
-        rows.append(_sweep_row(policy.default_theta, report))
+        metrics = build_report(pop, fair, m=cfg.grid_size, rule=rule).to_dict()
+        selection = [] if rule is None else [metrics["selection"]["ratio"]]
+        rows.append([policy.default_theta, *(metrics[name] for name in SWEEP_COLUMNS), *selection])
     header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
-    _write(cfg.output, _csv_lines([header, *rows], "\n"))
+    write_csv(cfg.output, header, rows)
     return 0
 
 
@@ -660,8 +423,7 @@ def run_barycenter(cfg: RunConfig) -> int:
     else:
         header = _numbered("support_", bary.dimension) + ["mass"]
         columns = [bary.support, bary.masses]
-    rows = [map(_fmt, row) for row in np.column_stack(columns).tolist()]
-    _write(cfg.output, _csv_lines([header, *rows], "\n"))
+    write_csv(cfg.output, header, np.column_stack(columns).tolist())
     return 0
 
 
@@ -680,8 +442,8 @@ def run_synth(cfg: RunConfig) -> int:
     score_cols = cfg.score_columns
     if len(score_cols) != dim:
         score_cols = ["score"] if dim == 1 else _numbered("score_", dim)
-    lines = list(_csv_lines(zip(ids, *group_columns)))
-    _write(cfg.output, _with_columns(["id"] + group_names, lines, score_cols, scores))
+    header = ["id", *group_names, *score_cols]
+    write_csv(cfg.output, header, scores, text_columns=[ids, *group_columns])
     return 0
 
 

@@ -118,9 +118,10 @@ def squared_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.atleast_2d(y)
     cost = np.zeros((x.shape[0], y.shape[0]))
     diff = np.empty_like(cost)
-    for k in range(x.shape[1]):
-        np.subtract.outer(x[:, k], y[:, k], out=diff)
-        cost += np.square(diff, out=diff)
+    with np.errstate(over="ignore"):  # an infinite cost is refused by the solvers
+        for k in range(x.shape[1]):
+            np.subtract.outer(x[:, k], y[:, k], out=diff)
+            cost += np.square(diff, out=diff)
     return cost
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -511,6 +512,23 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, fairscore.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_csvio_loads_only_errors_and_the_cli_imports_no_csv_or_re():
+    """``csvio`` owns the CSV format on its own: importing it loads no other
+    fairscore module than ``errors``, and ``cli.py`` imports neither ``csv``
+    nor ``re``."""
+    src = os.path.dirname(os.path.dirname(fairscore.__file__))
+    code = (
+        "import sys, fairscore.csvio\n"
+        "loaded = {name for name in sys.modules if name.startswith('fairscore.')}\n"
+        "assert loaded == {'fairscore.csvio', 'fairscore.errors'}, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
+    tree = ast.parse(Path(fairscore.cli.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)]
+    imported = {alias.name for node in imports for alias in node.names}
+    assert imported & {"csv", "re"} == set()
 
 
 def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):

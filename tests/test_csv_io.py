@@ -13,7 +13,7 @@ tables (the line path) and of quoted ones (the ``csv.reader`` path) with what
 two loaders equal on every quote-free text, valid or not, and two pin the line
 path's field-count scan and its one-call egress to the per-line code they
 replaced. The input is opened once, so a pipe or a FIFO reads as a file does.
-A static check keeps every file write in ``_write``.
+A static check keeps every file write in ``csvio._write``.
 """
 
 import ast
@@ -36,6 +36,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fairscore.cli
+import fairscore.csvio
 from fairscore import ValidationError
 from fairscore.cli import RunConfig, load_csv, main
 
@@ -197,6 +198,7 @@ def with_row(rownum, text):
         (with_row(2, "a1,A,"), "row 2: missing value in score column 'score'"),
         (with_row(6, "b3,B,five"), "row 6: score column 'score' value 'five' is not a number"),
         (with_row(3, "a2,A, "), "row 3: score column 'score' value ' ' is not a number"),
+        (with_row(3, "a2,A,1_0"), "row 3: score column 'score' value '1_0' is not a number"),
         (with_row(4, "b1,B,inf"), "row 4: score column 'score' is not finite"),
         (with_row(4, "b1,B,-Infinity"), "row 4: score column 'score' is not finite"),
         (with_row(5, "b2,B,nan"), "row 5: score column 'score' is not finite"),
@@ -214,6 +216,7 @@ def with_row(rownum, text):
         "missing-score",
         "non-number",
         "blank-score",
+        "digit-separator",
         "inf",
         "minus-infinity",
         "nan",
@@ -248,6 +251,27 @@ def test_earlier_bad_row_wins(tmp_path, capsys, edits, message):
     for rownum, text in edits.items():
         rows[rownum - 2] = text
     assert run_rows(tmp_path, capsys, rows) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["line-path", "csv-path"])
+@pytest.mark.parametrize(
+    "score, message",
+    [
+        ("1_0", "row 4: score column 'score' value '1_0' is not a number"),
+        (" 2_5e-1 ", "row 4: score column 'score' value ' 2_5e-1 ' is not a number"),
+        ("0_0.5", "row 4: score column 'score' value '0_0.5' is not a number"),
+        (" 2.5e-1 ", None),
+    ],
+    ids=["integer", "exponent", "fraction", "valid"],
+)
+def test_a_score_field_holds_no_digit_separator(tmp_path, capsys, quote, score, message):
+    """``float`` reads ``1_0`` as 10.0, but a score field is a number without
+    ``_``; an ``_`` in another field (the ids here) changes nothing."""
+    rows = [row.replace(",", "_x,", 1) for row in AB_ROWS]  # ids a1_x, a2_x, ...
+    rows[0] = quote + rows[0].replace(",", quote + ",", 1)
+    rows[2] = "b1_x,B," + score
+    expected = (0, "") if message is None else (2, f"error: {message}\n")
+    assert run_rows(tmp_path, capsys, rows) == expected
 
 
 def test_two_score_columns_report_the_first_bad_field(tmp_path, capsys):
@@ -353,7 +377,7 @@ def _no_csv_reader(*args, **kwargs):
 
 
 def test_line_path_reads_no_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(fairscore.cli.csv, "reader", _no_csv_reader)
+    monkeypatch.setattr(fairscore.csvio.csv, "reader", _no_csv_reader)
     assert run_rows(tmp_path, capsys, AB_ROWS) == (0, "")
     lines = (tmp_path / "out.csv").read_text(encoding="utf-8").split("\n")
     assert lines[0] == AB_HEADER + ",fair_score"
@@ -372,7 +396,7 @@ def test_line_path_reads_no_csv(tmp_path, capsys, monkeypatch):
     ids=["missing-group", "missing-score", "non-number", "earlier-row"],
 )
 def test_line_path_names_its_bad_row_without_csv(tmp_path, capsys, monkeypatch, edits, message):
-    monkeypatch.setattr(fairscore.cli.csv, "reader", _no_csv_reader)
+    monkeypatch.setattr(fairscore.csvio.csv, "reader", _no_csv_reader)
     rows = list(AB_ROWS)
     for rownum, text in edits.items():
         rows[rownum - 2] = text
@@ -481,7 +505,7 @@ def test_load_csv_opens_its_input_once(tmp_path, monkeypatch, text):
         opened.append(args[0])
         return open(*args, **kwargs)
 
-    monkeypatch.setattr(fairscore.cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(fairscore.csvio, "open", counting_open, raising=False)
     cfg = RunConfig(input=str(tmp_path / "in.csv"), group_columns=["sex"], id_column="id")
     try:
         load_csv(cfg)
@@ -518,9 +542,11 @@ def quote_free_texts(draw):
 
 
 def _loaded(loader, text, cfg):
-    """``loader(text, cfg)`` as comparable values, or the text of its error."""
+    """``loader`` on ``text`` and the columns of ``cfg``, as comparable values, or
+    the text of its error."""
+    names = (cfg.score_columns, cfg.group_columns, cfg.id_column)
     try:
-        header, lines, (ids, groups, scores) = loader(text, cfg)
+        header, lines, (ids, groups, scores) = loader(text, cfg.input, *names)
     except ValidationError as exc:
         return str(exc)
     return header, lines, ids, groups, scores.shape, scores.tobytes()
@@ -540,8 +566,8 @@ def test_the_two_loaders_agree_on_quote_free_texts(text, cfg, limit):
     default = csv.field_size_limit()
     csv.field_size_limit(limit or default)
     try:
-        by_lines = _loaded(fairscore.cli._load_lines, text, cfg)
-        by_rows = _loaded(fairscore.cli._load_rows, text, cfg)
+        by_lines = _loaded(fairscore.csvio._load_lines, text, cfg)
+        by_rows = _loaded(fairscore.csvio._load_rows, text, cfg)
     finally:
         csv.field_size_limit(default)
     assert by_lines == by_rows
@@ -567,7 +593,7 @@ CSV_PIECES = ["a", ",", '"', "\r", "\n", "\r\n", "\x0b", "\x85", "\u2028", "\0",
 def test_csv_reader_reads_the_lines_as_a_string_io(text):
     """``_lines`` gives ``csv.reader`` what ``io.StringIO(text, newline="")``
     gives it: the same rows, the same error and the same line number."""
-    assert _read_csv(fairscore.cli._lines(text)) == _read_csv(io.StringIO(text, newline=""))
+    assert _read_csv(fairscore.csvio._lines(text)) == _read_csv(io.StringIO(text, newline=""))
 
 
 def test_one_column_header_reports_an_empty_line(tmp_path):
@@ -580,7 +606,7 @@ def test_one_column_header_reports_an_empty_line(tmp_path):
 
 
 def test_line_at_the_field_limit_takes_the_line_path(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(fairscore.cli.csv, "reader", _no_csv_reader)
+    monkeypatch.setattr(fairscore.csvio.csv, "reader", _no_csv_reader)
     rows = with_row(3, "a2,A," + "0" * (131_072 - 5))
     assert run_rows(tmp_path, capsys, rows) == (0, "")
 
@@ -670,7 +696,7 @@ def assert_round_trips_like_csv(table):
         }
         (tmp / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
         reader = csv.reader if {'"', "\r", "\0"} & set(text) else _no_csv_reader
-        with mock.patch.object(fairscore.cli.csv, "reader", reader):
+        with mock.patch.object(fairscore.csvio.csv, "reader", reader):
             assert main(["transform", "--config", str(tmp / "config.json")]) == 0
         produced = (tmp / "out.csv").read_bytes()
     assert produced == reference_output(text, produced, len(score_names))
@@ -748,7 +774,7 @@ def test_field_count_scan_equals_per_line_count(case):
     """The byte scan accepts exactly the texts the per-line count accepts,
     non-ASCII, empty lines and a missing final newline included."""
     text, width = case
-    assert fairscore.cli._fields_per_line(text, width) == _commas_per_line_by_count(text, width)
+    assert fairscore.csvio._fields_per_line(text, width) == _commas_per_line_by_count(text, width)
 
 
 def _powers_of_ten_and_neighbours():
@@ -781,7 +807,7 @@ def lines_and_values(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(lines_and_values(), st.sampled_from([1, 2, 5, fairscore.cli.EGRESS_BLOCK_ROWS]))
+@given(lines_and_values(), st.sampled_from([1, 2, 5, fairscore.csvio.EGRESS_BLOCK_ROWS]))
 def test_line_path_egress_equals_per_row_format(case, block_rows):
     """One ``%`` per block over the interleaved lines and values writes the
     bytes that ``str.format`` with ``{:.17g}``, row by row, wrote."""
@@ -790,8 +816,10 @@ def test_line_path_egress_equals_per_row_format(case, block_rows):
     names = [f"fair_{j}" for j in range(k)]
     expected = ",".join(["id"] + names) + "\n"
     expected += "\n".join(map(("{}" + ",{:.17g}" * k).format, lines, *values.T.tolist())) + "\n"
-    with mock.patch.object(fairscore.cli, "EGRESS_BLOCK_ROWS", block_rows):
-        chunks = fairscore.cli._with_columns(["id"], lines, names, values if k > 1 else values[:, 0])
+    with mock.patch.object(fairscore.csvio, "EGRESS_BLOCK_ROWS", block_rows):
+        chunks = fairscore.csvio._with_columns(
+            ["id", *names], lines, values if k > 1 else values[:, 0]
+        )
         assert "".join(chunks) == expected
 
 
@@ -820,7 +848,12 @@ def _file_writes(tree: ast.AST, owner: str = "") -> list[tuple[str, str]]:
 
 
 def test_every_output_file_is_written_in_one_place():
-    """``_write`` opens every file the CLI writes, and ``_csv_lines`` makes the
-    only ``csv.writer``, so every output has one error path and one quoting."""
-    tree = ast.parse(Path(fairscore.cli.__file__).read_text(encoding="utf-8"))
-    assert sorted(_file_writes(tree)) == [("_csv_lines", "csv.writer"), ("_write", "open")]
+    """In the whole package, ``csvio._write`` opens every file the CLI writes, and
+    ``csvio._csv_lines`` makes the only ``csv.writer``, so every output has one
+    error path and one quoting."""
+    found = [
+        (path.stem, *write)
+        for path in Path(fairscore.cli.__file__).parent.glob("*.py")
+        for write in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(found) == [("csvio", "_csv_lines", "csv.writer"), ("csvio", "_write", "open")]
