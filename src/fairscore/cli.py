@@ -4,14 +4,13 @@ Subcommands: transform, audit, sweep, barycenter, synth, verify.
 Exit codes: 0 success, 1 runtime/verification failure or out of memory, 2 validation error.
 
 Each command loads, solves and emits once: ``main`` validates the config,
-``load_csv`` reads the input through ``csvio``, which owns the CSV format and
-writes every output file, ``compute_barycenter`` solves for either score
-dimension (its one fork), and no file is written before everything the
-command writes has been computed. ``audit`` is ``transform`` without the
-fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth`` writes the
-columns of ``generate_synthetic``. A command imports only what it runs:
-``oracle`` for ``verify``, ``synth`` (and ``hashlib``) for a ``synth`` section
-or command, and each score dimension its own layer, ``empirical`` and
+``load_csv`` reads the input through ``csvio``, ``compute_barycenter`` solves
+for either score dimension (its one fork), and one ``csvio.commit`` writes the
+command's files once all they hold is computed. ``audit`` is ``transform``
+without the fair-score CSV (``run_transform(cfg, audit=True)``), and ``synth``
+writes the columns of ``generate_synthetic``. A command imports only what it
+runs: ``oracle`` for ``verify``, ``synth`` (and ``hashlib``) for a ``synth``
+section or command, and each score dimension its own layer, ``empirical`` and
 ``transport1d`` in 1-D, ``transportnd`` in n-D. A run turns the collector off
 before its first import (``python -m``) or in ``_run``, where both entries
 meet, and never back on: it builds columns and arrays, not reference cycles.
@@ -44,23 +43,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .csvio import _write, read_csv, write_csv
+from .csvio import commit, read_csv, render_csv
 from .errors import FairscoreError, ValidationError
-from .interpolation import (
-    FairScores,
-    ThetaPolicy,
-    apply_theta,
-    barycenter_targets,
-    interpolate_scores,
-)
+from .interpolation import ThetaPolicy, apply_theta, barycenter_targets, interpolate_scores
 from .metrics import SelectionRule, build_report
-from .population import (
-    DEFAULT_MIN_GROUP_SIZE,
-    GroupKey,
-    ScoredPopulation,
-    build_population,
-    validate_population,
-)
+from .population import DEFAULT_MIN_GROUP_SIZE, GroupKey, build_population, validate_population
 from .solver_settings import (
     DEFAULT_EPSILON,
     DEFAULT_GRID_SIZE,
@@ -72,6 +59,8 @@ from .solver_settings import (
 
 if TYPE_CHECKING:
     from .empirical import QuantileGrid
+    from .interpolation import FairScores
+    from .population import ScoredPopulation
     from .synth import GroupSpec
     from .transportnd import BregmanBarycenter
 
@@ -237,7 +226,7 @@ class RunConfig:
         # hold them; a column name is matched against a UTF-8 header or written
         for name in ("score_columns", "group_columns", "id_column"):
             _check_utf8("".join(getattr(self, name) or ""), name)
-        names = self.score_columns + self.group_columns
+        names = self.score_columns + self.group_columns + [self.id_column] * bool(self.id_column)
         for name in names:
             if names.count(name) > 1:
                 raise ValidationError(f"column {name!r} is configured {names.count(name)} times")
@@ -341,14 +330,6 @@ def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
     return interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy())
 
 
-def _write_report(report, path: str | None) -> None:
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write(path, [text])
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -356,8 +337,8 @@ def _write_report(report, path: str | None) -> None:
 def run_transform(cfg: RunConfig, audit: bool = False) -> int:
     """Fair scores under the configured theta, and their report.
 
-    The report is built before any file is written, so a run that fails
-    leaves no output. ``audit`` writes the report only, not the fair-score CSV.
+    Both files go to one ``csvio.commit`` once the report is built, so a run that
+    fails leaves no file it made. ``audit`` writes the report, not the fair-score CSV.
     """
     if cfg.output is None and not audit:
         raise ValidationError("transform requires an output path")
@@ -368,10 +349,11 @@ def run_transform(cfg: RunConfig, audit: bool = False) -> int:
     _emit_warnings(pop, cfg)
     fair = transform_population(pop, cfg)
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
+    files = [(cfg.report, [json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"])]
     if not audit:
         names = ["fair_score"] if pop.dimension == 1 else _numbered("fair_score_", pop.dimension)
-        write_csv(cfg.output, header + names, fair.values, lines)
-    _write_report(report, cfg.report)
+        files.insert(0, (cfg.output, render_csv(header + names, fair.values, lines)))
+    commit(files)
     return 0
 
 
@@ -408,7 +390,7 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
         selection = [] if rule is None else [metrics["selection"]["ratio"]]
         rows.append([policy.default_theta, *(metrics[name] for name in SWEEP_COLUMNS), *selection])
     header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
-    write_csv(cfg.output, header, rows)
+    commit([(cfg.output, render_csv(header, rows))])
     return 0
 
 
@@ -423,7 +405,7 @@ def run_barycenter(cfg: RunConfig) -> int:
     else:
         header = _numbered("support_", bary.dimension) + ["mass"]
         columns = [bary.support, bary.masses]
-    write_csv(cfg.output, header, np.column_stack(columns).tolist())
+    commit([(cfg.output, render_csv(header, np.column_stack(columns).tolist()))])
     return 0
 
 
@@ -443,7 +425,7 @@ def run_synth(cfg: RunConfig) -> int:
     if len(score_cols) != dim:
         score_cols = ["score"] if dim == 1 else _numbered("score_", dim)
     header = ["id", *group_names, *score_cols]
-    write_csv(cfg.output, header, scores, text_columns=[ids, *group_columns])
+    commit([(cfg.output, render_csv(header, scores, text_columns=[ids, *group_columns]))])
     return 0
 
 

@@ -14,9 +14,9 @@ each names its own errors:
 - The ``csv.reader`` path, for every other text. It reports the first bad
   row and keeps each row as the line ``csv.writer`` writes for it.
 
-``_write`` writes every output file; a path it cannot write is a validation
-error. A number is written as ``NUMBER % v``, which no writer quotes:
-``write_csv`` appends a row's numbers to its text with one ``%`` per block of
+``render_csv`` renders a CSV as text chunks, and ``commit`` writes every file
+of a run. A number is written as ``NUMBER % v``, which no writer quotes: a
+row's numbers are appended to its text with one ``%`` per block of
 ``EGRESS_BLOCK_ROWS`` rows, and ``csv.writer`` writes every other line.
 """
 
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+import sys
 from itertools import chain, islice
 from operator import itemgetter
 from types import SimpleNamespace
@@ -79,7 +81,7 @@ def _load_lines(text: str, path: str, *names):
     header = _fields(text[: len(text) if end < 0 else end])
     width = len(header)
     rectangular = width and _fields_per_line(text, width) and not (width == 1 and "\n\n" in text)
-    parse = _float if "_" in text else float
+    underscore = "_" in text
     lines = text.split("\n")
     del text
     if max(map(len, lines)) > csv.field_size_limit():
@@ -89,7 +91,7 @@ def _load_lines(text: str, path: str, *names):
     flat = ",".join(lines).split(",") if rectangular else None
     column = (lambda j: flat[width + j :: width]) if rectangular else None
     rows = map(_fields, islice(lines, 1, None))
-    columns = _columns(header, rows, column, len(lines) - 1, parse, *names)
+    columns = _columns(header, rows, column, len(lines) - 1, underscore, *names)
     return header, lines[1:], columns
 
 
@@ -124,7 +126,6 @@ def _lines(text: str) -> Iterator[str]:
 
 def _load_rows(text: str, path: str, *names):
     """(header, data lines, columns) read with ``csv.reader``; raises the first bad row's error."""
-    parse = _float if "_" in text else float
     reader = csv.reader(_lines(text))
     try:
         header = next(reader)
@@ -133,7 +134,7 @@ def _load_rows(text: str, path: str, *names):
         raise ValidationError(f"input file {path}, line {reader.line_num}: {exc}") from None
     rectangular = not set(map(len, rows)) - {len(header)}
     column = (lambda j: list(map(itemgetter(j), rows))) if rectangular else None
-    columns = _columns(header, rows, column, len(rows), parse, *names)
+    columns = _columns(header, rows, column, len(rows), "_" in text, *names)
     return header, list(_csv_lines(rows)), columns
 
 
@@ -155,19 +156,21 @@ def _float(field: str) -> float:
     return float(field)
 
 
-def _columns(header, rows, column, n: int, parse, score_columns, group_columns, id_column):
+def _columns(header, rows, column, n: int, underscore, score_columns, group_columns, id_column):
     """(ids, group columns, scores) of the ``n`` data ``rows``, by vectorized checks of
     each ``column(j)`` (None when a row has the wrong width); when one fails, the
-    ``rows`` are scanned one by one to raise the first bad row's error."""
+    ``rows`` are scanned one by one to raise the first bad row's error. Only when the
+    text holds a ``_`` (``underscore``) are the score fields searched for one (see ``_float``)."""
     at = _positions(header, score_columns, group_columns, id_column)
     if column is not None:
         group_cols = [column(at[name]) for name in group_columns]
+        score_cols = [column(at[name]) for name in score_columns]
         try:
-            floats = [np.fromiter(map(parse, column(at[name])), float, n) for name in score_columns]
+            scores = np.column_stack([np.fromiter(map(float, c), float, n) for c in score_cols])
         except ValueError:  # a field that is not a number fails the finiteness check
-            floats = [np.nan]
-        scores = np.column_stack(floats)
-        if np.isfinite(scores).all() and not any("" in set(col) for col in group_cols):
+            scores = np.nan
+        plain = not underscore or "_" not in "".join(chain(*score_cols))
+        if plain and np.isfinite(scores).all() and not any("" in set(col) for col in group_cols):
             row_numbers = map(str, range(2, n + 2))  # the header is row 1
             return tuple(column(at[id_column]) if id_column else row_numbers), group_cols, scores
     _raise_first_bad_row(header, rows, at, score_columns, group_columns)
@@ -202,17 +205,8 @@ def _csv_lines(rows: Iterable, end: str = "") -> Iterator[str]:
     return map(writer.writerow, rows)
 
 
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` to ``path``; a path that cannot be written is a ValidationError."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
-
-
-def write_csv(path: str, header: list[str], values, lines=None, text_columns=()) -> None:
-    """Write ``header``, then one line per row of ``values``: its text, if any, and its numbers.
+def render_csv(header: list[str], values, lines=None, text_columns=()) -> Iterator[str]:
+    """The chunks of a CSV: ``header``, then per row of ``values`` its text, if any, and numbers.
 
     The text is the row's line of ``lines``, passed through, or its fields of
     ``text_columns``; ``values`` is then an array (1-D for one column). With no
@@ -221,9 +215,33 @@ def write_csv(path: str, header: list[str], values, lines=None, text_columns=())
     if text_columns:
         lines = _csv_lines(zip(*text_columns))
     if lines is not None:
-        return _write(path, _with_columns(header, lines, values))
+        return _with_columns(header, lines, values)
     rows = (["" if v is None else NUMBER % v for v in row] for row in values)
-    _write(path, _csv_lines(chain([header], rows), "\n"))
+    return _csv_lines(chain([header], rows), "\n")
+
+
+def commit(files: list[tuple[str | None, Iterable[str]]]) -> None:
+    """Write each ``(path, chunks)``, every path opened before any is written and each file
+    closed before the next; ``None`` paths go to stdout, last. A failure leaves no file this
+    call created; a path that cannot be opened or written is a ValidationError."""
+    targets = [(path, chunks) for path, chunks in files if path is not None]
+    created = [path for path, _ in targets if not os.path.lexists(path)]
+    handles = []
+    try:
+        for path, _ in targets:
+            handles.append(open(path, "w", newline="", encoding="utf-8"))
+        for fh, (path, chunks) in zip(handles, targets):
+            with fh:
+                fh.writelines(chunks)
+    except BaseException as exc:  # also a MemoryError or an interrupt mid-write
+        for fh in handles:
+            fh.close()
+        for name in filter(os.path.lexists, created):
+            os.remove(name)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write output file {path}: {exc}") from exc
+        raise
+    sys.stdout.writelines(chain.from_iterable(chunks for path, chunks in files if path is None))
 
 
 def _with_columns(header: list[str], lines: Iterable[str], values: np.ndarray) -> Iterator[str]:

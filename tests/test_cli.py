@@ -517,7 +517,7 @@ def test_cli_import_loads_no_scipy():
 def test_csvio_loads_only_errors_and_the_cli_imports_no_csv_or_re():
     """``csvio`` owns the CSV format on its own: importing it loads no other
     fairscore module than ``errors``, and ``cli.py`` imports neither ``csv``
-    nor ``re``."""
+    nor ``re``, nor a private name of ``csvio``."""
     src = os.path.dirname(os.path.dirname(fairscore.__file__))
     code = (
         "import sys, fairscore.csvio\n"
@@ -529,6 +529,9 @@ def test_csvio_loads_only_errors_and_the_cli_imports_no_csv_or_re():
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)]
     imported = {alias.name for node in imports for alias in node.names}
     assert imported & {"csv", "re"} == set()
+    from_csvio = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names = {alias.name for node in from_csvio if node.module == "csvio" for alias in node.names}
+    assert names == {"commit", "read_csv", "render_csv"}
 
 
 def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):
@@ -782,12 +785,15 @@ WEIGHTS = [{"group": ["A"], "weight": 0.9}, {"group": ["B"], "weight": 0.1}]
         ({}, ["--top-k", "-1"], "top_k must be at least 1"),
         ({"selection_top_k": 2}, ["--threshold", "0"], "specify exactly one of threshold"),
         ({"theta_overrides": [{"group": ["A"], "theta": -0.5}]}, [], "theta override -0.5"),
+        ({}, ["--id-column", "sex"], "column 'sex' is configured 2 times"),
+        ({"id_column": "score"}, [], "column 'score' is configured 2 times"),
     ],
     ids=[
         "nan-threshold", "nan-threshold-flag", "nan-weight", "weights-in-size-mode",
         "one-weight-in-size-mode", "weights-in-uniform-mode-flag", "infinite-tol",
         "infinite-epsilon", "infinite-tol-flag", "negative-seed", "negative-seed-flag",
         "zero-top-k", "negative-top-k-flag", "threshold-and-top-k", "theta-override",
+        "id-column-flag-is-group-column", "id-column-is-score-column",
     ],
 )
 def test_bad_setting_exits_2_before_the_input_is_read(
@@ -834,8 +840,62 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag, kind):
     assert main(argv + (["--thetas", "0,1"] if command == "sweep" else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write output file {path}: ") and err.count("\n") == 1
-    # a report that cannot be written leaves the fair-score CSV written before it
-    assert (tmp_path / "out.csv").exists() == (command == "transform" and flag == "--report")
+    # every file is opened before any is written: a refused run leaves none of them
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_refused_run_truncates_but_keeps_a_file_that_existed(tmp_path, capsys):
+    """The fair-score CSV is opened for writing before the report is, so a file
+    that was already there is left empty; it was not made by the run, so it stays."""
+    write(tmp_path / "in.csv", AB_CSV)
+    write(tmp_path / "out.csv", "old\n")
+    assert main(["transform", "--config", base_config(tmp_path), "--report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output file {tmp_path}: ")
+    assert (tmp_path / "out.csv").read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_that_fails_mid_write_removes_the_written_csv(tmp_path, capsys):
+    """A write that fails after the fair-score CSV is complete still refuses the
+    whole run: the CSV, which the run created, is removed."""
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["transform", "--config", base_config(tmp_path), "--report", "/dev/full"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output file /dev/full: [Errno 28] No space left on device\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_a_run_stopped_mid_write_leaves_no_file(tmp_path, capsys, monkeypatch, error):
+    """Not only a write error: a MemoryError or an interrupt raised while the
+    fair-score CSV is being rendered removes it, and the report opened with it."""
+
+    def egress(header, lines, values):
+        yield "id,sex,score,fair_score\n"
+        raise error
+
+    monkeypatch.setattr(fairscore.csvio, "_with_columns", egress)
+    write(tmp_path / "in.csv", AB_CSV)
+    argv = ["transform", "--config", base_config(tmp_path)]
+    if error is MemoryError:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "failure: out of memory\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_csv_and_report_on_stdout_print_the_csv_then_the_report(tmp_path):
+    """``--output /dev/stdout`` with the report on stdout prints the bytes that
+    the two files hold when each is written to its own path."""
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["transform", "--config", base_config(tmp_path)]) == 0
+    expected = (tmp_path / "out.csv").read_text() + (tmp_path / "report.json").read_text()
+    argv = ["transform", "--config", base_config(tmp_path, output="/dev/stdout", report=None)]
+    child = subprocess.run([*RUN_ENTRY, *argv], env=_piped_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
 
 
 @pytest.mark.parametrize("command", ["transform", "audit"])

@@ -13,7 +13,7 @@ tables (the line path) and of quoted ones (the ``csv.reader`` path) with what
 two loaders equal on every quote-free text, valid or not, and two pin the line
 path's field-count scan and its one-call egress to the per-line code they
 replaced. The input is opened once, so a pipe or a FIFO reads as a file does.
-A static check keeps every file write in ``csvio._write``.
+A static check keeps every file write in ``csvio.commit``.
 """
 
 import ast
@@ -272,6 +272,37 @@ def test_a_score_field_holds_no_digit_separator(tmp_path, capsys, quote, score, 
     rows[2] = "b1_x,B," + score
     expected = (0, "") if message is None else (2, f"error: {message}\n")
     assert run_rows(tmp_path, capsys, rows) == expected
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["line-path", "csv-path"])
+def test_an_underscore_outside_the_scores_leaves_them_to_float(tmp_path, capsys, quote):
+    """Only score fields are checked for ``_``: with a ``user_id`` header and
+    ``u_a1`` ids, no score goes through the per-field ``_float``, and the run
+    writes what it writes for the same file without the ``_``."""
+    rows = ["u_" + row for row in AB_ROWS]
+    rows[0] = quote + rows[0].replace(",", quote + ",", 1)
+    text = "\n".join(["user_id,sex,score", *rows]) + "\n"
+    written = []
+    for case in (text, text.replace("_", "")):
+        (tmp_path / "in.csv").write_text(case, encoding="utf-8")
+        cfg = {
+            "input": str(tmp_path / "in.csv"),
+            "group_columns": ["sex"],
+            "id_column": case.split(",", 1)[0],
+            "min_group_size": 1,
+            "output": str(tmp_path / "out.csv"),
+            "report": str(tmp_path / "report.json"),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        with mock.patch.object(fairscore.csvio, "_float", side_effect=AssertionError("_float")):
+            assert main(["transform", "--config", str(tmp_path / "config.json")]) == 0
+        assert capsys.readouterr().err == ""
+        written.append([(tmp_path / name).read_bytes() for name in ("out.csv", "report.json")])
+    (csv_with, report_with), (csv_without, report_without) = written
+    assert b"\nu_a1," in csv_with
+    # the appended ``fair_score`` header holds a ``_`` in both outputs
+    assert csv_with.replace(b"_", b"") == csv_without.replace(b"_", b"")
+    assert report_with == report_without
 
 
 def test_two_score_columns_report_the_first_bad_field(tmp_path, capsys):
@@ -848,7 +879,7 @@ def _file_writes(tree: ast.AST, owner: str = "") -> list[tuple[str, str]]:
 
 
 def test_every_output_file_is_written_in_one_place():
-    """In the whole package, ``csvio._write`` opens every file the CLI writes, and
+    """In the whole package, ``csvio.commit`` opens every file the CLI writes, and
     ``csvio._csv_lines`` makes the only ``csv.writer``, so every output has one
     error path and one quoting."""
     found = [
@@ -856,4 +887,4 @@ def test_every_output_file_is_written_in_one_place():
         for path in Path(fairscore.cli.__file__).parent.glob("*.py")
         for write in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert sorted(found) == [("csvio", "_csv_lines", "csv.writer"), ("csvio", "_write", "open")]
+    assert sorted(found) == [("csvio", "_csv_lines", "csv.writer"), ("csvio", "commit", "open")]
