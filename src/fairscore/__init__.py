@@ -24,7 +24,6 @@ _EXPORTS = {
     ),
     "interpolation": ("FairScores", "ThetaPolicy", "interpolate_scores", "resolve_theta"),
     "metrics": (
-        "FairnessReport",
         "SelectionRule",
         "build_report",
         "group_fairness_error",

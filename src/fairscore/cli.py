@@ -15,7 +15,10 @@ section or command, and each score dimension its own layer, ``empirical`` and
 before its first import (``python -m``) or in ``_run``, where both entries
 meet, and never back on: it builds columns and arrays, not reference cycles.
 ``_run`` flushes stdout and stderr and ends with ``os._exit``, so no shutdown
-collection runs. A module that imports the CLI keeps its collector as it was.
+collection runs. ``main`` itself runs with the collector off and then leaves it
+as its caller had it, and a module that imports the CLI keeps its collector as
+it was. The report is the dict that ``metrics.build_report`` returns, dumped as
+JSON; a ``sweep`` row holds a theta and its report's ``metrics.METRICS``.
 
 A JSON config file sets the ``RunConfig`` fields, and flags override it. Each
 field declares its JSON parser and its flag, if any (see ``_key``), so
@@ -46,7 +49,7 @@ import numpy as np
 from .csvio import commit, read_csv, render_csv
 from .errors import FairscoreError, ValidationError
 from .interpolation import ThetaPolicy, apply_theta, barycenter_targets, interpolate_scores
-from .metrics import SelectionRule, build_report
+from .metrics import METRICS, SelectionRule, build_report
 from .population import DEFAULT_MIN_GROUP_SIZE, GroupKey, build_population, validate_population
 from .solver_settings import (
     DEFAULT_EPSILON,
@@ -349,22 +352,12 @@ def run_transform(cfg: RunConfig, audit: bool = False) -> int:
     _emit_warnings(pop, cfg)
     fair = transform_population(pop, cfg)
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
-    files = [(cfg.report, [json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"])]
+    files = [(cfg.report, [json.dumps(report, indent=2, sort_keys=True) + "\n"])]
     if not audit:
         names = ["fair_score"] if pop.dimension == 1 else _numbered("fair_score_", pop.dimension)
         files.insert(0, (cfg.output, render_csv(header + names, fair.values, lines)))
     commit(files)
     return 0
-
-
-# The sweep table's metric columns, read from ``FairnessReport.to_dict``.
-SWEEP_COLUMNS = (
-    "individual_fairness_error",
-    "group_fairness_w2",
-    "group_fairness_ks",
-    "utility_loss_mean_abs",
-    "utility_loss_w2",
-)
 
 
 def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
@@ -386,10 +379,10 @@ def run_sweep(cfg: RunConfig, thetas: list[float]) -> int:
     rows = []  # a metric that is undefined (None) is written as ""
     for policy in policies:
         fair = apply_theta(pop, targets, policy)
-        metrics = build_report(pop, fair, m=cfg.grid_size, rule=rule).to_dict()
-        selection = [] if rule is None else [metrics["selection"]["ratio"]]
-        rows.append([policy.default_theta, *(metrics[name] for name in SWEEP_COLUMNS), *selection])
-    header = ["theta", *SWEEP_COLUMNS] + ([] if rule is None else ["selection_ratio"])
+        report = build_report(pop, fair, m=cfg.grid_size, rule=rule)
+        selection = [] if rule is None else [report["selection"]["ratio"]]
+        rows.append([policy.default_theta, *(report[name] for name in METRICS), *selection])
+    header = ["theta", *METRICS] + ([] if rule is None else ["selection_ratio"])
     commit([(cfg.output, render_csv(header, rows))])
     return 0
 
@@ -471,8 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # for main's own run; see the module docstring
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else RunConfig()
         flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
@@ -496,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         # verify line; buffered, it comes at _run's flush instead
         print(f"failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _run() -> None:

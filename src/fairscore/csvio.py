@@ -220,11 +220,21 @@ def render_csv(header: list[str], values, lines=None, text_columns=()) -> Iterat
     return _csv_lines(chain([header], rows), "\n")
 
 
+def _names_stdout(path: str) -> bool:
+    """Whether ``path`` is the file behind stdout's descriptor (``/dev/stdout`` among them)."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError, AttributeError):  # no such file, or stdout has no descriptor
+        return False
+
+
 def commit(files: list[tuple[str | None, Iterable[str]]]) -> None:
     """Write each ``(path, chunks)``, every path opened before any is written and each file
-    closed before the next; ``None`` paths go to stdout, last. A failure leaves no file this
-    call created; a path that cannot be opened or written is a ValidationError."""
-    targets = [(path, chunks) for path, chunks in files if path is not None]
+    closed before the next; ``None`` paths, and those naming stdout's own file, which are
+    never opened, go to stdout, last. A failure leaves no file this call created; a path
+    that cannot be opened or written is a ValidationError."""
+    to_stdout = [path is None or _names_stdout(path) for path, _ in files]
+    targets = [file for file, out in zip(files, to_stdout) if not out]
     created = [path for path, _ in targets if not os.path.lexists(path)]
     handles = []
     try:
@@ -241,7 +251,7 @@ def commit(files: list[tuple[str | None, Iterable[str]]]) -> None:
         if isinstance(exc, OSError):
             raise ValidationError(f"cannot write output file {path}: {exc}") from exc
         raise
-    sys.stdout.writelines(chain.from_iterable(chunks for path, chunks in files if path is None))
+    sys.stdout.writelines(chain.from_iterable(c for (_, c), out in zip(files, to_stdout) if out))
 
 
 def _with_columns(header: list[str], lines: Iterable[str], values: np.ndarray) -> Iterator[str]:

@@ -1,5 +1,7 @@
 """Trade-off metrics: individual fairness, group fairness, utility loss and
-selection rates for one theta setting.
+selection rates for one theta setting, and ``build_report``, which gathers
+them into the report as written: a dict with the ``METRICS`` keys,
+``selection`` and ``theta``.
 
 Individual fairness is measured as the cross-group strict-inversion rate: the
 fraction of cross-group pairs with distinct raw scores whose strict raw-score
@@ -45,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .interpolation import FairScores, ThetaPolicy
+from .interpolation import FairScores
 from .population import GroupKey, ScoredPopulation
 from .solver_settings import DEFAULT_GRID_SIZE
 
@@ -59,6 +61,15 @@ if TYPE_CHECKING:
 # cross between 32 and 48 groups at 10k, 50k and 200k rows, tied or
 # tie-free, and lower only at 2k rows and fewer, where both take under 2 ms.
 CHAIN_MAX_GROUPS = 32
+
+# The report's metric keys, in the order of the sweep table's columns.
+METRICS = (
+    "individual_fairness_error",
+    "group_fairness_w2",
+    "group_fairness_ks",
+    "utility_loss_mean_abs",
+    "utility_loss_w2",
+)
 
 
 @dataclass(frozen=True)
@@ -75,49 +86,6 @@ class SelectionRule:
             raise ValidationError("selection threshold must be a number, got nan")
         if self.top_k is not None and self.top_k < 1:
             raise ValidationError(f"selection top_k must be at least 1, got {self.top_k}")
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Per-group selection rates and min rate / max rate; the ratio is None
-    when no group has a selected member, as 0/0 is undefined."""
-
-    rates: dict[GroupKey, float]
-    ratio: float | None
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    """Metric bundle for one theta setting.
-
-    Group-level and rank-based fields are ``None`` when undefined (single
-    group, or multi-dimensional scores for the 1-D-only metrics), and so is
-    the selection ratio when no one is selected.
-    """
-
-    individual_fairness_error: float | None
-    group_fairness_w2: float | None
-    group_fairness_ks: float | None
-    utility_loss_mean_abs: float
-    utility_loss_w2: float
-    selection: SelectionOutcome | None
-    theta: ThetaPolicy
-
-    def to_dict(self) -> dict:
-        return {
-            "individual_fairness_error": self.individual_fairness_error,
-            "group_fairness_w2": self.group_fairness_w2,
-            "group_fairness_ks": self.group_fairness_ks,
-            "utility_loss_mean_abs": self.utility_loss_mean_abs,
-            "utility_loss_w2": self.utility_loss_w2,
-            "selection": None
-            if self.selection is None
-            else {
-                "rates": {str(k): v for k, v in sorted(self.selection.rates.items())},
-                "ratio": self.selection.ratio,
-            },
-            "theta": self.theta.to_dict(),
-        }
 
 
 def _inversions(seq: np.ndarray) -> int:
@@ -295,8 +263,10 @@ def utility_loss(pop: ScoredPopulation, fair: FairScores) -> tuple[float, float]
 
 def selection_rates(
     pop: ScoredPopulation, fair: FairScores, rule: SelectionRule
-) -> SelectionOutcome:
-    """Per-group selection rates under a threshold or deterministic top-k rule."""
+) -> tuple[dict[GroupKey, float], float | None]:
+    """Per-group selection rates under a threshold or deterministic top-k rule, and
+    min rate / max rate; the ratio is None when no group has a selected member, as
+    0/0 is undefined."""
     if pop.dimension != 1:
         raise ValidationError("selection_rates is defined for 1-D scores")
     fv = _aligned(pop, fair)
@@ -324,7 +294,7 @@ def selection_rates(
     rates = dict(zip(pop.groups, (counts / np.bincount(pop.group_codes)).tolist()))
     max_rate = max(rates.values())
     ratio = None if max_rate == 0.0 else min(rates.values()) / max_rate
-    return SelectionOutcome(rates=rates, ratio=ratio)
+    return rates, ratio
 
 
 def build_report(
@@ -332,23 +302,19 @@ def build_report(
     fair: FairScores,
     m: int = DEFAULT_GRID_SIZE,
     rule: SelectionRule | None = None,
-) -> FairnessReport:
-    """Assemble the full metric bundle; 1-D-only metrics are None in d >= 2."""
+) -> dict:
+    """The report of one theta setting: the ``METRICS``, ``selection`` (the rates by
+    ``str(key)`` in key order, and their ratio) and ``theta``. A metric is None when
+    undefined: group fairness for a single group, and all but the utility losses for
+    n-D scores. ``selection`` is None without a rule and for n-D scores."""
     mean_abs, w2_loss = utility_loss(pop, fair)
-    ife = gw2 = gks = None
-    selection = None
+    ife = gw2 = gks = selection = None
     if pop.dimension == 1:
         ife = individual_fairness_error(pop, fair)
         if len(pop.groups) >= 2:
             gw2, gks = group_fairness_error(pop, fair, m)
         if rule is not None:
-            selection = selection_rates(pop, fair, rule)
-    return FairnessReport(
-        individual_fairness_error=ife,
-        group_fairness_w2=gw2,
-        group_fairness_ks=gks,
-        utility_loss_mean_abs=mean_abs,
-        utility_loss_w2=w2_loss,
-        selection=selection,
-        theta=fair.theta_used,
-    )
+            rates, ratio = selection_rates(pop, fair, rule)
+            selection = {"rates": {str(k): v for k, v in sorted(rates.items())}, "ratio": ratio}
+    report = dict(zip(METRICS, (ife, gw2, gks, mean_abs, w2_loss)))
+    return {**report, "selection": selection, "theta": fair.theta_used.to_dict()}

@@ -80,7 +80,7 @@ def test_criterion_2_parity_endpoint(fixture_pop):
         1000,
     )
     tau = float(np.median(fair.values))
-    ratio = selection_rates(fixture_pop, fair, SelectionRule(threshold=tau)).ratio
+    ratio = selection_rates(fixture_pop, fair, SelectionRule(threshold=tau))[1]
     ok = ks <= 0.02 and w2 <= 1e-9 and 0.95 <= ratio <= 1.0
     report(2, "parity endpoint", ok, f"ks={ks:.4f} w2={w2:.2e} ratio={ratio:.3f}")
 

@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -179,7 +180,7 @@ def test_sweep_keeps_theta_overrides_fixed(tmp_path):
         assert main(["audit", "--config", cfg, "--theta", row[0]]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["theta"]["overrides"] == {"A": 0}
-        expected = [report[name] for name in fairscore.cli.SWEEP_COLUMNS]
+        expected = [report[name] for name in fairscore.metrics.METRICS]
         assert [float(v) for v in row[1:]] == expected
 
 
@@ -717,6 +718,26 @@ def test_module_run_starts_no_collection_once_its_code_begins(tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_runs_with_the_collector_off_and_restores_it(tmp_path, monkeypatch, enabled):
+    """A caller of ``main`` gets its collector back as it was, on or off, and the
+    run in between has it off."""
+    import fairscore.cli
+
+    seen = []
+    monkeypatch.setattr(
+        fairscore.cli, "run_transform", lambda cfg, audit: seen.append(gc.isenabled())
+    )
+    write(tmp_path / "in.csv", AB_CSV)
+    caller = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        main(["transform", "--config", base_config(tmp_path)])
+        assert (seen, gc.isenabled()) == ([False], enabled)
+    finally:
+        gc.enable() if caller else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_importing_the_cli_leaves_the_collector_as_it_was(enabled):
     code = (
         "import gc\n"
@@ -889,13 +910,20 @@ def test_a_run_stopped_mid_write_leaves_no_file(tmp_path, capsys, monkeypatch, e
 
 def test_csv_and_report_on_stdout_print_the_csv_then_the_report(tmp_path):
     """``--output /dev/stdout`` with the report on stdout prints the bytes that
-    the two files hold when each is written to its own path."""
+    the two files hold when each is written to its own path, whether stdout is
+    a pipe, a file (``>``) or a file appended to (``>>``), which keeps its lines."""
     write(tmp_path / "in.csv", AB_CSV)
     assert main(["transform", "--config", base_config(tmp_path)]) == 0
     expected = (tmp_path / "out.csv").read_text() + (tmp_path / "report.json").read_text()
     argv = ["transform", "--config", base_config(tmp_path, output="/dev/stdout", report=None)]
     child = subprocess.run([*RUN_ENTRY, *argv], env=_piped_env(), capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
+    log = tmp_path / "log"
+    for mode, before in [("w", ""), ("a", "earlier line\n")]:
+        write(log, before)
+        with open(log, mode) as stdout:
+            child = subprocess.run([*RUN_ENTRY, *argv], env=_piped_env(), stdout=stdout)
+        assert (child.returncode, log.read_text()) == (0, before + expected)
 
 
 @pytest.mark.parametrize("command", ["transform", "audit"])

@@ -27,6 +27,7 @@ from fairscore import (
 from fairscore.interpolation import FairScores, apply_theta, barycenter_targets
 from fairscore.metrics import (
     CHAIN_MAX_GROUPS,
+    METRICS,
     _chain_count,
     _group_runs,
     _inversions,
@@ -194,24 +195,24 @@ def test_utility_loss_linear_in_theta():
 def test_selection_rates_threshold():
     pop = far_apart_population()
     raw_fair = transform(pop, 0.0, 2)
-    out = selection_rates(pop, raw_fair, SelectionRule(threshold=5.0))
-    assert out.rates[GroupKey(("A",))] == 0.0
-    assert out.rates[GroupKey(("B",))] == 1.0
-    assert out.ratio == 0.0
+    rates, ratio = selection_rates(pop, raw_fair, SelectionRule(threshold=5.0))
+    assert rates[GroupKey(("A",))] == 0.0
+    assert rates[GroupKey(("B",))] == 1.0
+    assert ratio == 0.0
 
     parity_fair = transform(pop, 1.0, 2)
-    out = selection_rates(pop, parity_fair, SelectionRule(threshold=5.5))
-    assert out.rates == {GroupKey(("A",)): 0.5, GroupKey(("B",)): 0.5}
-    assert out.ratio == 1.0
+    rates, ratio = selection_rates(pop, parity_fair, SelectionRule(threshold=5.5))
+    assert rates == {GroupKey(("A",)): 0.5, GroupKey(("B",)): 0.5}
+    assert ratio == 1.0
 
-    out = selection_rates(pop, raw_fair, SelectionRule(threshold=-100.0))
-    assert all(rate == 1.0 for rate in out.rates.values())
-    assert out.ratio == 1.0
+    rates, ratio = selection_rates(pop, raw_fair, SelectionRule(threshold=-100.0))
+    assert all(rate == 1.0 for rate in rates.values())
+    assert ratio == 1.0
 
     # no one selected: the ratio 0/0 is undefined, not parity
-    out = selection_rates(pop, raw_fair, SelectionRule(threshold=1e300))
-    assert all(rate == 0.0 for rate in out.rates.values())
-    assert out.ratio is None
+    rates, ratio = selection_rates(pop, raw_fair, SelectionRule(threshold=1e300))
+    assert all(rate == 0.0 for rate in rates.values())
+    assert ratio is None
 
 
 def test_selection_rates_top_k_deterministic_ties():
@@ -222,10 +223,10 @@ def test_selection_rates_top_k_deterministic_ties():
     ]
     pop = population_from_records(records, 1)
     fair = FairScores(np.ones(3), ThetaPolicy(0.0))
-    out = selection_rates(pop, fair, SelectionRule(top_k=1))
+    rates = selection_rates(pop, fair, SelectionRule(top_k=1))[0]
     # all fair and raw scores tie; the largest id ("b1") wins
-    assert out.rates[GroupKey(("B",))] == 1.0
-    assert out.rates[GroupKey(("A",))] == 0.0
+    assert rates[GroupKey(("B",))] == 1.0
+    assert rates[GroupKey(("A",))] == 0.0
     with pytest.raises(ValidationError):
         selection_rates(pop, fair, SelectionRule(top_k=4))
 
@@ -260,8 +261,7 @@ def test_ife_nondecreasing_over_sweep(two_gaussian_population):
 def test_build_report_round_trip():
     pop = far_apart_population()
     fair = transform(pop, 0.5, 2)
-    report = build_report(pop, fair, m=2, rule=SelectionRule(threshold=3.0))
-    d = report.to_dict()
+    d = build_report(pop, fair, m=2, rule=SelectionRule(threshold=3.0))
     assert d["individual_fairness_error"] == 0.0
     assert d["group_fairness_w2"] == pytest.approx(5.0, abs=1e-9)
     assert set(d["selection"]["rates"]) == {"A", "B"}
@@ -431,7 +431,7 @@ def test_top_k_matches_three_pass_sort_with_ties_at_the_cut():
         if all(i in chosen for i in range(n) if fv[i] == fv[last] and raw[i] == raw[last]):
             continue
         checked += 1
-        rates = selection_rates(pop, fair, SelectionRule(top_k=k)).rates
+        rates = selection_rates(pop, fair, SelectionRule(top_k=k))[0]
         assert {i for i in range(n) if rates[GroupKey((ids[i],))] == 1.0} == chosen
     assert checked > 50
 
@@ -491,7 +491,7 @@ def test_top_k_equals_one_lexsort(ids, raw, fair, k, expected):
     fs = FairScores(fv, ThetaPolicy(0.0))
     assert lexsort_top_k(pop, fv, k) == expected
     for cut in range(1, len(ids) + 1):
-        rates = selection_rates(pop, fs, SelectionRule(top_k=cut)).rates
+        rates = selection_rates(pop, fs, SelectionRule(top_k=cut))[0]
         chosen = {i for i, rec_id in enumerate(ids) if rates[GroupKey((rec_id,))] == 1.0}
         assert chosen == lexsort_top_k(pop, fv, cut)
 
@@ -700,15 +700,25 @@ def test_raw_order_is_built_once_per_population(monkeypatch):
 
 
 def test_report_fairness_fields_equal_each_metric_alone():
-    """``build_report``'s individual and group fairness errors read as each
-    metric called by itself."""
+    """``build_report`` gives the ``METRICS``, ``selection`` and ``theta`` in either
+    score dimension, and each 1-D metric reads as the metric called by itself."""
+    keys = {*METRICS, "selection", "theta"}
     pop, targets = sweep_population(3, 30, 79)
     for theta in (0.0, 0.5, 1.0):
         fair = apply_theta(pop, targets, ThetaPolicy(theta))
-        report = build_report(pop, fair, m=20)
-        assert report.individual_fairness_error == individual_fairness_error(pop, fair)
-        gw2, gks = group_fairness_error(pop, fair, 20)
-        assert (report.group_fairness_w2, report.group_fairness_ks) == (gw2, gks)
+        report = build_report(pop, fair, m=20, rule=SelectionRule(top_k=10))
+        assert report.keys() == keys
+        alone = (individual_fairness_error(pop, fair), *group_fairness_error(pop, fair, 20))
+        assert tuple(report[name] for name in METRICS) == (*alone, *utility_loss(pop, fair))
+        rates, ratio = selection_rates(pop, fair, SelectionRule(top_k=10))
+        selection = {"rates": {str(k): rate for k, rate in rates.items()}, "ratio": ratio}
+        assert report["selection"] == selection
+    pop2 = build_population(["a", "b", "c"], [["A", "B", "B"]], np.eye(3)[:, :2])
+    fair2 = FairScores(pop2.scores, ThetaPolicy(0.0))
+    report = build_report(pop2, fair2, rule=SelectionRule(top_k=1))
+    assert report.keys() == keys
+    assert [report[name] for name in METRICS] == [None, None, None, 0.0, 0.0]
+    assert report["selection"] is None and report["theta"] == ThetaPolicy(0.0).to_dict()
 
 
 
@@ -741,7 +751,7 @@ def test_selection_rates_by_group_codes_match_per_group_counts(seed, group_count
     expected = {
         key: float(np.count_nonzero(selected[idx]) / idx.size) for key, idx in pop.groups.items()
     }
-    rates = selection_rates(pop, fair, rule).rates
+    rates = selection_rates(pop, fair, rule)[0]
     assert list(rates) == list(expected)
     assert all(type(rate) is float for rate in rates.values())
     assert rates == expected
