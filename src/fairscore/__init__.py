@@ -22,7 +22,7 @@ _EXPORTS = {
         "OracleGuardError",
         "ValidationError",
     ),
-    "interpolation": ("FairScores", "ThetaPolicy", "interpolate_scores", "resolve_theta"),
+    "interpolation": ("FairScores", "ThetaPolicy", "interpolate_scores"),
     "metrics": (
         "SelectionRule",
         "build_report",

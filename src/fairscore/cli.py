@@ -40,13 +40,12 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from os.path import realpath
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .csvio import commit, read_csv, render_csv
+from .csvio import commit, read_csv, refuse_one_file, render_csv
 from .errors import FairscoreError, ValidationError
 from .interpolation import ThetaPolicy, apply_theta, barycenter_targets, interpolate_scores
 from .metrics import METRICS, SelectionRule, build_report
@@ -62,7 +61,6 @@ from .solver_settings import (
 
 if TYPE_CHECKING:
     from .empirical import QuantileGrid
-    from .interpolation import FairScores
     from .population import ScoredPopulation
     from .synth import GroupSpec
     from .transportnd import BregmanBarycenter
@@ -294,12 +292,12 @@ def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
 
 
 def _emit_warnings(pop: ScoredPopulation, cfg: RunConfig) -> None:
-    for warning in validate_population(pop, cfg.min_group_size):
-        print(f"warning: {warning.message}", file=sys.stderr)
+    for line in validate_population(pop, cfg.min_group_size):
+        print(f"warning: {line}", file=sys.stderr)
 
 
 def barycenter_weights(pop: ScoredPopulation, cfg: RunConfig) -> list[float]:
-    keys = pop.group_keys()
+    keys = list(pop.groups)
     if cfg.weight_mode == "size":
         return [len(pop.groups[k]) / len(pop) for k in keys]
     if cfg.weight_mode == "uniform":
@@ -328,11 +326,6 @@ def compute_barycenter(
     return compute_barycenter_nd(pop, weights, cfg.epsilon, cfg.tol, cfg.max_iter, seed=cfg.seed)
 
 
-def transform_population(pop: ScoredPopulation, cfg: RunConfig) -> FairScores:
-    """Fair scores under the configured theta policy."""
-    return interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy())
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -345,12 +338,11 @@ def run_transform(cfg: RunConfig, audit: bool = False) -> int:
     """
     if cfg.output is None and not audit:
         raise ValidationError("transform requires an output path")
-    # realpath, unlike Path.resolve, raises no RuntimeError on a symlink loop
-    if not audit and cfg.report is not None and realpath(cfg.output) == realpath(cfg.report):
-        raise ValidationError(f"output and report name the same file {cfg.output}")
+    if not audit and cfg.report is not None:
+        refuse_one_file(cfg.output, cfg.report)
     header, lines, pop = load_csv(cfg)
     _emit_warnings(pop, cfg)
-    fair = transform_population(pop, cfg)
+    fair = interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy())
     report = build_report(pop, fair, m=cfg.grid_size, rule=cfg.selection_rule())
     files = [(cfg.report, [json.dumps(report, indent=2, sort_keys=True) + "\n"])]
     if not audit:

@@ -228,6 +228,18 @@ def _names_stdout(path: str) -> bool:
         return False
 
 
+def refuse_one_file(output: str, report: str) -> None:
+    """Refuse two paths to one regular file: one device and inode (a hard link too) or, for
+    a file not made yet, one ``realpath``. stdout's own file and a file that is not regular
+    are exempt. A path that names the other's file only once that file is made is not seen."""
+    try:
+        same = os.path.samestat(os.stat(output), os.stat(report)) and os.path.isfile(output)
+    except OSError:  # one is not made yet; realpath, unlike Path.resolve, survives a symlink loop
+        same = os.path.realpath(output) == os.path.realpath(report)
+    if same and not _names_stdout(output):
+        raise ValidationError(f"output and report name the same file {output}")
+
+
 def commit(files: list[tuple[str | None, Iterable[str]]]) -> None:
     """Write each ``(path, chunks)``, every path opened before any is written and each file
     closed before the next; ``None`` paths, and those naming stdout's own file, which are

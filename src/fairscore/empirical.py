@@ -47,22 +47,22 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True, eq=False)
 class QuantileGrid:
-    """Discretized quantile function on the shared grid p_k = (k - 0.5)/m."""
+    """Discretized quantile function on the shared grid p_k = (k - 0.5)/m: its m
+    ``quantiles``, from which the grid ``ranks`` are derived."""
 
-    ranks: np.ndarray
     quantiles: np.ndarray
 
     def __post_init__(self):
-        ranks = np.asarray(self.ranks, dtype=float)
         quantiles = np.asarray(self.quantiles, dtype=float)
-        if ranks.size < 2:
+        if quantiles.ndim != 1 or quantiles.size < 2:
             raise ValidationError("a quantile grid needs at least 2 points")
-        if ranks.shape != quantiles.shape:
-            raise ValidationError("ranks and quantiles must have the same length")
         if np.any(np.diff(quantiles) < 0):
             raise ValidationError("quantiles must be nondecreasing")
-        object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "quantiles", quantiles)
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return grid_ranks(self.quantiles.size)
 
     def evaluate(self, p) -> np.ndarray | float:
         """Piecewise-linear quantile lookup with constant tails."""
@@ -114,8 +114,7 @@ def midranks(ordered: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def discretize_quantiles(dist: EmpiricalDistribution, m: int) -> QuantileGrid:
     """Evaluate the quantile function on the shared m-point grid."""
-    ranks = grid_ranks(m)
-    return QuantileGrid(ranks=ranks, quantiles=np.interp(ranks, dist.positions, dist.values))
+    return QuantileGrid(np.interp(grid_ranks(m), dist.positions, dist.values))
 
 
 @dataclass(frozen=True, eq=False)

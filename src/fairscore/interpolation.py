@@ -70,17 +70,6 @@ class FairScores:
         return self.values.shape[0]
 
 
-def resolve_theta(policy: ThetaPolicy, g: GroupKey) -> float:
-    """Group-specific theta: override when present, default otherwise."""
-    return policy.overrides.get(g, policy.default_theta)
-
-
-def check_policy_against(policy: ThetaPolicy, pop: ScoredPopulation) -> None:
-    for key in policy.overrides:
-        if key not in pop.groups:
-            raise ValidationError(f"theta override for nonexistent group {key}")
-
-
 def barycenter_targets(
     pop: ScoredPopulation, bary: QuantileGrid | BregmanBarycenter
 ) -> np.ndarray:
@@ -112,11 +101,15 @@ def apply_theta(pop: ScoredPopulation, targets: np.ndarray, policy: ThetaPolicy)
 
     One blend for every score dimension, over all rows at once: ``targets``
     holds a finite T(s) per record (shape (n,) or (n, d)), such as
-    ``barycenter_targets`` gives, and each row's theta is read through
-    ``pop.group_codes``. A theta-0 row keeps its raw score, -0.0 included.
+    ``barycenter_targets`` gives, and each row's theta, its group's override or
+    else the default, is read through ``pop.group_codes``. A theta-0 row keeps
+    its raw score, -0.0 included. An override for a group ``pop`` lacks is refused.
     """
-    check_policy_against(policy, pop)
-    theta = np.array([resolve_theta(policy, key) for key in pop.groups])[pop.group_codes]
+    for key in policy.overrides:
+        if key not in pop.groups:
+            raise ValidationError(f"theta override for nonexistent group {key}")
+    thetas = [policy.overrides.get(key, policy.default_theta) for key in pop.groups]
+    theta = np.array(thetas)[pop.group_codes]
     theta = theta.reshape(theta.shape + (1,) * (pop.scores.ndim - 1))  # broadcast over d
     fair = np.where(theta == 0.0, pop.scores, (1.0 - theta) * pop.scores + theta * targets)
     return FairScores(values=fair, theta_used=policy)

@@ -113,7 +113,7 @@ def barycenter_coordinate_oracle(
         out[k] = float(candidates[np.argmin(objective)])
     # enforce monotonicity against grid-search jitter
     out = np.maximum.accumulate(out)
-    return QuantileGrid(ranks=ranks, quantiles=out)
+    return QuantileGrid(out)
 
 
 def individual_fairness_error_naive(pop: ScoredPopulation, fair: FairScores) -> float:
@@ -174,7 +174,7 @@ def verify(
 def _checks_1d(
     pop: ScoredPopulation, weights: Callable[[], Sequence[float]], policy: ThetaPolicy, m: int
 ) -> Iterator[tuple[str, bool, str]]:
-    keys = pop.group_keys()
+    keys = list(pop.groups)
     for key in keys:
         if len(pop.groups[key]) > BRUTEFORCE_MAX_N:
             raise OracleGuardError(
@@ -200,7 +200,7 @@ def _checks_1d(
     bary = barycenter_1d(list(dists.values()), w, m)  # a bad weight is refused before any line
     for a, b in pairs:
         fast = w2_distance(dists[a], dists[b], len(pop.groups[a])) ** 2
-        brute = ot_cost_bruteforce(pop.group_scores(a), pop.group_scores(b))
+        brute = ot_cost_bruteforce(pop.scores[pop.groups[a]], pop.scores[pop.groups[b]])
         detail = f"grid {fast:.12g} vs exact {brute:.12g}"
         yield f"w2({a},{b}) vs permutation brute force", abs(fast - brute) <= 1e-9, detail
 
@@ -236,7 +236,7 @@ def _checks_nd(
                 f"marginal error {plan.marginal_error:.3e} after {plan.iterations_run} iterations"
             )
             continue
-        cost = plan.cost(squared_cost_matrix(mu.support, nu.support))
+        cost = float(np.sum(plan.matrix * squared_cost_matrix(mu.support, nu.support)))
         lp_cost, _ = lp_transport_exact(mu, nu)
         slack = epsilon * np.log(len(mu) * len(nu) + 1.0)
         ok = lp_cost - 1e-9 <= cost <= lp_cost + slack + 1e-9

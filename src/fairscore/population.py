@@ -69,21 +69,6 @@ class ScoreRecord:
     score: float | tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class GroupSizeWarning:
-    group: GroupKey
-    size: int
-    threshold: int
-
-    @property
-    def message(self) -> str:
-        return (
-            f"group {self.group} has only {self.size} individuals "
-            f"(below the recommended minimum of {self.threshold}); "
-            f"transport estimates may be unreliable"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class ScoredPopulation:
     """Immutable columnar population with a lexicographic group partition."""
@@ -99,12 +84,6 @@ class ScoredPopulation:
     @property
     def dimension(self) -> int:
         return 1 if self.scores.ndim == 1 else self.scores.shape[1]
-
-    def group_keys(self) -> list[GroupKey]:
-        return list(self.groups)
-
-    def group_scores(self, key: GroupKey) -> np.ndarray:
-        return self.scores[self.groups[key]]
 
     @cached_property
     def raw_order(self) -> RawOrder:
@@ -124,7 +103,7 @@ class ScoredPopulation:
 class _RecordView(Sequence):
     def __init__(self, pop: ScoredPopulation):
         self._pop = pop
-        self._keys = pop.group_keys()
+        self._keys = list(pop.groups)
 
     def __len__(self) -> int:
         return len(self._pop)
@@ -209,10 +188,12 @@ def build_population(
 
 def validate_population(
     pop: ScoredPopulation, min_group_size: int = DEFAULT_MIN_GROUP_SIZE
-) -> list[GroupSizeWarning]:
-    """Return one warning per group smaller than ``min_group_size``. Never raises."""
-    warnings = []
-    for key, idx in pop.groups.items():
-        if len(idx) < min_group_size:
-            warnings.append(GroupSizeWarning(group=key, size=len(idx), threshold=min_group_size))
-    return warnings
+) -> list[str]:
+    """Return one warning line per group smaller than ``min_group_size``. Never raises."""
+    return [
+        f"group {key} has only {len(idx)} individuals "
+        f"(below the recommended minimum of {min_group_size}); "
+        f"transport estimates may be unreliable"
+        for key, idx in pop.groups.items()
+        if len(idx) < min_group_size
+    ]

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .empirical import EmpiricalDistribution, QuantileGrid, discretize_quantiles, grid_ranks
+from .empirical import EmpiricalDistribution, QuantileGrid, discretize_quantiles
 from .errors import ValidationError
 from .population import ScoredPopulation
 from .solver_settings import normalize_weights
@@ -56,9 +56,8 @@ def barycenter_1d(
         raise ValidationError("need at least one distribution")
     w = normalize_weights(weights, len(dists))
 
-    ranks = grid_ranks(m)
     quantiles = np.zeros(m)
     for dist, wg in zip(dists, w):
         quantiles += wg * discretize_quantiles(dist, m).quantiles
-    return QuantileGrid(ranks=ranks, quantiles=quantiles)
+    return QuantileGrid(quantiles)
 

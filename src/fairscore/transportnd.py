@@ -103,9 +103,6 @@ class TransportPlan:
     converged: bool
     marginal_error: float
 
-    def cost(self, cost_matrix: np.ndarray) -> float:
-        return float(np.sum(self.matrix * cost_matrix))
-
 
 def squared_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, summed one coordinate at a time.
@@ -416,9 +413,9 @@ def compute_barycenter_nd(
 ) -> BregmanBarycenter:
     """Barycenter of the group score clouds, in original score coordinates.
 
-    ``weights`` follow ``pop.group_keys()``. Transport happens on per-dimension
+    ``weights`` follow the order of ``pop.groups``. Transport happens on per-dimension
     min-max normalized coordinates; the returned support and projections are
-    de-normalized back. The projections follow ``pop.group_keys()``.
+    de-normalized back. The projections follow the order of ``pop.groups``.
     """
     scores = pop.scores
     if scores.ndim == 1:

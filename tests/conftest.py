@@ -19,7 +19,7 @@ from fairscore import (
     generate_synthetic,
     sinkhorn_plan,
 )
-from fairscore.interpolation import apply_theta, check_policy_against, resolve_theta
+from fairscore.interpolation import apply_theta
 from fairscore.transportnd import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
@@ -82,10 +82,8 @@ def ab_population():
 
 @pytest.fixture
 def ab_barycenter(ab_population):
-    dists = [
-        empirical_from_samples(ab_population.group_scores(k))
-        for k in ab_population.group_keys()
-    ]
+    pop = ab_population
+    dists = [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()]
     return barycenter_1d(dists, [0.5, 0.5], m=2)
 
 
@@ -113,7 +111,7 @@ def random_population(rng, n, n_groups, dimension=1):
 
 def random_theta_policy(rng, pop):
     overrides = {
-        key: float(rng.uniform(0, 1)) for key in pop.group_keys() if rng.uniform() < 0.5
+        key: float(rng.uniform(0, 1)) for key in pop.groups if rng.uniform() < 0.5
     }
     return ThetaPolicy(default_theta=float(rng.uniform(0, 1)), overrides=overrides)
 
@@ -144,7 +142,7 @@ def seeded_policy(seed, pop):
     rng = np.random.default_rng(seed + 1)
     thetas = [0.0, 1.0, 0.5, float(rng.uniform())]
     overrides = {
-        key: thetas[rng.integers(len(thetas))] for key in pop.group_keys() if rng.uniform() < 0.5
+        key: thetas[rng.integers(len(thetas))] for key in pop.groups if rng.uniform() < 0.5
     }
     return ThetaPolicy(default_theta=thetas[rng.integers(len(thetas))], overrides=overrides)
 
@@ -172,7 +170,6 @@ def interpolate_scores_nd(
         )
     if bary.dimension != pop.dimension:
         raise DimensionError("barycenter dimension does not match the population")
-    check_policy_against(policy, pop)
 
     scores = pop.scores
     lo, scale = _normalization_bounds(np.vstack([scores, bary.support]))
@@ -180,7 +177,7 @@ def interpolate_scores_nd(
 
     targets = np.zeros_like(scores)  # theta-0 rows keep their raw score in apply_theta
     for key, idx in pop.groups.items():
-        if resolve_theta(policy, key) == 0.0:
+        if policy.overrides.get(key, policy.default_theta) == 0.0:
             continue
         mu = DiscreteMeasure(
             support=(scores[idx] - lo) / scale, masses=np.full(idx.size, 1.0 / idx.size)

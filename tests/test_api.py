@@ -5,6 +5,7 @@ CLI imports."""
 import ast
 import importlib
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def test_tracer_targets_are_public_functions():
 ARRAY_VALUES = {
     "FairScores": lambda: fairscore.FairScores(np.array([0.0, 1.0]), fairscore.ThetaPolicy()),
     "EmpiricalDistribution": lambda: fairscore.EmpiricalDistribution(np.array([0.0, 1.0])),
-    "QuantileGrid": lambda: fairscore.QuantileGrid(np.array([0.25, 0.75]), np.array([0.0, 1.0])),
+    "QuantileGrid": lambda: fairscore.QuantileGrid(np.array([0.0, 1.0])),
     "DiscreteMeasure": lambda: fairscore.DiscreteMeasure(np.eye(2), np.array([0.5, 0.5])),
     "TransportPlan": lambda: fairscore.TransportPlan(np.eye(2) / 2, 0.01, 1, True, 0.0),
     "BregmanBarycenter": lambda: fairscore.BregmanBarycenter(
@@ -98,6 +99,17 @@ def test_every_definition_is_used_in_the_package():
                 unused.append(f"{module}:{node.name}")
     assert unused == ["population.py:records"]
     assert _referenced(ast.parse(TRACER.read_text(encoding="utf-8")))["records"]
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # the grammar of the oldest Python that pyproject.toml admits, checked on
+    # whichever newer interpreter runs the tests
+    pyproject = (Path(fairscore.__file__).parents[2] / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert floor
+    for path in sorted(Path(fairscore.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, str(path), feature_version=(int(floor[1]), int(floor[2])))
 
 
 def _message_templates(tree: ast.AST) -> Counter:

@@ -277,7 +277,7 @@ def test_verify_negative_control(tmp_path, capsys, monkeypatch):
 
     def shifted_oracle(*args, **kwargs):
         grid = oracle(*args, **kwargs)
-        return QuantileGrid(ranks=grid.ranks, quantiles=grid.quantiles + 0.1)
+        return QuantileGrid(grid.quantiles + 0.1)
 
     monkeypatch.setattr(fairscore.oracle, "barycenter_coordinate_oracle", shifted_oracle)
     write(tmp_path / "in.csv", AB_CSV)
@@ -532,7 +532,7 @@ def test_csvio_loads_only_errors_and_the_cli_imports_no_csv_or_re():
     assert imported & {"csv", "re"} == set()
     from_csvio = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     names = {alias.name for node in from_csvio if node.module == "csvio" for alias in node.names}
-    assert names == {"commit", "read_csv", "render_csv"}
+    assert names == {"commit", "read_csv", "refuse_one_file", "render_csv"}
 
 
 def test_cli_and_transform_load_no_synth_oracle_or_hashlib(tmp_path):
@@ -959,6 +959,49 @@ def test_transform_refuses_one_file_for_output_and_report(tmp_path, capsys, monk
     assert json.loads((tmp_path / "out.csv").read_text())["theta"]["default_theta"] == 1.0
 
 
+def test_transform_refuses_a_hard_link_to_the_output_as_report(tmp_path, capsys, monkeypatch):
+    """Two names of one file through a hard link are one file too: the run exits
+    2 before it reads the input, and the file keeps what it held."""
+    import fairscore.cli
+
+    def read_input(cfg):
+        raise AssertionError("the input was read")
+
+    write(tmp_path / "in.csv", AB_CSV)
+    out = tmp_path / "out.csv"
+    write(out, "kept\n")
+    os.link(out, tmp_path / "link.csv")
+    monkeypatch.setattr(fairscore.cli, "load_csv", read_input)
+    cfg = base_config(tmp_path, report=str(tmp_path / "link.csv"))
+    assert main(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: output and report name the same file {out}\n"
+    assert out.read_text() == "kept\n"
+
+
+def test_output_and_report_both_on_dev_stdout_print_the_csv_then_the_report(tmp_path):
+    """stdout's own file may be named twice: the CSV, then the report, go to
+    stdout, whether it is a pipe or a file."""
+    write(tmp_path / "in.csv", AB_CSV)
+    assert main(["transform", "--config", base_config(tmp_path)]) == 0
+    expected = (tmp_path / "out.csv").read_text() + (tmp_path / "report.json").read_text()
+    cfg = base_config(tmp_path, output="/dev/stdout", report="/dev/stdout")
+    argv = [*RUN_ENTRY, "transform", "--config", cfg]
+    child = subprocess.run(argv, env=_piped_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
+    log = tmp_path / "log"
+    with open(log, "w") as stdout:
+        assert subprocess.run(argv, env=_piped_env(), stdout=stdout).returncode == 0
+    assert log.read_text() == expected
+
+
+def test_output_and_report_both_on_dev_null_succeed(tmp_path, capsys):
+    """A file that is not regular, such as ``/dev/null``, may be named twice."""
+    write(tmp_path / "in.csv", AB_CSV)
+    cfg = base_config(tmp_path, output=os.devnull, report=os.devnull)
+    assert main(["transform", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_explicit_weight_for_an_absent_group_exits_2(tmp_path, capsys):
     weights = [{"group": [g], "weight": w} for g, w in (("A", 0.5), ("B", 0.5), ("Z", 7))]
     cfg = base_config(tmp_path, weight_mode="explicit", explicit_weights=weights)
@@ -1096,10 +1139,8 @@ TIED_CSV = "id,sex,score\na1,A,0\na2,A,2\na3,A,-0.0\nb1,B,2\nb2,B,4\nb3,B,2\nc1,
 def test_one_d_commands_sort_no_group_again(tmp_path, capsys, monkeypatch):
     """The 1-D commands read each group's sorted run off ``pop.raw_order``:
     none calls ``empirical_from_samples``, under any name a fairscore module
-    holds it by, and all but ``verify`` gather no group through
-    ``group_scores``."""
+    holds it by."""
     import fairscore.empirical
-    from fairscore.population import ScoredPopulation
 
     def refuse(*args, **kwargs):
         raise AssertionError("a 1-D command sorted a group again")
@@ -1113,7 +1154,6 @@ def test_one_d_commands_sort_no_group_again(tmp_path, capsys, monkeypatch):
     cfg = base_config(tmp_path, selection_top_k=2)
     assert main(["verify", "--config", cfg]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    monkeypatch.setattr(ScoredPopulation, "group_scores", refuse)
     for argv in (["transform"], ["audit"], ["sweep", "--thetas", "0,0.5,1"], ["barycenter"]):
         assert main([*argv, "--config", cfg]) == 0, argv
 

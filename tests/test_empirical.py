@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairscore import (
     EmpiricalDistribution,
+    QuantileGrid,
     ValidationError,
     discretize_quantiles,
     empirical_from_samples,
@@ -120,6 +121,14 @@ def test_discretize_quantiles():
 
 def test_grid_ranks():
     np.testing.assert_allclose(grid_ranks(4), [0.125, 0.375, 0.625, 0.875])
+
+
+def test_quantile_grid_derives_its_ranks_from_its_size():
+    grid = QuantileGrid([0.0, 1.0, 1.0, 3.0])
+    assert grid.ranks.tobytes() == grid_ranks(4).tobytes()
+    for bad in ([1.0], [[0.0, 1.0], [2.0, 3.0]]):
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            QuantileGrid(bad)
 
 
 @given(sample_lists, st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))

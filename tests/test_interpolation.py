@@ -16,14 +16,8 @@ from fairscore import (
     compute_barycenter_nd,
     empirical_from_samples,
     interpolate_scores,
-    resolve_theta,
 )
-from fairscore.cli import (
-    RunConfig,
-    barycenter_weights,
-    compute_barycenter,
-    transform_population,
-)
+from fairscore.cli import RunConfig, barycenter_weights, compute_barycenter
 from fairscore.interpolation import apply_theta, barycenter_targets
 from fairscore.metrics import build_report
 from fairscore.transport1d import w2_distance
@@ -39,18 +33,23 @@ from test_empirical import midranks_searchsorted
 
 
 def group_dists(pop):
-    return [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
+    return [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()]
 
 
 def size_weights(pop):
-    return [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
+    return [len(idx) / len(pop) for idx in pop.groups.values()]
 
 
-def test_resolve_theta():
-    gA, gB, gC = (GroupKey((v,)) for v in "ABC")
-    assert resolve_theta(ThetaPolicy(0.8), gA) == 0.8
-    assert resolve_theta(ThetaPolicy(0.8, {gB: 1.0}), gB) == 1.0
-    assert resolve_theta(ThetaPolicy(0.0, {gA: 0.3}), gC) == 0.0
+def test_apply_theta_reads_each_group_override_else_the_default():
+    pop = build_population(["a", "b", "c"], [["A", "B", "C"]], [0.0, 0.0, 0.0])
+    gA, gB, _ = pop.groups
+    targets = np.ones(3)  # so each fair score is its row's theta
+    for policy, thetas in [
+        (ThetaPolicy(0.8), [0.8, 0.8, 0.8]),
+        (ThetaPolicy(0.8, {gB: 1.0}), [0.8, 1.0, 0.8]),
+        (ThetaPolicy(0.0, {gA: 0.3}), [0.3, 0.0, 0.0]),
+    ]:
+        assert apply_theta(pop, targets, policy).values.tolist() == thetas
 
 
 def test_policy_rejects_bad_theta():
@@ -146,7 +145,7 @@ def test_parity_endpoint_aligns_group_grids():
     bary = barycenter_1d(group_dists(pop), [0.5, 0.5], m)
     fair = interpolate_scores(pop, bary, ThetaPolicy(1.0))
     spacing = np.max(np.abs(np.diff(bary.quantiles)))
-    for key in pop.group_keys():
+    for key in pop.groups:
         idx = np.asarray(pop.groups[key])
         grid = empirical_from_samples(fair.values[idx])
         from fairscore import discretize_quantiles
@@ -169,7 +168,7 @@ def test_linear_parity_decay_exact():
         fair = interpolate_scores(pop, bary, ThetaPolicy(theta))
         fair_dists = [
             empirical_from_samples(fair.values[np.asarray(pop.groups[k])])
-            for k in pop.group_keys()
+            for k in pop.groups
         ]
         assert w2_distance(fair_dists[0], fair_dists[1], n) == pytest.approx(
             (1 - theta) * raw_w2, abs=1e-9
@@ -251,7 +250,7 @@ def _blend(pop, thetas, m):
     """The transform and sweep path: shared targets, then one theta blend."""
     bary = barycenter_1d(group_dists(pop), size_weights(pop), m)
     targets = barycenter_targets(pop, bary)
-    policy = ThetaPolicy(0.0, dict(zip(pop.group_keys(), thetas)))
+    policy = ThetaPolicy(0.0, dict(zip(pop.groups, thetas)))
     return targets, apply_theta(pop, targets, policy).values
 
 
@@ -333,7 +332,7 @@ def test_signed_zeros_at_the_bottom_of_groups_match_a_sorted_reference(seed):
     groups = np.repeat(["a", "b", "c"], sizes).tolist()
     pop = build_population([f"r{i}" for i in range(scores.size)], [groups], scores)
     m = 40
-    dists = [EmpiricalDistribution(np.sort(pop.group_scores(k))) for k in pop.group_keys()]
+    dists = [EmpiricalDistribution(np.sort(pop.scores[idx])) for idx in pop.groups.values()]
     bary = barycenter_1d(dists, size_weights(pop), m)
     for theta in (1.0, 0.5, 0.0):
         expected = np.empty_like(scores)
@@ -343,7 +342,8 @@ def test_signed_zeros_at_the_bottom_of_groups_match_a_sorted_reference(seed):
             t = np.empty_like(s)
             t[order] = bary.evaluate(midranks_searchsorted(s[order]))
             expected[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * t
-        got = transform_population(pop, RunConfig(grid_size=m, theta=theta)).values
+        cfg = RunConfig(grid_size=m, theta=theta)
+        got = interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy()).values
         assert got.tobytes() == expected.tobytes()
 
 
@@ -351,7 +351,7 @@ def per_group_blend(pop, targets, policy):
     """The blend group by group, a group with theta 0 taking its raw scores as they are."""
     fair = np.empty_like(pop.scores)
     for key, idx in pop.groups.items():
-        theta, s = resolve_theta(policy, key), pop.scores[idx]
+        theta, s = policy.overrides.get(key, policy.default_theta), pop.scores[idx]
         fair[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * targets[idx]
     return fair
 
@@ -374,7 +374,7 @@ def test_barycenter_of_the_raw_order_runs_matches_sorted_groups(seed, group_coun
     pop = seeded_population(seed, group_count)
     cfg = RunConfig(grid_size=m, weight_mode=mode)
     reference = barycenter_1d(
-        [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()],
+        [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()],
         barycenter_weights(pop, cfg),
         m,
     )

@@ -55,8 +55,8 @@ def far_apart_population():
 
 
 def transform(pop, theta, m):
-    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
-    weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
+    dists = [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()]
+    weights = [len(idx) / len(pop) for idx in pop.groups.values()]
     bary = barycenter_1d(dists, weights, m)
     return interpolate_scores(pop, bary, ThetaPolicy(theta))
 
@@ -452,8 +452,8 @@ def test_ife_equals_pairwise_oracle_on_blended_scores(pop, m):
     """Each group of an apply_theta output is monotone, so the counter takes
     its sorted-sequence exit for every group, and at theta 0 for the whole
     population too."""
-    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
-    weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
+    dists = [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()]
+    weights = [len(idx) / len(pop) for idx in pop.groups.values()]
     bary = barycenter_1d(dists, weights, m)
     targets = barycenter_targets(pop, bary)
     for theta in (0.0, 0.3, 1.0):
@@ -513,7 +513,7 @@ def pairwise_group_fairness(pop, fair, m):
     dists = {k: empirical_from_samples(v) for k, v in samples.items()}
     w2 = 0.0
     ks = 0.0
-    for a, b in combinations(pop.group_keys(), 2):
+    for a, b in combinations(pop.groups, 2):
         w2 = max(w2, w2_distance(dists[a], dists[b], m))
         ks = max(ks, pairwise_ks(samples[a], samples[b]))
     return w2, ks
@@ -583,11 +583,11 @@ def blended_population(draw):
     raw = draw(st.lists(values, min_size=n, max_size=n))
     pop = build_population([f"r{i}" for i in range(n)], [[f"g{g}" for g in codes]], raw)
     m = draw(st.sampled_from([2, 3, 16]))
-    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
-    weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
+    dists = [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()]
+    weights = [len(idx) / len(pop) for idx in pop.groups.values()]
     targets = barycenter_targets(pop, barycenter_1d(dists, weights, m))
     thetas = st.sampled_from([0.0, 0.3, 0.5, 1.0])
-    overrides = draw(st.dictionaries(st.sampled_from(pop.group_keys()), thetas))
+    overrides = draw(st.dictionaries(st.sampled_from(list(pop.groups)), thetas))
     policy = ThetaPolicy(draw(thetas), overrides)
     return pop, apply_theta(pop, targets, policy)
 
@@ -626,8 +626,8 @@ def sweep_population(n_groups, rows_per_group, seed):
     codes = np.repeat(np.arange(n_groups), rows_per_group)
     raw = np.round(rng.normal(codes / n_groups, 0.3), 1)
     pop = build_population([f"r{i}" for i in range(n)], [[f"g{c}" for c in codes]], raw)
-    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
-    weights = [len(pop.groups[k]) / n for k in pop.group_keys()]
+    dists = [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()]
+    weights = [len(idx) / n for idx in pop.groups.values()]
     return pop, barycenter_targets(pop, barycenter_1d(dists, weights, 50))
 
 
@@ -734,8 +734,8 @@ def test_selection_rates_by_group_codes_match_per_group_counts(seed, group_count
     the threshold and at the cut. The top-k reference sorts the rows by
     (fair, raw, id) in Python."""
     pop = seeded_population(seed, group_count)
-    weights = [len(pop.groups[k]) / len(pop) for k in pop.group_keys()]
-    dists = [empirical_from_samples(pop.group_scores(k)) for k in pop.group_keys()]
+    weights = [len(idx) / len(pop) for idx in pop.groups.values()]
+    dists = [empirical_from_samples(pop.scores[idx]) for idx in pop.groups.values()]
     targets = barycenter_targets(pop, barycenter_1d(dists, weights, 7))
     fair = apply_theta(pop, targets, seeded_policy(seed, pop))
     fv, raw, n = fair.values.tolist(), pop.scores.tolist(), len(pop)

@@ -79,16 +79,16 @@ def test_empty_population_rejected():
 
 def test_group_order_is_lexicographic():
     pop = population_from_records([rec(0, "c"), rec(1, "a"), rec(2, "b")], 1)
-    assert [k.values for k in pop.group_keys()] == [("a",), ("b",), ("c",)]
+    assert [k.values for k in pop.groups] == [("a",), ("b",), ("c",)]
 
 
 def test_min_group_size_warnings():
     records = [rec(i, "A") for i in range(500)] + [rec(1000 + i, "B") for i in range(40)]
     pop = population_from_records(records, 1)
-    assert validate_population(pop, min_group_size=100) != []
-    (warning,) = validate_population(pop, min_group_size=100)
-    assert warning.group == GroupKey(("B",))
-    assert warning.size == 40
+    assert validate_population(pop, min_group_size=100) == [
+        "group B has only 40 individuals (below the recommended minimum of 100); "
+        "transport estimates may be unreliable"
+    ]
     assert validate_population(pop, min_group_size=1) == []
     big = population_from_records(
         [rec(i, "A") for i in range(500)] + [rec(1000 + i, "B") for i in range(500)], 1
@@ -117,7 +117,7 @@ def test_scores_array_shapes():
     assert pop1.scores.shape == (2,)
     pop2 = population_from_records([rec(0, "A", (1.0, 2.0)), rec(1, "B", (3.0, 4.0))], 1)
     assert pop2.scores.shape == (2, 2)
-    np.testing.assert_array_equal(pop2.group_scores(GroupKey(("B",))), [[3.0, 4.0]])
+    np.testing.assert_array_equal(pop2.scores[pop2.groups[GroupKey(("B",))]], [[3.0, 4.0]])
 
 
 def test_scores_array_is_built_once_and_read_only():
@@ -129,12 +129,14 @@ def test_scores_array_is_built_once_and_read_only():
     assert pop.scores[0] == 1.0
 
 
-def test_group_scores_index_the_cached_array():
+def test_group_index_arrays_select_each_group_scores():
     names = ["b", "a", "c", "a", "b", "b", "c"]
     for score in (lambda i: float(i) / 3, lambda i: (float(i), -float(i))):
-        pop = population_from_records([rec(i, name, score(i)) for i, name in enumerate(names)], 1)
+        records = [rec(i, name, score(i)) for i, name in enumerate(names)]
+        pop = population_from_records(records, 1)
         for key, idx in pop.groups.items():
-            np.testing.assert_array_equal(pop.group_scores(key), pop.scores[list(idx)])
+            expected = [r.score for r in records if r.group_values == key.values]
+            np.testing.assert_array_equal(pop.scores[pop.groups[key]], expected)
 
 
 def test_columnar_build_partitions_with_read_only_index_arrays():

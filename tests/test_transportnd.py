@@ -13,12 +13,15 @@ from fairscore import (
     ThetaPolicy,
     ValidationError,
     barycenter_fixed_support,
+    build_population,
+    interpolate_scores,
     sinkhorn_plan,
 )
 import fairscore.transportnd
-from fairscore.cli import RunConfig, barycenter_weights, main, transform_population
+from fairscore.cli import RunConfig, barycenter_weights, compute_barycenter, main
 from fairscore.oracle import lp_transport_exact
 from fairscore.transportnd import (
+    DEFAULT_EPSILON,
     _logsumexp,
     compute_barycenter_nd,
     default_barycenter_support,
@@ -39,7 +42,7 @@ def test_sinkhorn_identity_point():
     plan = sinkhorn_plan(mu, mu, epsilon=0.1)
     np.testing.assert_allclose(plan.matrix, [[1.0]], atol=1e-12)
     assert plan.converged
-    assert plan.cost(squared_cost_matrix(mu.support, mu.support)) == pytest.approx(0.0)
+    assert np.sum(plan.matrix * squared_cost_matrix(mu.support, mu.support)) == pytest.approx(0.0)
 
 
 def test_sinkhorn_near_diagonal_at_small_epsilon():
@@ -233,7 +236,7 @@ def test_sinkhorn_cost_bounds_vs_lp():
         nu = DiscreteMeasure(rng.uniform(size=(m, 2)), rng.dirichlet(np.ones(m)))
         eps = 0.05
         plan = sinkhorn_plan(mu, nu, epsilon=eps, tol=1e-10)
-        cost = plan.cost(squared_cost_matrix(mu.support, nu.support))
+        cost = np.sum(plan.matrix * squared_cost_matrix(mu.support, nu.support))
         lp_cost, _ = lp_transport_exact(mu, nu)
         assert cost >= lp_cost - 1e-9
         assert cost <= lp_cost + eps * np.log(n * m) + 1e-9
@@ -245,7 +248,7 @@ def test_epsilon_monotonicity():
     nu = DiscreteMeasure(rng.uniform(size=(5, 2)), rng.dirichlet(np.ones(5)))
     C = squared_cost_matrix(mu.support, nu.support)
     costs = [
-        sinkhorn_plan(mu, nu, epsilon=eps, tol=1e-10).cost(C) for eps in (1.0, 0.1, 0.01)
+        np.sum(sinkhorn_plan(mu, nu, epsilon=eps, tol=1e-10).matrix * C) for eps in (1.0, 0.1, 0.01)
     ]
     assert costs[0] >= costs[1] - 1e-12
     assert costs[1] >= costs[2] - 1e-12
@@ -492,6 +495,27 @@ def test_repro_fair_scores_sit_at_the_fixed_point(tmp_path):
     assert np.abs(default - strict).max() <= 1e-5
 
 
+# A known defect: on these 4-row supports the Bregman barycenter is still
+# crawling when it stops after the default 10,000 sweeps (marginal error 1.691e-06
+# and 7.793e-06; it needs 99,115 and 23,041). The support of the first is
+# collinear; in the second only group A's points are. Each case passes, and so
+# fails here as an unexpected pass, once the solver converges on it.
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="see ROADMAP Known defects")
+@pytest.mark.parametrize(
+    "rows, epsilon",
+    [
+        ([("F", 0.1, 1.0), ("M", 0.2, 1.0), ("F", 0.3, 1.0), ("M", 0.5, 1.0)], DEFAULT_EPSILON),
+        ([("A", 0.0, 0.0), ("B", 0.0, 0.0), ("A", 0.0, 1.0), ("B", 1.0, 1.0)], 0.1),
+    ],
+    ids=["collinear", "one-group-collinear"],
+)
+def test_small_supports_converge_within_the_default_sweeps(rows, epsilon):
+    groups, *coordinates = zip(*rows)
+    pop = build_population(list("abcd"), [groups], np.column_stack(coordinates))
+    cfg = RunConfig(epsilon=epsilon)
+    compute_barycenter_nd(pop, barycenter_weights(pop, cfg), epsilon, cfg.tol, cfg.max_iter)
+
+
 def test_barycenter_rejects_nan_weight():
     mu = uniform_measure([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValidationError, match="weights must be strictly positive"):
@@ -590,8 +614,7 @@ def test_mirrored_clouds_agree_at_theta_one():
         tol=1e-9,
     )
     fair = interpolate_scores_nd(pop, bary, ThetaPolicy(1.0), epsilon=eps, tol=1e-9)
-    idx_a = np.asarray(pop.groups[pop.group_keys()[0]])
-    idx_b = np.asarray(pop.groups[pop.group_keys()[1]])
+    idx_a, idx_b = pop.groups.values()
     img_a, img_b = fair.values[idx_a], fair.values[idx_b]
     # compare the image clouds dimension-wise as sorted samples;
     # epsilon is relative to [0, 1]-normalized scores, so scale by the range
@@ -603,7 +626,7 @@ def test_mirrored_clouds_agree_at_theta_one():
 
 
 def test_nd_path_consistent_with_1d_path():
-    from fairscore import barycenter_1d, empirical_from_samples, interpolate_scores
+    from fairscore import barycenter_1d, empirical_from_samples
 
     rng = np.random.default_rng(23)
     a = rng.uniform(0.0, 0.4, size=16)
@@ -611,7 +634,7 @@ def test_nd_path_consistent_with_1d_path():
     records_1d = [ScoreRecord(f"a{i}", ("A",), float(x)) for i, x in enumerate(a)]
     records_1d += [ScoreRecord(f"b{i}", ("B",), float(x)) for i, x in enumerate(b)]
     pop1 = population_from_records(records_1d, 1)
-    dists = [empirical_from_samples(pop1.group_scores(k)) for k in pop1.group_keys()]
+    dists = [empirical_from_samples(pop1.scores[idx]) for idx in pop1.groups.values()]
     bary1 = barycenter_1d(dists, [0.5, 0.5], 16)
     fair1 = interpolate_scores(pop1, bary1, ThetaPolicy(1.0))
 
@@ -648,7 +671,7 @@ def gaussian_nd_population(rng, sizes=(70, 50)):
 def test_fused_maps_match_sinkhorn_maps(epsilon, tol):
     pop = gaussian_nd_population(np.random.default_rng(5))
     cfg = RunConfig(epsilon=epsilon, tol=tol, max_iter=100000)
-    fused = transform_population(pop, cfg)
+    fused = interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy())
     bary = compute_barycenter_nd(
         pop, barycenter_weights(pop, cfg), epsilon=epsilon, tol=tol, max_iter=100000
     )
@@ -664,12 +687,13 @@ def test_fused_maps_match_sinkhorn_maps(epsilon, tol):
 def test_fused_theta_zero_is_bitwise_identity():
     pop = gaussian_nd_population(np.random.default_rng(6))
     scores = pop.scores
-    fair = transform_population(pop, RunConfig(theta=0.0))
+    cfg = RunConfig(theta=0.0)
+    fair = interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy())
     assert fair.values.tobytes() == scores.tobytes()
 
-    key_a, key_b = pop.group_keys()
+    key_a, key_b = list(pop.groups)
     cfg = RunConfig(theta=1.0, theta_overrides={key_a: 0.0})
-    fair = transform_population(pop, cfg)
+    fair = interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy())
     idx_a, idx_b = pop.groups[key_a], pop.groups[key_b]
     assert fair.values[idx_a].tobytes() == scores[idx_a].tobytes()
     assert np.abs(fair.values[idx_b] - scores[idx_b]).max() > 0.01
