@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -281,7 +281,7 @@ def load_config(path: str) -> RunConfig:
 # Input and pipeline pieces
 
 
-def load_csv(cfg: RunConfig) -> tuple[list[str], list[str], ScoredPopulation]:
+def load_csv(cfg: RunConfig) -> tuple[list[str], Iterable[str], ScoredPopulation]:
     """The input's header, its data lines for pass-through on output and the
     population built from its columns (see ``csvio.read_csv``)."""
     if cfg.input is None:

@@ -12,7 +12,7 @@ each names its own errors:
   are the rows ``csv.reader`` would give. A line longer than
   ``csv.field_size_limit()`` sends the text on to ``csv.reader``.
 - The ``csv.reader`` path, for every other text. It reports the first bad
-  row and keeps each row as the line ``csv.writer`` writes for it.
+  row and keeps the rows, each rendered as ``csv.writer`` writes it when written.
 
 ``render_csv`` renders a CSV as text chunks, and ``commit`` writes every file
 of a run. A number is written as ``NUMBER % v``, which no writer quotes: a
@@ -125,7 +125,8 @@ def _lines(text: str) -> Iterator[str]:
 
 
 def _load_rows(text: str, path: str, *names):
-    """(header, data lines, columns) read with ``csv.reader``; raises the first bad row's error."""
+    """(header, data lines, columns) read with ``csv.reader``; raises the first bad row's
+    error. A data line is rendered only when it is written, so ``audit`` renders none."""
     reader = csv.reader(_lines(text))
     try:
         header = next(reader)
@@ -135,7 +136,7 @@ def _load_rows(text: str, path: str, *names):
     rectangular = not set(map(len, rows)) - {len(header)}
     column = (lambda j: list(map(itemgetter(j), rows))) if rectangular else None
     columns = _columns(header, rows, column, len(rows), "_" in text, *names)
-    return header, list(_csv_lines(rows)), columns
+    return header, _csv_lines(rows), columns
 
 
 def _positions(header: list[str], score_columns, group_columns, id_column) -> dict[str, int]:

@@ -64,10 +64,6 @@ class QuantileGrid:
     def ranks(self) -> np.ndarray:
         return grid_ranks(self.quantiles.size)
 
-    def evaluate(self, p) -> np.ndarray | float:
-        """Piecewise-linear quantile lookup with constant tails."""
-        return np.interp(p, self.ranks, self.quantiles)
-
 
 def grid_ranks(m: int) -> np.ndarray:
     """The shared evaluation grid p_k = (k - 0.5)/m, k = 1..m."""

@@ -46,12 +46,6 @@ class ThetaPolicy:
             if not 0.0 <= theta <= 1.0:
                 raise ValidationError(f"theta override {theta} for group {key} outside [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "default_theta": self.default_theta,
-            "overrides": {str(k): v for k, v in sorted(self.overrides.items())},
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class FairScores:
@@ -87,7 +81,7 @@ def barycenter_targets(
     if pop.dimension == 1:
         order = pop.raw_order
         ranks = midranks(pop.scores[order.by_group], order.group_starts)
-        targets[order.by_group] = bary.evaluate(ranks)
+        targets[order.by_group] = np.interp(ranks, bary.ranks, bary.quantiles)
         return targets
     if [len(p) for p in bary.projections] != [len(idx) for idx in pop.groups.values()]:
         raise ValidationError("barycenter projections do not match the population's groups")

@@ -84,8 +84,11 @@ class SelectionRule:
             raise ValidationError("specify exactly one of threshold or top_k")
         if self.threshold is not None and np.isnan(self.threshold):
             raise ValidationError("selection threshold must be a number, got nan")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValidationError(f"selection top_k must be at least 1, got {self.top_k}")
+        if self.top_k is not None:
+            if isinstance(self.top_k, bool) or not isinstance(self.top_k, (int, np.integer)):
+                raise ValidationError(f"selection top_k must be an integer, got {self.top_k!r}")
+            if self.top_k < 1:
+                raise ValidationError(f"selection top_k must be at least 1, got {self.top_k}")
 
 
 def _inversions(seq: np.ndarray) -> int:
@@ -297,16 +300,20 @@ def selection_rates(
     return rates, ratio
 
 
+def _by_group(values: dict[GroupKey, float]) -> dict[str, float]:
+    return {str(k): v for k, v in sorted(values.items())}
+
+
 def build_report(
     pop: ScoredPopulation,
     fair: FairScores,
     m: int = DEFAULT_GRID_SIZE,
     rule: SelectionRule | None = None,
 ) -> dict:
-    """The report of one theta setting: the ``METRICS``, ``selection`` (the rates by
-    ``str(key)`` in key order, and their ratio) and ``theta``. A metric is None when
-    undefined: group fairness for a single group, and all but the utility losses for
-    n-D scores. ``selection`` is None without a rule and for n-D scores."""
+    """The whole report of one theta setting: the ``METRICS``, ``selection`` (rates and
+    ratio) and ``theta`` (default and overrides), each map of groups by ``str(key)`` in key
+    order. A metric is None when undefined: group fairness for a single group, and all but
+    the utility losses for n-D scores. ``selection`` is None without a rule and for n-D."""
     mean_abs, w2_loss = utility_loss(pop, fair)
     ife = gw2 = gks = selection = None
     if pop.dimension == 1:
@@ -315,6 +322,8 @@ def build_report(
             gw2, gks = group_fairness_error(pop, fair, m)
         if rule is not None:
             rates, ratio = selection_rates(pop, fair, rule)
-            selection = {"rates": {str(k): v for k, v in sorted(rates.items())}, "ratio": ratio}
+            selection = {"rates": _by_group(rates), "ratio": ratio}
+    policy = fair.theta_used
+    theta = {"default_theta": policy.default_theta, "overrides": _by_group(policy.overrides)}
     report = dict(zip(METRICS, (ife, gw2, gks, mean_abs, w2_loss)))
-    return {**report, "selection": selection, "theta": fair.theta_used.to_dict()}
+    return {**report, "selection": selection, "theta": theta}

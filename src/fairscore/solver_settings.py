@@ -18,7 +18,7 @@ MAX_GRID_SIZE = 10**6
 DEFAULT_EPSILON = 0.01
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10000
-WEIGHT_TOL = 1e-9
+SUM_TOL = 1e-9
 
 
 def validate_solver_params(epsilon: float, tol: float, max_iter: int) -> None:
@@ -40,7 +40,7 @@ def normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:
 
     The one check of barycenter weights, for ``barycenter_1d`` and the n-D
     ``barycenter_fixed_support`` alike: one weight per measure, each positive,
-    summing to 1 within ``WEIGHT_TOL``.
+    summing to 1 within ``SUM_TOL``.
     """
     w = np.asarray(weights, dtype=float)
     if w.size != count:
@@ -48,6 +48,6 @@ def normalize_weights(weights: Sequence[float], count: int) -> np.ndarray:
     if not np.all(w > 0):  # a NaN weight fails this too
         raise ValidationError("barycenter weights must be strictly positive")
     total = w.sum()
-    if not abs(total - 1.0) <= WEIGHT_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise ValidationError("barycenter weights must sum to 1")
     return w / total

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -56,14 +56,11 @@ class Uniform:
         return rng.uniform(self.lo, self.hi, size)
 
 
-Distribution = Union[Gaussian, Beta, Uniform]
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     key: GroupKey
     size: int
-    dims: tuple[Distribution, ...]
+    dims: tuple[Gaussian | Beta | Uniform, ...]
 
     def validate(self):
         if self.size < 1:

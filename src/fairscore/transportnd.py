@@ -47,11 +47,10 @@ from .solver_settings import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    SUM_TOL,
     normalize_weights,
     validate_solver_params,
 )
-
-MASS_SUM_TOL = 1e-9
 
 DEFAULT_SUPPORT_LIMIT = 2000
 
@@ -80,7 +79,7 @@ class DiscreteMeasure:
             raise ValidationError("masses must be finite")
         if np.any(masses < 0):
             raise ValidationError("masses must be nonnegative")
-        if abs(masses.sum() - 1.0) > MASS_SUM_TOL:
+        if abs(masses.sum() - 1.0) > SUM_TOL:
             raise ValidationError("masses must sum to 1")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "masses", masses)

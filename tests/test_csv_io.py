@@ -162,6 +162,26 @@ def test_command_matches_golden_bytes(tmp_path, capsys, case, argv, extra):
     assert produced == {name: _bytes(GOLDEN / name) for name in produced}
 
 
+@pytest.mark.parametrize("case", ["transform", "audit", "sweep", "barycenter", "verify"])
+def test_a_quoted_input_renders_only_the_data_lines_it_writes(tmp_path, capsys, monkeypatch, case):
+    """On the ``csv.reader`` path a data line is rendered as the egress writes it:
+    ``transform`` renders each row once, in order, and the commands that write no
+    data line render none. Every output still matches its golden bytes."""
+    data_rows = list(csv.reader(io.StringIO(GOLDEN_INPUT, newline="")))[1:]
+    drawn = []
+    csv_lines = fairscore.csvio._csv_lines
+
+    def counting_csv_lines(rows, end=""):
+        return csv_lines((drawn.append(row) or row for row in rows), end)
+
+    monkeypatch.setattr(fairscore.csvio, "_csv_lines", counting_csv_lines)
+    argv, extra = next(c[1:] for c in GOLDEN_CASES if c[0] == case)
+    produced = golden_outputs(tmp_path, capsys, case, argv, extra)
+    assert produced == {name: _bytes(GOLDEN / name) for name in produced}
+    rendered = [row for row in drawn if row in data_rows]
+    assert rendered == (data_rows if case == "transform" else [])
+
+
 AB_HEADER = "id,sex,score"
 AB_ROWS = ["a1,A,0", "a2,A,2", "b1,B,2", "b2,B,4", "b3,B,5"]
 
@@ -364,7 +384,7 @@ def test_load_csv_hands_build_population_one_list_per_group_column(tmp_path, mon
     monkeypatch.setattr(fairscore.cli, "build_population", recording_build)
     header, lines, pop = load_csv(cfg)
     # on both paths the records are the lines csv.writer writes, which quotes no "a1"
-    assert lines == [row.replace('"', "") for row in rows]
+    assert list(lines) == [row.replace('"', "") for row in rows]
     assert calls == [[["x", "y", "x", "y", "z"], ["A", "A", "B", "B", "B"]]]
     assert all(type(column) is list for column in calls[0])
     keys = [("x", "A"), ("x", "B"), ("y", "A"), ("y", "B"), ("z", "B")]
@@ -580,7 +600,7 @@ def _loaded(loader, text, cfg):
         header, lines, (ids, groups, scores) = loader(text, cfg.input, *names)
     except ValidationError as exc:
         return str(exc)
-    return header, lines, ids, groups, scores.shape, scores.tobytes()
+    return header, list(lines), ids, groups, scores.shape, scores.tobytes()
 
 
 @settings(max_examples=400, deadline=None)

@@ -287,7 +287,8 @@ def per_group_targets(pop, bary):
     """The targets with each group ranked on its own: one searchsorted pair per group."""
     targets = np.empty_like(pop.scores)
     for idx in pop.groups.values():
-        targets[idx] = bary.evaluate(midranks_searchsorted(pop.scores[idx]))
+        ranks = midranks_searchsorted(pop.scores[idx])
+        targets[idx] = np.interp(ranks, bary.ranks, bary.quantiles)
     return targets
 
 
@@ -340,7 +341,7 @@ def test_signed_zeros_at_the_bottom_of_groups_match_a_sorted_reference(seed):
             s = scores[idx]
             order = np.argsort(s)
             t = np.empty_like(s)
-            t[order] = bary.evaluate(midranks_searchsorted(s[order]))
+            t[order] = np.interp(midranks_searchsorted(s[order]), bary.ranks, bary.quantiles)
             expected[idx] = s if theta == 0.0 else (1.0 - theta) * s + theta * t
         cfg = RunConfig(grid_size=m, theta=theta)
         got = interpolate_scores(pop, compute_barycenter(pop, cfg), cfg.theta_policy()).values

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -249,6 +250,21 @@ def test_selection_rule_rejects_top_k_below_one(k):
         SelectionRule(top_k=k)
 
 
+@pytest.mark.parametrize(
+    "k", [2.5, 2.0, True, np.float64(3.0), "3"], ids=["fraction", "float", "bool", "np.float64", "str"]
+)
+def test_selection_rule_rejects_a_top_k_that_is_no_integer(k):
+    """A fraction would fail inside ``np.partition``, and ``True`` would select one row."""
+    with pytest.raises(ValidationError, match=re.escape(f"top_k must be an integer, got {k!r}")):
+        SelectionRule(top_k=k)
+
+
+def test_selection_rule_takes_a_numpy_integer_top_k():
+    pop = far_apart_population()
+    rates, _ = selection_rates(pop, transform(pop, 0.0, 2), SelectionRule(top_k=np.int64(2)))
+    assert rates == {GroupKey(("A",)): 0.0, GroupKey(("B",)): 1.0}
+
+
 def test_ife_nondecreasing_over_sweep(two_gaussian_population):
     pop = two_gaussian_population
     values = [
@@ -265,7 +281,7 @@ def test_build_report_round_trip():
     assert d["individual_fairness_error"] == 0.0
     assert d["group_fairness_w2"] == pytest.approx(5.0, abs=1e-9)
     assert set(d["selection"]["rates"]) == {"A", "B"}
-    assert d["theta"]["default_theta"] == 0.5
+    assert d["theta"] == {"default_theta": 0.5, "overrides": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +734,7 @@ def test_report_fairness_fields_equal_each_metric_alone():
     report = build_report(pop2, fair2, rule=SelectionRule(top_k=1))
     assert report.keys() == keys
     assert [report[name] for name in METRICS] == [None, None, None, 0.0, 0.0]
-    assert report["selection"] is None and report["theta"] == ThetaPolicy(0.0).to_dict()
+    assert report["selection"] is None and report["theta"] == {"default_theta": 0.0, "overrides": {}}
 
 
 
